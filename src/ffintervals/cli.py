@@ -9,6 +9,7 @@ gauss, scan-morse, large-q-demo, paper-suite.  Reports go to stdout as JSON
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import reports
@@ -41,6 +42,14 @@ class UsageError(Exception):
     pass
 
 
+def _worker_count(text: str) -> int:
+    """--workers: at least 1, capped at the number of CPUs."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="ffintervals",
@@ -71,20 +80,20 @@ def _build_parser():
     common(sp)
     sp.add_argument("--f", required=True)
     sp.add_argument("--phi", required=True, help="prime | mu | dr:R | file:PATH")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("correlate", help="correlation sum over shifted tuples")
     common(sp)
     sp.add_argument("--f", required=True)
     sp.add_argument("--shifts", required=True, help="comma list, e.g. '0,1' or '0:1,2:0'")
     sp.add_argument("--phi", action="append", required=True, help="repeat, zipped with shifts")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("chebotarev", help="empirical Frobenius cycle-type statistics")
     common(sp)
     sp.add_argument("--f", required=True)
     sp.add_argument("--shifts", default="0")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("census", help="squarefree census over shifted tuples")
     common(sp)
@@ -108,12 +117,12 @@ def _build_parser():
     sp.add_argument("--l-list", default="1,4", help="comma list of extension degrees")
     sp.add_argument("--out", choices=("json", "csv"), default="json")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("paper-suite", help="run the full acceptance battery")
     sp.add_argument("--quick", action="store_true", help="small primes, < 60 s")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
     sp.add_argument("--tolerance-file", default=None)
     sp.add_argument("--out", choices=("json", "csv"), default="json")
     return top

@@ -53,10 +53,6 @@ class WeightsNotNormalized(FFIntervalsError):
     """Coset weights do not sum to one."""
 
 
-class HypothesisViolated(FFIntervalsError):
-    """A scan hypothesis (coprimality or nonvanishing) fails."""
-
-
 class DichotomyViolation(FFIntervalsError):
     """Observed sums match neither branch of the cancellation dichotomy."""
 

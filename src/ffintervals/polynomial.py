@@ -77,12 +77,12 @@ def _rdivmod(ctx, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     db = len(b) - 1
-    inv = ctx.inv(b[-1])
+    inv = None if b[-1] == ctx.one_raw else ctx.inv(b[-1])
     quo = [ctx.zero_raw] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if not ctx.is_zero(c):
-            k = ctx.mul(c, inv)
+            k = c if inv is None else ctx.mul(c, inv)
             quo[i - db] = k
             for j in range(db + 1):
                 a[i - db + j] = ctx.sub(a[i - db + j], ctx.mul(k, b[j]))
@@ -135,23 +135,38 @@ def _rderiv(ctx, a):
 # int fast path for prime fields (coefficients are plain ints here)
 
 
-def _imulmod(p, a, b, m):
+def _ireduce(p, t, m):
+    """t mod m for monic m, reduced mod p.
+
+    t may hold unreduced (even negative) ints; it is consumed.  Each
+    coefficient is reduced mod p once: the leading ones when they are
+    eliminated, the rest on output.
+    """
     dm = len(m) - 1
-    t = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                t[i + j] = (t[i + j] + ai * bj) % p
+    low = m[:dm]
     for i in range(len(t) - 1, dm - 1, -1):
-        c = t[i]
+        c = t[i] % p
         if c:
-            t[i] = 0
-            off = i - dm
-            for j in range(dm):
-                t[off + j] = (t[off + j] - c * m[j]) % p
+            k = i - dm
+            for mj in low:
+                t[k] -= c * mj
+                k += 1
+    t = [c % p for c in t[:dm]]
     while t and t[-1] == 0:
         t.pop()
     return t
+
+
+def _imulmod(p, a, b, m):
+    """a * b mod m for monic m; products accumulate unreduced."""
+    t = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            k = i
+            for bj in b:
+                t[k] += ai * bj
+                k += 1
+    return _ireduce(p, t, m)
 
 
 def _imod(p, a, b):
@@ -179,24 +194,53 @@ def _igcd_monic(p, a, b):
 
 
 def _ipowmod_x(p, qbits, m):
-    """x^e mod m where e has binary digits qbits (most significant first)."""
-    t = [0, 1]
-    if len(m) - 1 <= 1:
-        t = _imod(p, t, m)
-    acc = t
+    """x^e mod m (m monic) where e has binary digits qbits (most significant first).
+
+    Each further bit costs one symmetric squaring (each cross product taken
+    once, doubled), a shift by x when the bit is set, and one reduction.
+    """
+    acc = _ireduce(p, [0, 1], m)
     for bit in qbits[1:]:
-        acc = _imulmod(p, acc, acc, m)
+        t = [0] * (2 * len(acc) - 1)
+        for i, ai in enumerate(acc):
+            if ai:
+                k = 2 * i
+                t[k] += ai * ai
+                ai2 = 2 * ai
+                for aj in acc[i + 1:]:
+                    k += 1
+                    t[k] += ai2 * aj
         if bit:
-            # multiply by x: shift up one degree then reduce
-            acc = _imulmod(p, acc, [0, 1], m)
+            t.insert(0, 0)
+        acc = _ireduce(p, t, m)
     return acc
+
+
+def _ifrobenius(p, h, powers, g, m):
+    """h^p mod m for m dividing g, as h(H) = sum_k h_k * H^k.
+
+    powers holds H^0, H^1, ... mod g, where H = x^p mod g, and grows on
+    demand.  The sum accumulates unreduced and is reduced once, mod m.
+    """
+    while len(powers) < len(h):
+        powers.append(_imulmod(p, powers[-1], powers[1], g))
+    acc = [0] * (len(g) - 1)
+    for k, c in enumerate(h):
+        if c:
+            for j, v in enumerate(powers[k]):
+                acc[j] += c * v
+    return _ireduce(p, acc, m)
 
 
 def _pattern_or_none_int(p, g, qbits):
     """Cycle type of g (monic int-coeff list) or None if not squarefree.
 
-    qbits are the binary digits of q, most significant first.  This is the
-    sweep hot path: distinct-degree steps only, no equal-degree splitting.
+    qbits are the binary digits of q = p, most significant first.  This is
+    the sweep hot path: distinct-degree steps only, no equal-degree splitting.
+    Only H = x^q mod g comes from square-and-multiply.  On F_p[x]/(g) the map
+    h -> h^p is F_p-linear and equals h(H), so each later x^(q^(i+1)) mod rem
+    is the Frobenius matrix applied to x^(q^i) mod rem (see _ifrobenius);
+    this holds mod rem because rem divides g.
     """
     gp = [i * g[i] % p for i in range(1, len(g))]
     while gp and gp[-1] == 0:
@@ -205,36 +249,29 @@ def _pattern_or_none_int(p, g, qbits):
         return None
     if len(_igcd_monic(p, list(g), gp)) > 1:
         return None
-    rem = list(g)
+    rem = g
     parts = []
+    powers = None
     h = None
     i = 0
-    while True:
-        e = len(rem) - 1
-        if 2 * (i + 1) > e:
-            break
+    while 2 * (i + 1) <= len(rem) - 1:
         i += 1
         if h is None:
-            h = _ipowmod_x(p, qbits, rem)
+            h = _ipowmod_x(p, qbits, g)
+            powers = [[1], h]
         else:
-            base = h
-            acc = h
-            for bit in qbits[1:]:
-                acc = _imulmod(p, acc, acc, rem)
-                if bit:
-                    acc = _imulmod(p, acc, base, rem)
-            h = acc
+            h = _ifrobenius(p, h, powers, g, rem)
         hx = list(h) + [0] * (2 - len(h))
         hx[1] = (hx[1] - 1) % p
         while hx and hx[-1] == 0:
             hx.pop()
-        gi = _igcd_monic(p, hx, list(rem))
+        gi = _igcd_monic(p, rem, hx)
         dgi = len(gi) - 1
         if dgi > 0:
             parts.extend([i] * (dgi // i))
             rem = _imod_exact_div(p, rem, gi)
             if len(rem) - 1 > 0:
-                h = _imod(p, h, rem)
+                h = _ireduce(p, list(h), rem)
     if len(rem) - 1 > 0:
         parts.append(len(rem) - 1)
     parts.sort(reverse=True)

@@ -130,8 +130,9 @@ def _within(value, target, bound) -> bool:
 
 
 class _Battery:
-    def __init__(self, params: SuiteParams, workers: int):
+    def __init__(self, params: SuiteParams, workers: int, progress=None):
         self.params = params
+        self.progress = progress
         self.tol = load_tolerances(params.tolerance_file)
         self.workers = workers
         self.seed = params.seed
@@ -139,18 +140,19 @@ class _Battery:
         self.checks = []
 
     def _record(self, cid, name, passed, observed, expected, tolerance, t0, details=None):
-        self.checks.append(
-            CheckResult(
-                cid,
-                name,
-                passed,
-                observed,
-                expected,
-                tolerance,
-                time.perf_counter() - t0,
-                details or {},
-            )
+        check = CheckResult(
+            cid,
+            name,
+            passed,
+            observed,
+            expected,
+            tolerance,
+            time.perf_counter() - t0,
+            details or {},
         )
+        self.checks.append(check)
+        if self.progress:
+            self.progress(check)
 
     # -- criterion 1 --------------------------------------------------------
 
@@ -652,11 +654,8 @@ class _Battery:
 def run_paper_suite(params: SuiteParams, progress=None) -> dict:
     """Run all acceptance checks plus the worker-count determinism check."""
     t0 = time.perf_counter()
-    battery = _Battery(params, params.workers)
+    battery = _Battery(params, params.workers, progress)
     checks, bundle = battery.run_all()
-    if progress:
-        for c in checks:
-            progress(c)
 
     t16 = time.perf_counter()
     alt_workers = 2 if params.workers == 1 else 1

@@ -25,11 +25,3 @@ def load_tolerances(path: str | None = None) -> dict:
         _cache = json.loads(text)
     return _cache
 
-
-def tolerance(name: str, fixtures: dict | None = None, default: float | None = None) -> float:
-    fixtures = fixtures if fixtures is not None else load_tolerances()
-    if name in fixtures:
-        return fixtures[name]
-    if default is not None:
-        return default
-    raise KeyError(f"no tolerance constant named {name!r}")

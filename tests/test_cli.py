@@ -120,6 +120,33 @@ def test_bad_poly_exits_2(capsys):
     assert run_command(["sum", "--p", "7", "--f", "x^^2", "--phi", "prime"]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_exits_2(capsys, workers):
+    argv = ["sum", "--p", "7", "--f", "x^3", "--phi", "prime", "--workers", workers]
+    assert run_command(argv) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_workers_capped_at_cpu_count(capsys, monkeypatch):
+    from ffintervals import cli
+
+    seen = []
+    real_class_sum = cli.class_sum
+
+    def fake_class_sum(ctx, f, phi, workers):
+        seen.append(workers)
+        return real_class_sum(ctx, f, phi, 1)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "class_sum", fake_class_sum)
+    for requested, passed_on in (("64", 3), ("3", 3), ("2", 2)):
+        argv = ["sum", "--p", "7", "--f", "x^3", "--phi", "prime", "--workers", requested]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert seen[-1] == passed_on
+        assert payload["params"]["workers"] == passed_on
+
+
 def test_csv_output_has_header_row(capsys):
     code = run_command(["sum", "--p", "7", "--f", "x^3", "--phi", "prime", "--out", "csv"])
     out = capsys.readouterr().out

@@ -1,0 +1,117 @@
+"""The int distinct-degree kernel against its oracles.
+
+cycle_pattern_or_none is checked against factor() exhaustively on small
+fields and on seeded samples at sweep-sized primes; the Frobenius-matrix step
+against square-and-multiply; and the lazily reduced mulmod against a naive
+product-then-divide.
+"""
+
+import random
+
+import pytest
+
+from ffintervals.finite_field import _MAX_P, is_prime, make_prime_field
+from ffintervals.polynomial import (
+    _ifrobenius,
+    _imulmod,
+    _ipowmod_x,
+    _rpowmod,
+    cycle_pattern_or_none,
+    factor,
+    poly_from_index,
+    random_monic,
+)
+
+
+def _expected_pattern(g):
+    """None when a factor repeats, else the descending factor degrees."""
+    result = factor(g)
+    if any(mult > 1 for _, mult in result.factors):
+        return None
+    return result.multiset_degrees()
+
+
+def _kernel(g):
+    return cycle_pattern_or_none(g.ctx, list(g.raw_coeffs))
+
+
+def _qbits(p):
+    return [int(b) for b in bin(p)[2:]]
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 4), (7, 4)])
+def test_kernel_matches_factor_exhaustive(p, max_degree):
+    ctx = make_prime_field(p)
+    for d in range(1, max_degree + 1):
+        for idx in range(p**d):
+            g = poly_from_index(ctx, d, idx)
+            assert _kernel(g) == _expected_pattern(g), g
+
+
+@pytest.mark.parametrize("p", [1747, 10007])
+def test_kernel_matches_factor_random_high_degree(p):
+    ctx = make_prime_field(p)
+    rng = random.Random(f"kernel/{p}")
+    for d in range(6, 10):
+        for _ in range(6):
+            g = random_monic(ctx, d, rng)
+            assert _kernel(g) == _expected_pattern(g), g
+        # products of small factors exercise the steps that split factors off
+        a, b, c = (random_monic(ctx, k, rng) for k in (1, 2, d - 3))
+        for g in (a * b * c, a * a * c):
+            assert _kernel(g) == _expected_pattern(g), g
+
+
+@pytest.mark.parametrize("p", [3, 13, 1747])
+def test_frobenius_matrix_step_is_pth_power(p):
+    ctx = make_prime_field(p)
+    rng = random.Random(f"frobenius/{p}")
+
+    def rand_poly(degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+    for d in (2, 5, 8):
+        for _ in range(5):
+            g = list(random_monic(ctx, d, rng).raw_coeffs)
+            powers = [[1], _ipowmod_x(p, _qbits(p), g)]
+            assert powers[1] == _rpowmod(ctx, [0, 1], p, g)
+            h = rand_poly(d - 1)
+            assert _ifrobenius(p, h, powers, g, g) == _rpowmod(ctx, h, p, g)
+            assert len(powers) == d
+    # reduced mod a divisor m of g, the step gives h^p mod m
+    m = random_monic(ctx, 3, rng)
+    g = list((m * random_monic(ctx, 4, rng)).raw_coeffs)
+    m = list(m.raw_coeffs)
+    powers = [[1], _ipowmod_x(p, _qbits(p), g)]
+    h = rand_poly(2)
+    assert _ifrobenius(p, h, powers, g, m) == _rpowmod(ctx, h, p, m)
+
+
+def _naive_mulmod(p, a, b, m):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    dm = len(m) - 1
+    while len(prod) > dm:
+        top = prod.pop()
+        for j in range(dm):
+            prod[len(prod) - dm + j] = (prod[len(prod) - dm + j] - top * m[j]) % p
+    while prod and prod[-1] == 0:
+        prod.pop()
+    return prod
+
+
+def test_imulmod_matches_naive_reference():
+    big = next(n for n in range(_MAX_P - 1, 0, -1) if is_prime(n))
+    rng = random.Random("imulmod")
+    for p in (2, 3, 10007, big):
+        for dm in (1, 2, 5, 8):
+            m = [rng.randrange(p) for _ in range(dm)] + [1]
+            for _ in range(20):
+                a = [rng.randrange(p) for _ in range(rng.randrange(dm + 1))]
+                b = [rng.randrange(p) for _ in range(rng.randrange(dm + 1))]
+                assert _imulmod(p, a, b, m) == _naive_mulmod(p, a, b, m)
+        # all coefficients p - 1 make every unreduced sum as large as it gets
+        top = [p - 1] * 8
+        assert _imulmod(p, top, top, top + [1]) == _naive_mulmod(p, top, top, top + [1])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ffintervals import reports
+from ffintervals import reports, suite
 from ffintervals.finite_field import make_prime_field
 from ffintervals.morse_galois import is_morse
 from ffintervals.suite import SuiteParams, first_morse_center, run_paper_suite
@@ -61,3 +61,20 @@ def test_first_morse_center_is_certified():
         f = first_morse_center(ctx, d)
         ok, _ = is_morse(f)
         assert ok and f.degree == d
+
+
+def test_progress_streams_as_each_check_finishes(monkeypatch):
+    log = []
+
+    def stub_run_all(battery):
+        for cid in (1, 2, 3):
+            log.append(("run", cid))
+            battery._record(cid, f"stub-{cid}", True, "", "", "exact", time.perf_counter())
+        return battery.checks, battery.bundle
+
+    monkeypatch.setattr(suite._Battery, "run_all", stub_run_all)
+    result = run_paper_suite(SuiteParams(quick=True), lambda c: log.append(("progress", c.cid)))
+    first = [("run", 1), ("progress", 1), ("run", 2), ("progress", 2), ("run", 3), ("progress", 3)]
+    # the determinism rerun reports nothing until check 16 itself is done
+    assert log == first + [("run", 1), ("run", 2), ("run", 3), ("progress", 16)]
+    assert [c["id"] for c in result["checks"]] == [1, 2, 3, 16]
