@@ -3,10 +3,20 @@
 A field context (:class:`FieldCtx`) describes either a prime field F_p or a
 degree-l extension F_p[y]/(m(y)) with a monic irreducible modulus m found by
 deterministic search.  Elements are stored in a "raw" form chosen for speed:
-a plain int residue when l == 1, and a length-l tuple of int residues (low
-coefficient first) when l > 1.  :class:`FieldElement` is a thin wrapper used
-at API boundaries; hot loops elsewhere in the package work on raws directly
-through the context's arithmetic methods.
+a plain int residue when l == 1, and a length-l tuple of int residues in
+[0, p) (low coefficient first) when l > 1.  :class:`FieldElement` is a thin
+wrapper used at API boundaries; hot loops elsewhere in the package work on
+raws directly through the context's arithmetic methods.
+
+For l > 1 and q <= _LOG_TABLE_CAP the context computes through discrete-log
+tables built on first use from schoolbook arithmetic: ``_exp`` lists the
+powers of a primitive element g, ``_log`` maps each raw tuple to its
+exponent, and ``_zech`` holds the Zech logarithms log(1 + g^d).  Sums,
+products, inverses, powers, Frobenius and the square test are then table
+lookups, and a raw that is not a reduced length-l tuple raises instead of
+being read as some element.  Above the cap the schoolbook code is the only
+path.  The tables are a cache: they take no part in equality, hashing or
+pickling, so a context sent to a pool worker rebuilds its own.
 
 The canonical index of an element with coefficients (c_0, ..., c_{l-1}) is
 sum(c_i * p^i); it is a bijection onto [0, q) and is used for all
@@ -19,6 +29,23 @@ from .errors import CtxMismatch, NotPrime, OutOfRange
 
 _MAX_P = 1 << 31  # residues stay machine-word sized; products fit in 64 bits
 _MAX_EXT_DEGREE = 24
+_LOG_TABLE_CAP = 2**14  # largest q with log tables; at q = 2^14 they hold 5.4 MB
+
+
+def _small_prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    m = n
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -111,13 +138,14 @@ def _zipmul(p, q, a, sub_from):
 class FieldCtx:
     """Immutable description of F_q = F_{p^l}, owner of element arithmetic."""
 
-    __slots__ = ("p", "l", "modulus", "q", "_base")
+    __slots__ = ("p", "l", "modulus", "q", "_base", "_exp", "_log", "_zech", "_log_neg1")
 
     def __init__(self, p: int, l: int = 1, modulus: tuple | None = None, _base=None):
         self.p = p
         self.l = l
         self.modulus = modulus
         self.q = p**l
+        self._exp = self._log = self._zech = self._log_neg1 = None
         if _base is not None:
             self._base = _base
         elif l > 1:
@@ -166,24 +194,44 @@ class FieldCtx:
     def add(self, a, b):
         if self.l == 1:
             return (a + b) % self.p
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        log = self._log or self._logs()
+        if log is None:
+            p = self.p
+            return tuple((x + y) % p for x, y in zip(a, b))
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def sub(self, a, b):
         if self.l == 1:
             return (a - b) % self.p
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        log = self._log or self._logs()
+        if log is None:
+            p = self.p
+            return tuple((x - y) % p for x, y in zip(a, b))
+        exp = self._exp
+        la = log[a]
+        minus_b = exp[log[b] + self._log_neg1]
+        return exp[la + self._zech[log[minus_b] - la]]
 
     def neg(self, a):
         if self.l == 1:
             return -a % self.p
-        p = self.p
-        return tuple(-x % p for x in a)
+        log = self._log or self._logs()
+        if log is None:
+            p = self.p
+            return tuple(-x % p for x in a)
+        return self._exp[log[a] + self._log_neg1]
 
     def mul(self, a, b):
         if self.l == 1:
             return a * b % self.p
+        log = self._log or self._logs()
+        if log is None:
+            return self._mul_poly(a, b)
+        return self._exp[log[a] + log[b]]
+
+    def _mul_poly(self, a, b):
+        """Schoolbook product mod the modulus (l > 1)."""
         p, l, m = self.p, self.l, self.modulus
         t = [0] * (2 * l - 1)
         for i, ai in enumerate(a):
@@ -199,6 +247,53 @@ class FieldCtx:
                     t[off + j] = (t[off + j] - c * m[j]) % p
         return tuple(t[:l])
 
+    def _pow_poly(self, a, e: int):
+        """Square-and-multiply on top of _mul_poly (l > 1, e >= 0)."""
+        acc = self.one_raw
+        base = a
+        while e:
+            if e & 1:
+                acc = self._mul_poly(acc, base)
+            base = self._mul_poly(base, base)
+            e >>= 1
+        return acc
+
+    def _logs(self):
+        """The log table, built on first use; None for l == 1 and above the cap.
+
+        With n = q - 1 and g the first element of canonical index >= p whose
+        order is n (found by schoolbook powers), _exp[i] = g^(i mod n) for
+        i < 2n, so a sum of two logs needs no reduction.  Zero gets log 2n
+        and _exp[2n:] is zero through index 4n, so a product with zero needs
+        no branch either.  -1 = g^_log_neg1.
+
+        _zech[d] = log(1 + g^d) for |d| < n (negative d index from the end),
+        so a + b = g^la * (1 + g^(lb - la)).  Two more bands make a zero
+        operand branch-free as well: for a = 0, d = lb - 2n lies in
+        [-2n, -n) and _zech holds d itself there, giving _exp[lb]; for b = 0,
+        d = 2n - la lies in (n, 2n] and _zech holds 0, giving _exp[la].
+        """
+        if self._log is not None or self.l == 1 or self.q > _LOG_TABLE_CAP:
+            return self._log
+        p, n = self.p, self.q - 1
+        one, zero = self.one_raw, self.zero_raw
+        cofactors = [n // r for r in _small_prime_factors(n)]
+        for idx in range(p, self.q):
+            g = self.raw_from_index(idx)
+            if all(self._pow_poly(g, c) != one for c in cofactors):
+                break
+        powers = [one]
+        for _ in range(n - 1):
+            powers.append(self._mul_poly(powers[-1], g))
+        log = {r: i for i, r in enumerate(powers)}
+        log[zero] = 2 * n
+        ones = [log[tuple((x + y) % p for x, y in zip(one, r))] for r in powers]
+        self._zech = ones + [0] * (n + 1) + list(range(-2 * n, -n)) + [0] + ones[1:]
+        self._log_neg1 = n // 2 if p != 2 else 0
+        self._exp = powers * 2 + [zero] * (2 * n + 1)
+        self._log = log
+        return log
+
     def scalar_mul(self, k: int, a):
         """Multiply by an integer scalar (k reduced mod p)."""
         k %= self.p
@@ -212,27 +307,34 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         if self.l == 1:
             return pow(a, self.p - 2, self.p)
+        log = self._logs()
+        if log is not None:
+            return self._exp[self.q - 1 - log[a]]
         g, u, _ = _pxgcd(self.p, list(a), list(self.modulus))
         if len(g) != 1:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
         return tuple(u[i] if i < len(u) else 0 for i in range(self.l))
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        log = self._logs()
+        if log is None:
+            return self.mul(a, self.inv(b))
+        if self.is_zero(b):
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[log[a] + self.q - 1 - log[b]]
 
     def pow_raw(self, a, e: int):
         if e < 0:
             return self.pow_raw(self.inv(a), -e)
         if self.l == 1:
             return pow(a, e, self.p)
-        acc = self.one_raw
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        log = self._logs()
+        if log is None:
+            return self._pow_poly(a, e)
+        k, n = log[a], self.q - 1
+        if k == 2 * n:  # zero
+            return self.zero_raw if e else self.one_raw
+        return self._exp[k * e % n]
 
     def frob(self, a):
         """Frobenius a -> a^p."""
@@ -240,13 +342,19 @@ class FieldCtx:
 
     def pth_root(self, a):
         """Inverse of Frobenius; a^(p^(l-1))."""
-        out = a
-        for _ in range(self.l - 1):
-            out = self.frob(out)
-        return out
+        return self.pow_raw(a, self.q // self.p)
 
     def is_square(self, a) -> bool:
-        """Euler criterion; 0 counts as a square. Odd q only."""
+        """True iff a = b^2 for some b in F_q; 0 counts as a square.
+
+        In characteristic 2 every element is a square.  For odd q this is
+        the parity of the discrete log, or Euler's criterion above the cap.
+        """
+        if self.p == 2:
+            return True
+        log = self._logs()
+        if log is not None:
+            return log[a] % 2 == 0
         if self.is_zero(a):
             return True
         return self.pow_raw(a, (self.q - 1) // 2) == self.one_raw

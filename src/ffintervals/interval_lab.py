@@ -24,7 +24,13 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .finite_field import FieldCtx, FieldElement, make_extension, make_prime_field
+from .finite_field import (
+    FieldCtx,
+    FieldElement,
+    _small_prime_factors,
+    make_extension,
+    make_prime_field,
+)
 from .morse_galois import (
     bad_shift_check,
     classify_mu_cancellation,
@@ -88,6 +94,8 @@ def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
     """Aggregate joint cycle-type counts over the whole interval."""
     shift_raws = tuple(h.raw for h in shifts)
     q = ctx.q
+    if q * len(shift_raws) > _GAUSS_GUARD:
+        raise TooLarge(f"q * shifts = {q * len(shift_raws)} members exceed sweep guard")
     if workers <= 1:
         return _sweep_block(ctx.p, ctx.l, ctx.modulus, f.raw_coeffs, shift_raws, 0, q)
     bounds = [q * i // workers for i in range(workers + 1)]
@@ -373,22 +381,6 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
     )
 
 
-def _int_mobius(n: int) -> int:
-    out = 1
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            m //= f
-            if m % f == 0:
-                return 0
-            out = -out
-        f += 1
-    if m > 1:
-        out = -out
-    return out
-
-
 def gauss_census(p: int, d: int):
     """(enumerated irreducible count, Gauss formula value) for monic degree d."""
     if p**d > _GAUSS_GUARD:
@@ -406,7 +398,12 @@ def gauss_census(p: int, d: int):
         pattern = _pattern_or_none_int(p, g, qbits)
         if pattern == (d,):
             count += 1
-    total = sum(_int_mobius(d // e) * p**e for e in range(1, d + 1) if d % e == 0)
+    total = 0
+    for e in range(1, d + 1):
+        if d % e == 0:
+            primes = _small_prime_factors(d // e)  # Moebius of d/e, from its primes
+            if math.prod(primes) == d // e:
+                total += (-1) ** len(primes) * p**e
     assert total % d == 0
     return count, total // d
 

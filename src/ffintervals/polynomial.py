@@ -10,7 +10,8 @@ discriminants, the one-variable discriminant interpolation disc_in_t, and a
 trial-division oracle used by the test suite.  Cycle types of squarefree
 polynomials come from distinct-degree factorization alone (degree_pattern),
 which is the hot path of the interval sweeps; for prime fields it runs on
-plain int lists.
+plain int lists.  Every distinct-degree step gets its x^(q^i) from Frobenius
+steps and compositions (_rxq, _rcompose), not from powering to q.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     TooLarge,
     ZeroInput,
 )
-from .finite_field import FieldCtx, FieldElement
+from .finite_field import FieldCtx, FieldElement, _small_prime_factors
 
 _BRUTE_FORCE_GUARD = 10**6
 
@@ -63,12 +64,12 @@ def _rsub(ctx, a, b):
 def _rmul(ctx, a, b):
     if not a or not b:
         return []
-    z = ctx.zero_raw
-    out = [z] * (len(a) + len(b) - 1)
+    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+    out = [ctx.zero_raw] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not ctx.is_zero(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
+        if not is_zero(ai):
+            for j, bj in enumerate(b, i):
+                out[j] = add(out[j], mul(ai, bj))
     return _trim(out)
 
 
@@ -77,15 +78,19 @@ def _rdivmod(ctx, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     db = len(b) - 1
+    zero = ctx.zero_raw
     inv = None if b[-1] == ctx.one_raw else ctx.inv(b[-1])
-    quo = [ctx.zero_raw] * max(len(a) - db, 0)
+    quo = [zero] * max(len(a) - db, 0)
+    sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
+    low = b[:db]
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
-        if not ctx.is_zero(c):
-            k = c if inv is None else ctx.mul(c, inv)
+        if not is_zero(c):
+            k = c if inv is None else mul(c, inv)
             quo[i - db] = k
-            for j in range(db + 1):
-                a[i - db + j] = ctx.sub(a[i - db + j], ctx.mul(k, b[j]))
+            a[i] = zero  # c - k * lc(b)
+            for j, bj in enumerate(low, i - db):
+                a[j] = sub(a[j], mul(k, bj))
     return _trim(quo), _trim(a)
 
 
@@ -105,18 +110,6 @@ def _rgcd(ctx, a, b):
         _, r = _rdivmod(ctx, a, b)
         a, b = b, r
     return _rmonic(ctx, a)
-
-
-def _rpowmod(ctx, base, e: int, mod):
-    _, t = _rdivmod(ctx, base, mod)
-    acc = [ctx.one_raw]
-    while e:
-        if e & 1:
-            _, acc = _rdivmod(ctx, _rmul(ctx, acc, t), mod)
-        e >>= 1
-        if e:
-            _, t = _rdivmod(ctx, _rmul(ctx, t, t), mod)
-    return acc
 
 
 def _reval(ctx, a, x):
@@ -294,40 +287,19 @@ def _imod_exact_div(p, a, b):
 
 
 def _pattern_or_none_generic(ctx, g):
+    """Cycle type of g (monic raw list) or None if not squarefree; any F_q."""
     gp = _rderiv(ctx, g)
-    if not gp:
+    if not gp or len(_rgcd(ctx, g, gp)) > 1:
         return None
-    if len(_rgcd(ctx, g, gp)) > 1:
-        return None
-    q = ctx.q
-    rem = list(g)
     parts = []
-    h = None
-    i = 0
-    while True:
-        e = len(rem) - 1
-        if 2 * (i + 1) > e:
-            break
-        i += 1
-        if h is None:
-            h = _rpowmod(ctx, [ctx.zero_raw, ctx.one_raw], q, rem)
-        else:
-            h = _rpow_poly_mod(ctx, h, q, rem)
-        hx = _rsub(ctx, h, [ctx.zero_raw, ctx.one_raw])
-        gi = _rgcd(ctx, hx, rem)
-        dgi = len(gi) - 1
-        if dgi > 0:
-            parts.extend([i] * (dgi // i))
-            rem, _ = _rdivmod(ctx, rem, gi)
-            if len(rem) - 1 > 0:
-                _, h = _rdivmod(ctx, h, rem)
-    if len(rem) - 1 > 0:
-        parts.append(len(rem) - 1)
+    for block, i in _ddf(ctx, g):
+        parts.extend([i] * ((len(block) - 1) // i))
     parts.sort(reverse=True)
     return tuple(parts)
 
 
 def _rpow_poly_mod(ctx, base, e, mod):
+    """base^e mod mod by square-and-multiply; reduced whenever e >= 1."""
     acc = [ctx.one_raw]
     t = list(base)
     while e:
@@ -337,6 +309,41 @@ def _rpow_poly_mod(ctx, base, e, mod):
         if e:
             _, t = _rdivmod(ctx, _rmul(ctx, t, t), mod)
     return acc
+
+
+def _rcompose(ctx, h, powers, g, m):
+    """h(P) mod m for m dividing g, with h's coefficients taken as they are.
+
+    powers holds P^0, P^1, ... mod g and grows on demand.  The sum is built
+    mod g and reduced once, mod m.
+    """
+    while len(powers) < len(h):
+        _, r = _rdivmod(ctx, _rmul(ctx, powers[-1], powers[1]), g)
+        powers.append(r)
+    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+    acc = [ctx.zero_raw] * (len(g) - 1)
+    for c, pw in zip(h, powers):
+        if not is_zero(c):
+            for j, v in enumerate(pw):
+                acc[j] = add(acc[j], mul(c, v))
+    _, r = _rdivmod(ctx, _trim(acc), m)
+    return r
+
+
+def _rxq(ctx, g):
+    """x^q mod g (g monic, degree >= 1) and the power list [1, x^q] for _rcompose.
+
+    x^p comes from square-and-multiply.  The p-power map is semilinear:
+    (sum h_k x^k)^p = sum frob(h_k) H^k with H = x^p mod g, so l - 1 such
+    steps carry x^p to x^q.  On F_q[x]/(g) the q-power map is F_q-linear,
+    so each later x^(q^(i+1)) is _rcompose(x^(q^i)) over the returned powers.
+    """
+    one = ctx.one_raw
+    h = _rpow_poly_mod(ctx, [ctx.zero_raw, one], ctx.p, g)
+    frob_powers = [[one], h]
+    for _ in range(ctx.l - 1):
+        h = _rcompose(ctx, [ctx.frob(c) for c in h], frob_powers, g, g)
+    return h, [[one], h]
 
 
 def cycle_pattern_or_none(ctx, coeffs):
@@ -365,8 +372,13 @@ class Poly:
                 raws.append(c.raw)
             elif isinstance(c, int):
                 raws.append(ctx.from_int(c))
-            elif isinstance(c, tuple) and ctx.l > 1 and len(c) == ctx.l:
-                raws.append(c)
+            elif (
+                isinstance(c, tuple)
+                and ctx.l > 1
+                and len(c) == ctx.l
+                and all(isinstance(x, int) for x in c)
+            ):
+                raws.append(tuple(x % ctx.p for x in c))
             else:
                 raise OutOfRange(f"bad coefficient {c!r}")
         self.ctx = ctx
@@ -611,22 +623,7 @@ def squarefree_decomposition(g: Poly):
 
 
 # ---------------------------------------------------------------------------
-# irreducibility и factorization
-
-
-def _small_prime_factors(n: int):
-    out = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
+# irreducibility and factorization
 
 
 def is_irreducible(g: Poly) -> bool:
@@ -638,14 +635,12 @@ def is_irreducible(g: Poly) -> bool:
     if d == 1:
         return True
     m = _rmonic(ctx, list(g._c))
-    q = ctx.q
     x = [ctx.zero_raw, ctx.one_raw]
     # iterated q-power images x^(q^j) mod m for j = 1..d
-    towers = {}
-    t = _rpowmod(ctx, x, q, m)
-    towers[1] = t
+    t, powers = _rxq(ctx, m)
+    towers = {1: t}
     for j in range(2, d + 1):
-        t = _rpow_poly_mod(ctx, t, q, m)
+        t = _rcompose(ctx, t, powers, m, m)
         towers[j] = t
     if _trim(_rsub(ctx, towers[d], x)):
         return False
@@ -668,23 +663,23 @@ def degree_pattern(g: Poly) -> CycleType:
 
 
 def _ddf(ctx, g):
-    """Distinct-degree split of a monic squarefree raw list: list of (raws, i)."""
-    q = ctx.q
+    """Distinct-degree split of a monic squarefree raw list: list of (raws, i).
+
+    x^(q^i) is kept mod the unsplit part rem; it comes from _rxq and then
+    _rcompose, which stays valid mod rem because rem divides g.
+    """
+    x = [ctx.zero_raw, ctx.one_raw]
     rem = list(g)
     out = []
     h = None
     i = 0
-    while True:
-        e = len(rem) - 1
-        if 2 * (i + 1) > e:
-            break
+    while 2 * (i + 1) <= len(rem) - 1:
         i += 1
         if h is None:
-            h = _rpowmod(ctx, [ctx.zero_raw, ctx.one_raw], q, rem)
+            h, powers = _rxq(ctx, g)
         else:
-            h = _rpow_poly_mod(ctx, h, q, rem)
-        hx = _rsub(ctx, h, [ctx.zero_raw, ctx.one_raw])
-        gi = _rgcd(ctx, hx, rem)
+            h = _rcompose(ctx, h, powers, g, rem)
+        gi = _rgcd(ctx, _rsub(ctx, h, x), rem)
         if len(gi) - 1 > 0:
             out.append((gi, i))
             rem, _ = _rdivmod(ctx, rem, gi)
@@ -828,7 +823,7 @@ def roots_in_field(g: Poly, seed: int = 0):
     ctx = g.ctx
     m = _rmonic(ctx, list(g._c))
     x = [ctx.zero_raw, ctx.one_raw]
-    h = _rpowmod(ctx, x, ctx.q, m)
+    h, _ = _rxq(ctx, m)
     lin = _rgcd(ctx, _rsub(ctx, h, x), m)
     if len(lin) - 1 < 1:
         return []

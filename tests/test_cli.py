@@ -120,6 +120,11 @@ def test_bad_poly_exits_2(capsys):
     assert run_command(["sum", "--p", "7", "--f", "x^^2", "--phi", "prime"]) == 2
 
 
+def test_sum_over_the_sweep_guard_exits_1(capsys):
+    assert run_command(["sum", "--p", "10000019", "--f", "x^3+x", "--phi", "mu"]) == 1
+    assert "sweep guard" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_workers_below_one_exits_2(capsys, workers):
     argv = ["sum", "--p", "7", "--f", "x^3", "--phi", "prime", "--workers", workers]

@@ -1,9 +1,12 @@
+import pickle
 import random
 
 import pytest
 
+from ffintervals import finite_field
 from ffintervals.errors import CtxMismatch, NotPrime, OutOfRange
 from ffintervals.finite_field import (
+    FieldCtx,
     FieldElement,
     frobenius,
     in_prime_subfield,
@@ -164,3 +167,98 @@ def test_pow_and_is_square():
     squares = {(x * x) % 11 for x in range(11)}
     for a in range(11):
         assert ctx.is_square(a) == (a in squares)
+
+
+# ---------------------------------------------------------------------------
+# discrete-log tables against the schoolbook arithmetic they replace
+
+SMALL_EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+def _table_and_reference(p, l, monkeypatch):
+    """A context with its log tables built, and an equal one that never builds them."""
+    fast = make_extension(make_prime_field(p), l, 0)
+    fast.mul(fast.one_raw, fast.one_raw)
+    assert fast._log is not None and len(fast._log) == fast.q
+    monkeypatch.setattr(finite_field, "_LOG_TABLE_CAP", 0)
+    ref = FieldCtx(p, l, fast.modulus)
+    return fast, ref
+
+
+@pytest.mark.parametrize("p,l", SMALL_EXTENSIONS)
+def test_log_tables_match_schoolbook_exhaustive(p, l, monkeypatch):
+    fast, ref = _table_and_reference(p, l, monkeypatch)
+    elems = [fast.raw_from_index(i) for i in range(fast.q)]
+    squares = {ref.mul(b, b) for b in elems}
+    for a in elems:
+        for b in elems:
+            assert fast.mul(a, b) == ref.mul(a, b)
+            assert fast.add(a, b) == ref.add(a, b)
+            assert fast.sub(a, b) == ref.sub(a, b)
+            if not fast.is_zero(b):
+                assert fast.div(a, b) == ref.div(a, b)
+        for e in (0, 1, 2, p, fast.q - 2, fast.q - 1, fast.q, 3 * fast.q + 5):
+            assert fast.pow_raw(a, e) == ref.pow_raw(a, e)
+        assert fast.neg(a) == ref.neg(a)
+        assert fast.frob(a) == ref.frob(a)
+        assert fast.pth_root(a) == ref.pth_root(a)
+        assert fast.is_square(a) == ref.is_square(a) == (a in squares)
+        if fast.is_zero(a):
+            with pytest.raises(ZeroDivisionError):
+                fast.inv(a)
+        else:
+            assert fast.inv(a) == ref.inv(a)
+            assert fast.pow_raw(a, -3) == ref.pow_raw(a, -3)
+    assert ref._log is None
+
+
+def test_field_above_the_table_cap_uses_schoolbook():
+    ctx = make_extension(make_prime_field(3), 9, 0)  # q = 19683
+    assert ctx.q > finite_field._LOG_TABLE_CAP
+    rng = random.Random("above-cap")
+    one = ctx.one_raw
+    for _ in range(30):
+        a, b, c = (ctx.raw_from_index(rng.randrange(1, ctx.q)) for _ in range(3))
+        assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+        assert ctx.mul(a, ctx.inv(a)) == one
+        assert ctx.div(ctx.mul(a, b), b) == a
+        assert ctx.pow_raw(a, ctx.q - 1) == one
+        assert ctx.pth_root(ctx.frob(a)) == a
+        assert ctx.is_square(ctx.mul(a, a))
+    # half of F_q^* are non-squares, and Euler's criterion gives -1 on them
+    non_squares = [a for a in map(ctx.raw_from_index, range(1, 60)) if not ctx.is_square(a)]
+    assert non_squares
+    for a in non_squares:
+        assert ctx.pow_raw(a, (ctx.q - 1) // 2) == ctx.neg(one)
+    assert ctx._log is None
+
+
+def test_raw_outside_the_table_raises():
+    ctx = make_extension(make_prime_field(5), 4, 0)
+    one = ctx.one_raw
+    for bad in ((5, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(KeyError):
+            ctx.mul(bad, one)
+        with pytest.raises(KeyError):
+            ctx.add(one, bad)
+        with pytest.raises(KeyError):
+            ctx.inv(bad)
+    with pytest.raises(TypeError):
+        ctx.mul([1, 0, 0, 0], one)
+
+
+def test_tables_stay_out_of_identity_and_pickles():
+    ctx = make_extension(make_prime_field(5), 3, 0)
+    ctx.mul(ctx.one_raw, ctx.one_raw)
+    clone = pickle.loads(pickle.dumps(ctx))
+    assert clone == ctx and hash(clone) == hash(ctx)
+    assert ctx._log is not None and clone._log is None
+    assert ctx.__reduce__() == (FieldCtx, (5, 3, ctx.modulus))
+
+
+@pytest.mark.parametrize("p,l", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])
+def test_is_square_matches_the_set_of_squares(p, l):
+    ctx = make_extension(make_prime_field(p), l, 0)
+    elems = [ctx.raw_from_index(i) for i in range(ctx.q)]
+    squares = {ctx.mul(b, b) for b in elems}
+    assert [ctx.is_square(a) for a in elems] == [a in squares for a in elems]

@@ -6,8 +6,10 @@ import pytest
 from ffintervals.class_functions import evaluate, make_builtin
 from ffintervals.errors import FieldTooSmall, OutOfRange, TooLarge
 from ffintervals.finite_field import make_extension, make_prime_field
+from ffintervals import interval_lab
 from ffintervals.interval_lab import (
     IntervalSpec,
+    _joint_counts,
     _stickelberger_product_sum,
     chebotarev_empirical,
     class_sum,
@@ -264,6 +266,21 @@ def test_gauss_census_values_and_guard():
             assert enumerated == formula
     with pytest.raises(TooLarge):
         gauss_census(1009, 4)
+
+
+def test_sweep_guard_counts_members_before_any_work(monkeypatch):
+    ctx = make_prime_field(1000003)
+    f = Poly(ctx, [0, 1, 0, 1])
+    swept = []
+    monkeypatch.setattr(interval_lab, "_sweep_block", lambda *args: swept.append(args) or {})
+    with pytest.raises(TooLarge):
+        _joint_counts(ctx, f, tuple(ctx(h) for h in range(10)), 2)  # 10,000,030 members
+    big = make_prime_field(10000019)
+    with pytest.raises(TooLarge):
+        class_sum(big, Poly(big, [0, 0, 0, 1]), make_builtin("moebius", 3))
+    assert swept == []
+    assert _joint_counts(ctx, f, tuple(ctx(h) for h in range(9))) == {}  # 9,000,027
+    assert len(swept) == 1
 
 
 # ---------------------------------------------------------------------------

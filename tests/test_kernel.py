@@ -1,25 +1,35 @@
-"""The int distinct-degree kernel against its oracles.
+"""The distinct-degree kernels against their oracles.
 
 cycle_pattern_or_none is checked against factor() exhaustively on small
 fields and on seeded samples at sweep-sized primes; the Frobenius-matrix step
 against square-and-multiply; and the lazily reduced mulmod against a naive
-product-then-divide.
+product-then-divide.  Over extension fields the generic kernel, factor(),
+is_irreducible and roots_in_field are checked exhaustively against a sieve
+that multiplies out irreducibles, and the Frobenius steps behind x^q against
+square-and-multiply.
 """
 
 import random
 
 import pytest
 
-from ffintervals.finite_field import _MAX_P, is_prime, make_prime_field
+from ffintervals.finite_field import _MAX_P, is_prime, make_extension, make_prime_field
 from ffintervals.polynomial import (
+    Poly,
     _ifrobenius,
     _imulmod,
     _ipowmod_x,
-    _rpowmod,
+    _pattern_or_none_generic,
+    _rcompose,
+    _rdivmod,
+    _rpow_poly_mod,
+    _rxq,
     cycle_pattern_or_none,
     factor,
+    is_irreducible,
     poly_from_index,
     random_monic,
+    roots_in_field,
 )
 
 
@@ -74,9 +84,9 @@ def test_frobenius_matrix_step_is_pth_power(p):
         for _ in range(5):
             g = list(random_monic(ctx, d, rng).raw_coeffs)
             powers = [[1], _ipowmod_x(p, _qbits(p), g)]
-            assert powers[1] == _rpowmod(ctx, [0, 1], p, g)
+            assert powers[1] == _rpow_poly_mod(ctx, [0, 1], p, g)
             h = rand_poly(d - 1)
-            assert _ifrobenius(p, h, powers, g, g) == _rpowmod(ctx, h, p, g)
+            assert _ifrobenius(p, h, powers, g, g) == _rpow_poly_mod(ctx, h, p, g)
             assert len(powers) == d
     # reduced mod a divisor m of g, the step gives h^p mod m
     m = random_monic(ctx, 3, rng)
@@ -84,7 +94,7 @@ def test_frobenius_matrix_step_is_pth_power(p):
     m = list(m.raw_coeffs)
     powers = [[1], _ipowmod_x(p, _qbits(p), g)]
     h = rand_poly(2)
-    assert _ifrobenius(p, h, powers, g, m) == _rpowmod(ctx, h, p, m)
+    assert _ifrobenius(p, h, powers, g, m) == _rpow_poly_mod(ctx, h, p, m)
 
 
 def _naive_mulmod(p, a, b, m):
@@ -115,3 +125,67 @@ def test_imulmod_matches_naive_reference():
         # all coefficients p - 1 make every unreduced sum as large as it gets
         top = [p - 1] * 8
         assert _imulmod(p, top, top, top + [1]) == _naive_mulmod(p, top, top, top + [1])
+
+
+# ---------------------------------------------------------------------------
+# the generic kernel over extension fields
+
+
+def _sieve_factors(ctx, max_degree):
+    """The monic irreducible factors, with repeats, of every monic of degree <= max_degree.
+
+    Independent of distinct-degree factorization: every product of two
+    classified monics is classified by its factors, and a monic that no such
+    product reaches is irreducible.
+    """
+    factors = {(ctx.one_raw,): ()}
+    by_degree = {0: [poly_from_index(ctx, 0, 0)]}
+    for d in range(1, max_degree + 1):
+        by_degree[d] = [poly_from_index(ctx, d, i) for i in range(ctx.q**d)]
+        for k in range(1, d // 2 + 1):
+            for a in by_degree[k]:
+                for b in by_degree[d - k]:
+                    factors[(a * b).raw_coeffs] = factors[a.raw_coeffs] + factors[b.raw_coeffs]
+        for g in by_degree[d]:
+            factors.setdefault(g.raw_coeffs, (g.raw_coeffs,))
+    del factors[(ctx.one_raw,)]
+    return factors
+
+
+@pytest.mark.parametrize("p,l,max_degree", [(2, 2, 4), (3, 2, 4), (2, 3, 3), (5, 2, 3)])
+def test_generic_kernel_matches_factor_exhaustive(p, l, max_degree):
+    ctx = make_extension(make_prime_field(p), l, 0)
+    expected = _sieve_factors(ctx, max_degree)
+    assert len(expected) == sum(ctx.q**d for d in range(1, max_degree + 1))
+    for key, fs in expected.items():
+        g = Poly.from_raw(ctx, key)
+        repeated = len(set(fs)) < len(fs)
+        pattern = None if repeated else tuple(sorted((len(f) - 1 for f in fs), reverse=True))
+        assert _pattern_or_none_generic(ctx, list(key)) == pattern, g
+        assert _expected_pattern(g) == pattern, g
+        if ctx.q**g.degree <= 1000:  # all but the F_25 cubics, to keep the test short
+            assert is_irreducible(g) == (len(fs) == 1), g
+            roots = {a.raw for a in roots_in_field(g)}
+            assert roots == {ctx.neg(f[0]) for f in fs if len(f) == 2}, g
+
+
+@pytest.mark.parametrize("p,l", [(2, 4), (3, 3), (5, 4)])
+def test_frobenius_steps_give_q_powers(p, l):
+    ctx = make_extension(make_prime_field(p), l, 0)
+    rng = random.Random(f"rxq/{p}/{l}")
+    x = [ctx.zero_raw, ctx.one_raw]
+    for d in (1, 2, 5, 7):
+        g = list(random_monic(ctx, d, rng).raw_coeffs)
+        h, powers = _rxq(ctx, g)
+        assert h == _rpow_poly_mod(ctx, x, ctx.q, g)
+        for _ in range(3):
+            nxt = _rcompose(ctx, h, powers, g, g)
+            assert nxt == _rpow_poly_mod(ctx, h, ctx.q, g)
+            h = nxt
+    # composed mod g and reduced mod a divisor m of g, the step gives h^q mod m
+    m = random_monic(ctx, 3, rng)
+    g = list((m * random_monic(ctx, 4, rng)).raw_coeffs)
+    m = list(m.raw_coeffs)
+    h, powers = _rxq(ctx, g)
+    _, h = _rdivmod(ctx, h, m)
+    assert _rcompose(ctx, h, powers, g, m) == _rpow_poly_mod(ctx, h, ctx.q, m)

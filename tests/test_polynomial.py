@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffintervals.errors import NotSquarefree, TooLarge, ZeroInput
+from ffintervals.errors import NotSquarefree, OutOfRange, TooLarge, ZeroInput
 from ffintervals.finite_field import make_extension, make_prime_field
 from ffintervals.polynomial import (
     Poly,
@@ -29,6 +29,17 @@ F3 = make_prime_field(3)
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
 F13 = make_prime_field(13)
+
+
+def test_tuple_coefficients_are_reduced_mod_p():
+    ctx = make_extension(F5, 2, 0)
+    g = Poly(ctx, [(7, -1), (5, 10), (6, 0)])
+    assert g.raw_coeffs == ((2, 4), (0, 0), (1, 0))
+    assert g == Poly(ctx, [(2, 4), 0, 1])
+    assert g.is_monic and degree_pattern(g) == degree_pattern(Poly(ctx, [(2, 4), 0, 1]))
+    for bad in [(1, 2, 3)], [(1.0, 2)], [(1, None)]:
+        with pytest.raises(OutOfRange):
+            Poly(ctx, bad)
 
 
 # ---------------------------------------------------------------------------
