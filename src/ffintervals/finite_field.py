@@ -17,6 +17,8 @@ lookups, and a raw that is not a reduced length-l tuple raises instead of
 being read as some element.  Above the cap the schoolbook code is the only
 path.  The tables are a cache: they take no part in equality, hashing or
 pickling, so a context sent to a pool worker rebuilds its own.
+make_extension memoizes its contexts, so within a process each field builds
+its tables once.
 
 The canonical index of an element with coefficients (c_0, ..., c_{l-1}) is
 sum(c_i * p^i); it is a bijection onto [0, q) and is used for all
@@ -24,6 +26,8 @@ deterministic tie-breaking and enumeration order.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import CtxMismatch, NotPrime, OutOfRange
 
@@ -519,7 +523,16 @@ def make_extension(base: FieldCtx, l: int, seed: int = 0) -> FieldCtx:
         raise OutOfRange(f"extension degree capped at {_MAX_EXT_DEGREE}, got {l}")
     if l == 1:
         return base
+    return _extension(base, l, seed)
 
+
+@functools.lru_cache(maxsize=None)
+def _extension(base: FieldCtx, l: int, seed: int) -> FieldCtx:
+    """The modulus search behind make_extension, memoized per (base, l, seed).
+
+    Contexts are immutable and their tables a cache, so every caller in a
+    process shares one context and its tables are built once.
+    """
     from .polynomial import Poly, is_irreducible
 
     p = base.p

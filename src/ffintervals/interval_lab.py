@@ -3,8 +3,12 @@
 The sweep kernels walk the interval in canonical index order, compute the
 cycle type of every (shifted) member by distinct-degree factorization, and
 reduce per-block counts by plain addition, so reports are identical for any
-worker count.  All sums are exact rationals; floats appear only in the
-normalized error and timing fields.
+worker count.  For p > deg f a sweep builds D(t) = disc(f + t) once and
+hands member f + h + a its discriminant D(h + a): a zero marks it
+non-squarefree without a gcd, and over F_p its square class ends the
+distinct-degree loop early (Stickelberger parity; see the kernels).  All
+sums are exact rationals; floats appear only in the normalized error and
+timing fields.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .polynomial import (
     Poly,
     _pattern_or_none_generic,
     _pattern_or_none_int,
+    _reval,
     derivative,
     disc_in_t,
     roots_in_field,
@@ -54,33 +59,27 @@ _SCAN_GUARD = 10**6
 # sweep kernels
 
 
-def _sweep_block(p, l, modulus, f_raws, shift_raws, lo, hi):
-    """Joint cycle-type counts over a in [lo, hi); None marks non-squarefree."""
+def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
+    """Joint cycle-type counts over a in [lo, hi); None marks non-squarefree.
+
+    d_raws are the coefficients of D(t) = disc(f + t), or None; member
+    f + h + a then gets its discriminant D(h + a) from one Horner pass.
+    """
     counts = {}
-    if l == 1:
-        q = p
-        qbits = [int(b) for b in bin(q)[2:]]
-        f_c = list(f_raws)
-        bases = [(f_c[0] + h) % p for h in shift_raws]
-        for a in range(lo, hi):
-            key = []
-            for b in bases:
-                g = list(f_c)
-                g[0] = (b + a) % p
-                key.append(_pattern_or_none_int(p, g, qbits))
-            key = tuple(key)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-    ctx = FieldCtx(p, l, modulus)
-    f_c = list(f_raws)
-    bases = [ctx.add(f_c[0], h) for h in shift_raws]
+    add, f0 = ctx.add, f_raws[0]
+    qbits = [int(b) for b in bin(ctx.p)[2:]]
     for idx in range(lo, hi):
         a = ctx.raw_from_index(idx)
         key = []
-        for b in bases:
-            g = list(f_c)
-            g[0] = ctx.add(b, a)
-            key.append(_pattern_or_none_generic(ctx, g))
+        for h in shift_raws:
+            t = add(h, a)
+            g = list(f_raws)
+            g[0] = add(f0, t)
+            disc = None if d_raws is None else _reval(ctx, d_raws, t)
+            if ctx.l == 1:
+                key.append(_pattern_or_none_int(ctx.p, g, qbits, disc))
+            else:
+                key.append(_pattern_or_none_generic(ctx, g, disc))
         key = tuple(key)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -91,16 +90,21 @@ def _sweep_block_task(payload):
 
 
 def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
-    """Aggregate joint cycle-type counts over the whole interval."""
+    """Aggregate joint cycle-type counts over the whole interval.
+
+    For p > deg f (so q is odd) D(t) = disc(f + t) is built once here and
+    handed to every block; the kernels then skip the squarefree gcd.
+    """
     shift_raws = tuple(h.raw for h in shifts)
     q = ctx.q
     if q * len(shift_raws) > _GAUSS_GUARD:
         raise TooLarge(f"q * shifts = {q * len(shift_raws)} members exceed sweep guard")
+    d_raws = disc_in_t(f).raw_coeffs if ctx.p > f.degree else None
     if workers <= 1:
-        return _sweep_block(ctx.p, ctx.l, ctx.modulus, f.raw_coeffs, shift_raws, 0, q)
+        return _sweep_block(ctx, f.raw_coeffs, shift_raws, d_raws, 0, q)
     bounds = [q * i // workers for i in range(workers + 1)]
     payloads = [
-        (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs, shift_raws, bounds[i], bounds[i + 1])
+        (ctx, f.raw_coeffs, shift_raws, d_raws, bounds[i], bounds[i + 1])
         for i in range(workers)
         if bounds[i] < bounds[i + 1]
     ]
@@ -522,10 +526,7 @@ def _stickelberger_product_sum(ctx, f, shifts):
         a = ctx.raw_from_index(idx)
         prod = 1
         for h in shift_raws:
-            t = ctx.add(h, a)
-            acc = ctx.zero_raw
-            for c in reversed(d_raws):
-                acc = ctx.add(ctx.mul(acc, t), c)
+            acc = _reval(ctx, d_raws, ctx.add(h, a))
             if ctx.is_zero(acc):
                 prod = 0
                 break

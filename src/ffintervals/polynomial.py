@@ -11,7 +11,9 @@ trial-division oracle used by the test suite.  Cycle types of squarefree
 polynomials come from distinct-degree factorization alone (degree_pattern),
 which is the hot path of the interval sweeps; for prime fields it runs on
 plain int lists.  Every distinct-degree step gets its x^(q^i) from Frobenius
-steps and compositions (_rxq, _rcompose), not from powering to q.
+steps and compositions (_rxq, _rcompose), not from powering to q.  The sweeps
+pass each kernel the member's discriminant when p > deg; the disc-free path
+behind cycle_pattern_or_none is the oracle.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _ifrobenius(p, h, powers, g, m):
     return _ireduce(p, acc, m)
 
 
-def _pattern_or_none_int(p, g, qbits):
+def _pattern_or_none_int(p, g, qbits, disc=None):
     """Cycle type of g (monic int-coeff list) or None if not squarefree.
 
     qbits are the binary digits of q = p, most significant first.  This is
@@ -234,20 +236,38 @@ def _pattern_or_none_int(p, g, qbits):
     h -> h^p is F_p-linear and equals h(H), so each later x^(q^(i+1)) mod rem
     is the Frobenius matrix applied to x^(q^i) mod rem (see _ifrobenius);
     this holds mod rem because rem divides g.
+
+    disc, when given, is disc(g) for odd p > deg g (the sweeps pass it then;
+    cycle_pattern_or_none never does): zero means g is not squarefree, and
+    otherwise the gcd(g, g') test is skipped and the loop stops early.
+    Before step i + 1 every factor of rem (degree m) has degree > i; if also
+    3(i + 1) > m and 2(i + 2) > m, rem is irreducible or splits into degrees
+    i + 1 and m - i - 1, and Stickelberger's theorem (disc g is a square iff
+    deg g minus the number of factors is even) tells which.
     """
-    gp = [i * g[i] % p for i in range(1, len(g))]
-    while gp and gp[-1] == 0:
-        gp.pop()
-    if not gp:
+    if disc is None:
+        gp = [i * g[i] % p for i in range(1, len(g))]
+        while gp and gp[-1] == 0:
+            gp.pop()
+        if not gp or len(_igcd_monic(p, list(g), gp)) > 1:
+            return None
+        square = None
+    elif disc == 0:
         return None
-    if len(_igcd_monic(p, list(g), gp)) > 1:
-        return None
+    else:
+        square = pow(disc, (p - 1) // 2, p) == 1
     rem = g
     parts = []
     powers = None
     h = None
     i = 0
     while 2 * (i + 1) <= len(rem) - 1:
+        m = len(rem) - 1
+        if square is not None and 3 * (i + 1) > m and 2 * (i + 2) > m:
+            if square == ((len(g) - 1 - len(parts)) % 2 == 0):  # two factors
+                parts += (i + 1, m - i - 1)
+                rem = [1]
+            break
         i += 1
         if h is None:
             h = _ipowmod_x(p, qbits, g)
@@ -286,10 +306,17 @@ def _imod_exact_div(p, a, b):
     return quo
 
 
-def _pattern_or_none_generic(ctx, g):
-    """Cycle type of g (monic raw list) or None if not squarefree; any F_q."""
-    gp = _rderiv(ctx, g)
-    if not gp or len(_rgcd(ctx, g, gp)) > 1:
+def _pattern_or_none_generic(ctx, g, disc=None):
+    """Cycle type of g (monic raw list) or None if not squarefree; any F_q.
+
+    disc, when given, is disc(g) (the sweeps pass it for p > deg g): zero
+    means g is not squarefree, and otherwise the squarefree gcd is skipped.
+    """
+    if disc is None:
+        gp = _rderiv(ctx, g)
+        if not gp or len(_rgcd(ctx, g, gp)) > 1:
+            return None
+    elif ctx.is_zero(disc):
         return None
     parts = []
     for block, i in _ddf(ctx, g):

@@ -20,7 +20,7 @@ from ffintervals.interval_lab import (
     morse_density_scan,
     squarefree_census,
 )
-from ffintervals.polynomial import Poly, is_squarefree, random_monic
+from ffintervals.polynomial import Poly, cycle_pattern_or_none, is_squarefree, random_monic
 from ffintervals.polyparse import parse_poly
 
 F5 = make_prime_field(5)
@@ -281,6 +281,58 @@ def test_sweep_guard_counts_members_before_any_work(monkeypatch):
     assert swept == []
     assert _joint_counts(ctx, f, tuple(ctx(h) for h in range(9))) == {}  # 9,000,027
     assert len(swept) == 1
+
+
+def _member_counts(ctx, f, shifts):
+    """Joint counts built member by member with the disc-free kernel."""
+    counts = {}
+    for a in ctx.elements():
+        key = tuple(
+            cycle_pattern_or_none(ctx, list(f.shift_const(h + a).raw_coeffs)) for h in shifts
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_joint_counts_match_member_by_member_kernel():
+    from ffintervals.morse_galois import is_morse, make_non_morse
+    from ffintervals.suite import first_morse_center
+
+    F2, F3, F31 = make_prime_field(2), make_prime_field(3), make_prime_field(31)
+    F8 = make_extension(F2, 3, 0)
+    non_morse = make_non_morse(F31, 5, random.Random("joint"))
+    assert not is_morse(non_morse)[0]
+    cases = [
+        (F31, first_morse_center(F31, 4), (0,)),
+        (F31, non_morse, (0,)),
+        (F31, parse_poly("x^3+2*x", F31), (0, 1, 5)),
+        (F2, parse_poly("x^5+x^2+1", F2), (0, 1)),
+        (F3, parse_poly("x^4+x+2", F3), (0, 1)),
+        (F8, Poly(F8, [1, 1, 0, 1]), (0,)),
+    ]
+    for ctx, f, shift_ints in cases:
+        shifts = tuple(ctx.element_from_index(h) for h in shift_ints)
+        expected = _member_counts(ctx, f, shifts)
+        for workers in (1, 2):
+            assert _joint_counts(ctx, f, shifts, workers) == expected, (ctx, f, workers)
+
+
+def test_extension_tables_are_built_once_per_process(monkeypatch):
+    from ffintervals.finite_field import FieldCtx
+
+    calls = []
+    schoolbook = FieldCtx._mul_poly
+    monkeypatch.setattr(
+        FieldCtx, "_mul_poly", lambda self, a, b: calls.append(1) or schoolbook(self, a, b)
+    )
+    mu = make_builtin("moebius", 3)
+    sums = []
+    for _ in range(2):
+        calls.clear()
+        ctx = make_extension(F5, 4, 0)
+        sums.append(class_sum(ctx, parse_poly("x^3+x+1", ctx), mu).raw_sum)
+    assert calls == []  # none in the second sum
+    assert sums[0] == sums[1]
 
 
 # ---------------------------------------------------------------------------

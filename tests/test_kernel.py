@@ -6,7 +6,8 @@ against square-and-multiply; and the lazily reduced mulmod against a naive
 product-then-divide.  Over extension fields the generic kernel, factor(),
 is_irreducible and roots_in_field are checked exhaustively against a sieve
 that multiplies out irreducibles, and the Frobenius steps behind x^q against
-square-and-multiply.
+square-and-multiply.  The discriminant-assisted paths of both kernels are
+checked against their disc-free paths, which are the oracles.
 """
 
 import random
@@ -20,11 +21,15 @@ from ffintervals.polynomial import (
     _imulmod,
     _ipowmod_x,
     _pattern_or_none_generic,
+    _pattern_or_none_int,
     _rcompose,
     _rdivmod,
+    _reval,
     _rpow_poly_mod,
     _rxq,
     cycle_pattern_or_none,
+    disc_in_t,
+    discriminant,
     factor,
     is_irreducible,
     poly_from_index,
@@ -189,3 +194,67 @@ def test_frobenius_steps_give_q_powers(p, l):
     h, powers = _rxq(ctx, g)
     _, h = _rdivmod(ctx, h, m)
     assert _rcompose(ctx, h, powers, g, m) == _rpow_poly_mod(ctx, h, ctx.q, m)
+
+
+# ---------------------------------------------------------------------------
+# the discriminant-assisted paths against the disc-free oracles
+
+
+@pytest.mark.parametrize("p,max_degree", [(7, 5), (11, 4), (13, 4)])
+def test_int_kernel_with_disc_matches_disc_free_exhaustive(p, max_degree):
+    ctx = make_prime_field(p)
+    qbits = _qbits(p)
+    for d in range(2, max_degree + 1):
+        for idx in range(p**d):
+            g = poly_from_index(ctx, d, idx)
+            raws = list(g.raw_coeffs)
+            expected = _pattern_or_none_int(p, raws, qbits)
+            assert _pattern_or_none_int(p, raws, qbits, discriminant(g).raw) == expected, g
+
+
+@pytest.mark.parametrize("p,window", [(1747, 1747), (10007, 600)])
+def test_int_kernel_with_disc_matches_disc_free_on_intervals(p, window):
+    # members f + a get D(a) with D(t) = disc(f + t), as in a sweep; at
+    # p = 10007 a seeded window of each interval keeps the test short
+    ctx = make_prime_field(p)
+    qbits = _qbits(p)
+    rng = random.Random(f"disc-kernel/{p}")
+    for d in range(6, 10):
+        f = random_monic(ctx, d, rng)
+        d_raws = list(disc_in_t(f).raw_coeffs)
+        start = rng.randrange(p)
+        for a in range(start, start + window):
+            a %= p
+            g = list(f.shift_const(a).raw_coeffs)
+            disc = _reval(ctx, d_raws, a)
+            assert _pattern_or_none_int(p, g, qbits, disc) == _pattern_or_none_int(p, g, qbits)
+    # planted squares: a zero discriminant means "not squarefree"
+    for d in range(6, 10):
+        a, b = random_monic(ctx, 2, rng), random_monic(ctx, d - 4, rng)
+        g = a * a * b
+        assert discriminant(g).raw == 0
+        assert _pattern_or_none_int(p, list(g.raw_coeffs), qbits, 0) is None
+
+
+@pytest.mark.parametrize("p,l,degrees", [(5, 2, (1, 2, 3)), (3, 2, (2,)), (3, 3, (2,))])
+def test_generic_kernel_with_disc_matches_disc_free_exhaustive(p, l, degrees):
+    ctx = make_extension(make_prime_field(p), l, 0)
+    for d in degrees:
+        for idx in range(ctx.q**d):
+            g = poly_from_index(ctx, d, idx)
+            raws = list(g.raw_coeffs)
+            expected = _pattern_or_none_generic(ctx, raws)
+            assert _pattern_or_none_generic(ctx, raws, discriminant(g).raw) == expected, g
+
+
+def test_generic_kernel_with_disc_on_a_cubic_interval():
+    ctx = make_extension(make_prime_field(5), 4, 0)
+    f = random_monic(ctx, 3, random.Random("disc-generic"))
+    d_raws = list(disc_in_t(f).raw_coeffs)
+    nonsquarefree = 0
+    for a in ctx.elements():
+        g = list(f.shift_const(a).raw_coeffs)
+        disc = _reval(ctx, d_raws, a.raw)
+        nonsquarefree += ctx.is_zero(disc)
+        assert _pattern_or_none_generic(ctx, g, disc) == _pattern_or_none_generic(ctx, g)
+    assert nonsquarefree <= 2
