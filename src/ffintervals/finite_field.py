@@ -20,6 +20,10 @@ pickling, so a context sent to a pool worker rebuilds its own.
 make_extension memoizes its contexts, so within a process each field builds
 its tables once.
 
+This leaf module also holds the one int-list polynomial layer over F_p
+(_ireduce, _imulmod, _idivmod, _igcd_monic); the schoolbook extension
+arithmetic and polynomial's F_p distinct-degree loop both run on it.
+
 The canonical index of an element with coefficients (c_0, ..., c_{l-1}) is
 sum(c_i * p^i); it is a bijection onto [0, q) and is used for all
 deterministic tie-breaking and enumeration order.
@@ -28,6 +32,7 @@ deterministic tie-breaking and enumeration order.
 from __future__ import annotations
 
 import functools
+from itertools import zip_longest
 
 from .errors import CtxMismatch, NotPrime, OutOfRange
 
@@ -78,65 +83,72 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense int-list polynomials over F_p, used only for modulus bookkeeping here.
-# Lists are ascending-degree and trimmed (empty list = zero polynomial).
+# Int-list polynomials over F_p: ascending, trimmed, [] is zero.
 
 
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _ireduce(p, t, m):
+    """t mod m for monic m, reduced mod p.
+
+    t may hold unreduced (even negative) ints; it is consumed.  Each
+    coefficient is reduced mod p once: the leading ones when they are
+    eliminated, the rest on output.
+    """
+    dm = len(m) - 1
+    low = m[:dm]
+    for i in range(len(t) - 1, dm - 1, -1):
+        c = t[i] % p
+        if c:
+            k = i - dm
+            for mj in low:
+                t[k] -= c * mj
+                k += 1
+    t = [c % p for c in t[:dm]]
+    while t and t[-1] == 0:
+        t.pop()
+    return t
 
 
-def _pmul(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _imulmod(p, a, b, m):
+    """a * b mod m for monic m; products accumulate unreduced."""
+    t = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+            k = i
+            for bj in b:
+                t[k] += ai * bj
+                k += 1
+    return _ireduce(p, t, m)
 
 
-def _pdivmod(p, a, b):
+def _idivmod(p, a, b):
+    """(a // b, a % b) for a reduced mod p and b != 0; both trimmed."""
     a = list(a)
-    db, inv = len(b) - 1, pow(b[-1], p - 2, p)
-    quo = [0] * max(len(a) - db, 0)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    low = b[:db]
+    quo = []
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
+        c = a.pop() * inv % p
+        quo.append(c)
         if c:
-            k = c * inv % p
-            quo[i - db] = k
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - k * b[j]) % p
-    return _ptrim(quo), _ptrim(a)
+            k = i - db
+            for bj in low:
+                a[k] = (a[k] - c * bj) % p
+                k += 1
+    quo.reverse()
+    while a and a[-1] == 0:
+        a.pop()
+    return quo, a
 
 
-def _pxgcd(p, a, b):
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _pdivmod(p, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _ptrim([(x - y) % p for x, y in _zipmul(p, q, u1, u0)])
-        v0, v1 = v1, _ptrim([(x - y) % p for x, y in _zipmul(p, q, v1, v0)])
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        u0 = [c * inv % p for c in u0]
-        v0 = [c * inv % p for c in v0]
-    return r0, u0, v0
-
-
-def _zipmul(p, q, a, sub_from):
-    prod = _pmul(p, q, a)
-    n = max(len(sub_from), len(prod))
-    s = list(sub_from) + [0] * (n - len(sub_from))
-    t = prod + [0] * (n - len(prod))
-    return zip(s, t)
+def _igcd_monic(p, a, b):
+    """The monic gcd of a and b (empty when both are zero)."""
+    while b:
+        a, b = b, _idivmod(p, a, b)[1]
+    if a and a[-1] != 1:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 class FieldCtx:
@@ -236,20 +248,8 @@ class FieldCtx:
 
     def _mul_poly(self, a, b):
         """Schoolbook product mod the modulus (l > 1)."""
-        p, l, m = self.p, self.l, self.modulus
-        t = [0] * (2 * l - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    t[i + j] = (t[i + j] + ai * bj) % p
-        for i in range(2 * l - 2, l - 1, -1):
-            c = t[i]
-            if c:
-                t[i] = 0
-                off = i - l
-                for j in range(l):
-                    t[off + j] = (t[off + j] - c * m[j]) % p
-        return tuple(t[:l])
+        t = _imulmod(self.p, a, b, self.modulus)
+        return tuple(t) + (0,) * (self.l - len(t))
 
     def _pow_poly(self, a, e: int):
         """Square-and-multiply on top of _mul_poly (l > 1, e >= 0)."""
@@ -314,10 +314,19 @@ class FieldCtx:
         log = self._logs()
         if log is not None:
             return self._exp[self.q - 1 - log[a]]
-        g, u, _ = _pxgcd(self.p, list(a), list(self.modulus))
-        if len(g) != 1:
+        # extended Euclid on r_i = u_i * a mod the modulus, u_i kept mod it too
+        p, m = self.p, self.modulus
+        r0, r1 = list(m), _idivmod(p, a, m)[1]
+        u0, u1 = [], [1]
+        while r1:
+            quo, rem = _idivmod(p, r0, r1)
+            r0, r1 = r1, rem
+            qu = _imulmod(p, quo, u1, m)
+            u0, u1 = u1, [(x - y) % p for x, y in zip_longest(u0, qu, fillvalue=0)]
+        if len(r0) != 1:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        return tuple(u[i] if i < len(u) else 0 for i in range(self.l))
+        inv = pow(r0[0], p - 2, p)
+        return tuple(c * inv % p for c in u0) + (0,) * (self.l - len(u0))
 
     def div(self, a, b):
         log = self._logs()

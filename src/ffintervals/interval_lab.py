@@ -67,7 +67,6 @@ def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
     """
     counts = {}
     add, f0 = ctx.add, f_raws[0]
-    qbits = [int(b) for b in bin(ctx.p)[2:]]
     for idx in range(lo, hi):
         a = ctx.raw_from_index(idx)
         key = []
@@ -77,7 +76,7 @@ def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
             g[0] = add(f0, t)
             disc = None if d_raws is None else _reval(ctx, d_raws, t)
             if ctx.l == 1:
-                key.append(_pattern_or_none_int(ctx.p, g, qbits, disc))
+                key.append(_pattern_or_none_int(ctx.p, g, disc))
             else:
                 key.append(_pattern_or_none_generic(ctx, g, disc))
         key = tuple(key)
@@ -213,9 +212,8 @@ def class_sum(ctx: FieldCtx, f: Poly, phi: ClassFunction, workers: int = 1) -> E
     t0 = time.perf_counter()
     spec = IntervalSpec(ctx, f, (ctx(0),), (phi,))
     counts = _joint_counts(ctx, f, spec.shifts, workers)
-    counts = {key[0:1]: n for key, n in counts.items()}
     morse, _ = is_morse(f)
-    report = _finish_report(
+    return _finish_report(
         "class_sum",
         _params_dict(ctx, f, phis=(phi,)),
         counts,
@@ -227,7 +225,6 @@ def class_sum(ctx: FieldCtx, f: Poly, phi: ClassFunction, workers: int = 1) -> E
         time.perf_counter() - t0,
         workers,
     )
-    return report
 
 
 def correlation_sum(spec: IntervalSpec, workers: int = 1, single_constants=None) -> ExperimentReport:
@@ -390,7 +387,6 @@ def gauss_census(p: int, d: int):
     if p**d > _GAUSS_GUARD:
         raise TooLarge(f"p^d = {p**d} exceeds enumeration guard")
     ctx = make_prime_field(p)
-    qbits = [int(b) for b in bin(p)[2:]]
     count = 0
     for idx in range(p**d):
         g = []
@@ -399,7 +395,7 @@ def gauss_census(p: int, d: int):
             g.append(rem % p)
             rem //= p
         g.append(1)
-        pattern = _pattern_or_none_int(p, g, qbits)
+        pattern = _pattern_or_none_int(p, g)
         if pattern == (d,):
             count += 1
     total = 0
@@ -508,18 +504,12 @@ def moebius_battery(ctx, f, shifts, tolerance_c: float = 4.0, workers: int = 1) 
 def _stickelberger_product_sum(ctx, f, shifts):
     """Exact sum over a of prod_i mu(f + h_i + a) via discriminant parity.
 
-    Valid for odd q; uses D(t) = disc(f + t) and a precomputed square table,
-    so each term costs a few field multiplications.
+    Valid for odd q; uses D(t) = disc(f + t) and ctx.is_square, so each term
+    costs a few field operations.
     """
-    dpoly = disc_in_t(f)
-    d_raws = list(dpoly.raw_coeffs)
-    squares = set()
-    for idx in range(ctx.q):
-        r = ctx.raw_from_index(idx)
-        squares.add(ctx.mul(r, r))
+    d_raws = list(disc_in_t(f).raw_coeffs)
     sign_d = 1 if (f.degree * len(shifts)) % 2 == 0 else -1
     shift_raws = [h.raw for h in shifts]
-    total = 0
     zero_count = 0
     plus = minus = 0
     for idx in range(ctx.q):
@@ -530,7 +520,7 @@ def _stickelberger_product_sum(ctx, f, shifts):
             if ctx.is_zero(acc):
                 prod = 0
                 break
-            if acc not in squares:
+            if not ctx.is_square(acc):
                 prod = -prod
         if prod == 0:
             zero_count += 1
@@ -540,8 +530,7 @@ def _stickelberger_product_sum(ctx, f, shifts):
             plus += 1
         else:
             minus += 1
-        total += prod
-    return total, zero_count, plus, minus
+    return plus - minus, zero_count, plus, minus
 
 
 @dataclass

@@ -89,6 +89,8 @@ def critical_data(f: Poly, seed: int = 0) -> CriticalData:
     fp = derivative(f)
     if fp.is_zero:
         raise DerivativeVanishes("f' = 0; no critical point data")
+    if fp.degree == 0:  # p | d and f' a nonzero constant: no critical points
+        return CriticalData(ctx, (), (), 0)
     fac = factor(fp, seed)
     m_lcm = 1
     for poly, _ in fac.factors:

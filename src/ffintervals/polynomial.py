@@ -7,19 +7,18 @@ empty coefficient tuple and degree -1.
 Besides ring arithmetic this module provides gcds, squarefree/distinct-degree/
 equal-degree factorization, Rabin's irreducibility test, resultants and
 discriminants, the one-variable discriminant interpolation disc_in_t, and a
-trial-division oracle used by the test suite.  Cycle types of squarefree
-polynomials come from distinct-degree factorization alone (degree_pattern),
-which is the hot path of the interval sweeps; for prime fields it runs on
-plain int lists.  Every distinct-degree step gets its x^(q^i) from Frobenius
-steps and compositions (_rxq, _rcompose), not from powering to q.  The sweeps
-pass each kernel the member's discriminant when p > deg; the disc-free path
-behind cycle_pattern_or_none is the oracle.
+trial-division oracle used by the test suite.  One distinct-degree loop,
+_ddf, gives cycle types (the hot path of the interval sweeps) and factor()'s
+blocks alike; it runs on int lists over F_p (_IntArith, on the int layer of
+finite_field) and on raws over F_{p^l} (_RawArith).  The sweeps pass each
+member's discriminant when p > deg; brute_force_factor is the oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .class_functions import CycleType
 from .errors import (
@@ -30,7 +29,15 @@ from .errors import (
     TooLarge,
     ZeroInput,
 )
-from .finite_field import FieldCtx, FieldElement, _small_prime_factors
+from .finite_field import (
+    FieldCtx,
+    FieldElement,
+    _idivmod,
+    _igcd_monic,
+    _imulmod,
+    _ireduce,
+    _small_prime_factors,
+)
 
 _BRUTE_FORCE_GUARD = 10**6
 
@@ -127,202 +134,7 @@ def _rderiv(ctx, a):
 
 
 # ---------------------------------------------------------------------------
-# int fast path for prime fields (coefficients are plain ints here)
-
-
-def _ireduce(p, t, m):
-    """t mod m for monic m, reduced mod p.
-
-    t may hold unreduced (even negative) ints; it is consumed.  Each
-    coefficient is reduced mod p once: the leading ones when they are
-    eliminated, the rest on output.
-    """
-    dm = len(m) - 1
-    low = m[:dm]
-    for i in range(len(t) - 1, dm - 1, -1):
-        c = t[i] % p
-        if c:
-            k = i - dm
-            for mj in low:
-                t[k] -= c * mj
-                k += 1
-    t = [c % p for c in t[:dm]]
-    while t and t[-1] == 0:
-        t.pop()
-    return t
-
-
-def _imulmod(p, a, b, m):
-    """a * b mod m for monic m; products accumulate unreduced."""
-    t = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            k = i
-            for bj in b:
-                t[k] += ai * bj
-                k += 1
-    return _ireduce(p, t, m)
-
-
-def _imod(p, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            k = c * inv % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - k * b[j]) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _igcd_monic(p, a, b):
-    while b:
-        a, b = b, _imod(p, a, b)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _ipowmod_x(p, qbits, m):
-    """x^e mod m (m monic) where e has binary digits qbits (most significant first).
-
-    Each further bit costs one symmetric squaring (each cross product taken
-    once, doubled), a shift by x when the bit is set, and one reduction.
-    """
-    acc = _ireduce(p, [0, 1], m)
-    for bit in qbits[1:]:
-        t = [0] * (2 * len(acc) - 1)
-        for i, ai in enumerate(acc):
-            if ai:
-                k = 2 * i
-                t[k] += ai * ai
-                ai2 = 2 * ai
-                for aj in acc[i + 1:]:
-                    k += 1
-                    t[k] += ai2 * aj
-        if bit:
-            t.insert(0, 0)
-        acc = _ireduce(p, t, m)
-    return acc
-
-
-def _ifrobenius(p, h, powers, g, m):
-    """h^p mod m for m dividing g, as h(H) = sum_k h_k * H^k.
-
-    powers holds H^0, H^1, ... mod g, where H = x^p mod g, and grows on
-    demand.  The sum accumulates unreduced and is reduced once, mod m.
-    """
-    while len(powers) < len(h):
-        powers.append(_imulmod(p, powers[-1], powers[1], g))
-    acc = [0] * (len(g) - 1)
-    for k, c in enumerate(h):
-        if c:
-            for j, v in enumerate(powers[k]):
-                acc[j] += c * v
-    return _ireduce(p, acc, m)
-
-
-def _pattern_or_none_int(p, g, qbits, disc=None):
-    """Cycle type of g (monic int-coeff list) or None if not squarefree.
-
-    qbits are the binary digits of q = p, most significant first.  This is
-    the sweep hot path: distinct-degree steps only, no equal-degree splitting.
-    Only H = x^q mod g comes from square-and-multiply.  On F_p[x]/(g) the map
-    h -> h^p is F_p-linear and equals h(H), so each later x^(q^(i+1)) mod rem
-    is the Frobenius matrix applied to x^(q^i) mod rem (see _ifrobenius);
-    this holds mod rem because rem divides g.
-
-    disc, when given, is disc(g) for odd p > deg g (the sweeps pass it then;
-    cycle_pattern_or_none never does): zero means g is not squarefree, and
-    otherwise the gcd(g, g') test is skipped and the loop stops early.
-    Before step i + 1 every factor of rem (degree m) has degree > i; if also
-    3(i + 1) > m and 2(i + 2) > m, rem is irreducible or splits into degrees
-    i + 1 and m - i - 1, and Stickelberger's theorem (disc g is a square iff
-    deg g minus the number of factors is even) tells which.
-    """
-    if disc is None:
-        gp = [i * g[i] % p for i in range(1, len(g))]
-        while gp and gp[-1] == 0:
-            gp.pop()
-        if not gp or len(_igcd_monic(p, list(g), gp)) > 1:
-            return None
-        square = None
-    elif disc == 0:
-        return None
-    else:
-        square = pow(disc, (p - 1) // 2, p) == 1
-    rem = g
-    parts = []
-    powers = None
-    h = None
-    i = 0
-    while 2 * (i + 1) <= len(rem) - 1:
-        m = len(rem) - 1
-        if square is not None and 3 * (i + 1) > m and 2 * (i + 2) > m:
-            if square == ((len(g) - 1 - len(parts)) % 2 == 0):  # two factors
-                parts += (i + 1, m - i - 1)
-                rem = [1]
-            break
-        i += 1
-        if h is None:
-            h = _ipowmod_x(p, qbits, g)
-            powers = [[1], h]
-        else:
-            h = _ifrobenius(p, h, powers, g, rem)
-        hx = list(h) + [0] * (2 - len(h))
-        hx[1] = (hx[1] - 1) % p
-        while hx and hx[-1] == 0:
-            hx.pop()
-        gi = _igcd_monic(p, rem, hx)
-        dgi = len(gi) - 1
-        if dgi > 0:
-            parts.extend([i] * (dgi // i))
-            rem = _imod_exact_div(p, rem, gi)
-            if len(rem) - 1 > 0:
-                h = _ireduce(p, list(h), rem)
-    if len(rem) - 1 > 0:
-        parts.append(len(rem) - 1)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-def _imod_exact_div(p, a, b):
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    a = list(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            k = c * inv % p
-            quo[i - db] = k
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - k * b[j]) % p
-    return quo
-
-
-def _pattern_or_none_generic(ctx, g, disc=None):
-    """Cycle type of g (monic raw list) or None if not squarefree; any F_q.
-
-    disc, when given, is disc(g) (the sweeps pass it for p > deg g): zero
-    means g is not squarefree, and otherwise the squarefree gcd is skipped.
-    """
-    if disc is None:
-        gp = _rderiv(ctx, g)
-        if not gp or len(_rgcd(ctx, g, gp)) > 1:
-            return None
-    elif ctx.is_zero(disc):
-        return None
-    parts = []
-    for block, i in _ddf(ctx, g):
-        parts.extend([i] * ((len(block) - 1) // i))
-    parts.sort(reverse=True)
-    return tuple(parts)
+# distinct-degree factorization, the hot path of the interval sweeps
 
 
 def _rpow_poly_mod(ctx, base, e, mod):
@@ -338,46 +150,201 @@ def _rpow_poly_mod(ctx, base, e, mod):
     return acc
 
 
-def _rcompose(ctx, h, powers, g, m):
-    """h(P) mod m for m dividing g, with h's coefficients taken as they are.
+class _IntArith:
+    """_ddf's arithmetic on int lists over F_p."""
 
-    powers holds P^0, P^1, ... mod g and grows on demand.  The sum is built
-    mod g and reduced once, mod m.
+    __slots__ = ("p",)
+    zero = 0
+
+    def __init__(self, p):
+        self.p = p
+
+    def deriv(self, g):
+        p = self.p
+        gp = [i * g[i] % p for i in range(1, len(g))]
+        while gp and gp[-1] == 0:
+            gp.pop()
+        return gp
+
+    def gcd(self, a, b):
+        return _igcd_monic(self.p, a, b)
+
+    def divmod(self, a, b):
+        return _idivmod(self.p, a, b)
+
+    def sub_x(self, h):
+        hx = list(h) + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % self.p
+        while hx and hx[-1] == 0:
+            hx.pop()
+        return hx
+
+    def is_square(self, c):
+        return pow(c, (self.p - 1) // 2, self.p) == 1
+
+    def xq(self, g):
+        """x^p mod g (monic) and the power list [1, x^p] for step.
+
+        Each bit of p after the first costs one symmetric squaring (each
+        cross product taken once, doubled), a shift by x when the bit is
+        set, and one reduction.
+        """
+        p = self.p
+        h = _ireduce(p, [0, 1], g)
+        for bit in bin(p)[3:]:
+            t = [0] * (2 * len(h) - 1)
+            for i, hi in enumerate(h):
+                if hi:
+                    k = 2 * i
+                    t[k] += hi * hi
+                    hi2 = 2 * hi
+                    for hj in h[i + 1:]:
+                        k += 1
+                        t[k] += hi2 * hj
+            if bit == "1":
+                t.insert(0, 0)
+            h = _ireduce(p, t, g)
+        return h, [[1], h]
+
+    def step(self, h, powers, g, m):
+        """h^p mod m for m dividing g, as h(H) = sum_k h_k * H^k.
+
+        powers holds H^0, H^1, ... mod g, where H = x^p mod g, and grows on
+        demand.  The sum accumulates unreduced and is reduced once, mod m.
+        """
+        p = self.p
+        while len(powers) < len(h):
+            powers.append(_imulmod(p, powers[-1], powers[1], g))
+        acc = [0] * (len(g) - 1)
+        for k, c in enumerate(h):
+            if c:
+                for j, v in enumerate(powers[k]):
+                    acc[j] += c * v
+        return _ireduce(p, acc, m)
+
+
+class _RawArith:
+    """_ddf's arithmetic on raw coefficient lists over any F_q, through the FieldCtx."""
+
+    __slots__ = ("ctx", "zero", "is_square", "deriv", "gcd", "divmod")
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.zero = ctx.zero_raw
+        self.is_square = ctx.is_square
+        self.deriv = partial(_rderiv, ctx)
+        self.gcd = partial(_rgcd, ctx)
+        self.divmod = partial(_rdivmod, ctx)
+
+    def sub_x(self, h):
+        return _rsub(self.ctx, h, [self.zero, self.ctx.one_raw])
+
+    def xq(self, g):
+        """x^q mod g (monic, degree >= 1) and the power list [1, x^q] for step.
+
+        x^p comes from square-and-multiply.  The p-power map is semilinear:
+        (sum h_k x^k)^p = sum frob(h_k) H^k with H = x^p mod g, so l - 1
+        such steps carry x^p to x^q.
+        """
+        ctx = self.ctx
+        one = ctx.one_raw
+        h = _rpow_poly_mod(ctx, [ctx.zero_raw, one], ctx.p, g)
+        frob_powers = [[one], h]
+        for _ in range(ctx.l - 1):
+            h = self.step([ctx.frob(c) for c in h], frob_powers, g, g)
+        return h, [[one], h]
+
+    def step(self, h, powers, g, m):
+        """h(P) mod m for m dividing g, with h's coefficients taken as they are.
+
+        powers holds P^0, P^1, ... mod g and grows on demand.  The sum is
+        built mod g and reduced once, mod m.
+        """
+        ctx = self.ctx
+        while len(powers) < len(h):
+            _, r = _rdivmod(ctx, _rmul(ctx, powers[-1], powers[1]), g)
+            powers.append(r)
+        add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+        acc = [ctx.zero_raw] * (len(g) - 1)
+        for c, pw in zip(h, powers):
+            if not is_zero(c):
+                for j, v in enumerate(pw):
+                    acc[j] = add(acc[j], mul(c, v))
+        _, r = _rdivmod(ctx, _trim(acc), m)
+        return r
+
+
+def _ddf(ar, g, disc):
+    """Distinct-degree factorization of a monic coefficient list g.
+
+    ar is the arithmetic: _IntArith over F_p, _RawArith over any F_q.
+    Returns (cycle type, blocks): the factor degrees, descending, and pairs
+    (block, i) with block the product of the degree-i factors; both are None
+    when g is not squarefree.  Only x^q comes from powering; each later
+    x^(q^i) is an F_q-linear step, kept mod the unsplit part rem.
+
+    disc, when given, is disc(g) for odd q (the sweeps pass it for
+    p > deg g): zero means g is not squarefree, and otherwise the gcd(g, g')
+    test is skipped.  Before step i + 1 every factor of rem (degree m) has
+    degree > i; if also 3(i + 1) > m and 2(i + 2) > m, rem is irreducible or
+    has degrees (i + 1, m - i - 1), and Stickelberger's theorem (disc g is a
+    square iff deg g minus the number of factors is even) tells which.  The
+    blocks then stop short of rem, so factor() passes no disc.
     """
-    while len(powers) < len(h):
-        _, r = _rdivmod(ctx, _rmul(ctx, powers[-1], powers[1]), g)
-        powers.append(r)
-    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    acc = [ctx.zero_raw] * (len(g) - 1)
-    for c, pw in zip(h, powers):
-        if not is_zero(c):
-            for j, v in enumerate(pw):
-                acc[j] = add(acc[j], mul(c, v))
-    _, r = _rdivmod(ctx, _trim(acc), m)
-    return r
+    if disc is None:
+        gp = ar.deriv(g)
+        if not gp or len(ar.gcd(g, gp)) > 1:
+            return None, None
+        square = None
+    elif disc == ar.zero:
+        return None, None
+    else:
+        square = ar.is_square(disc)
+    rem = g
+    parts = []
+    blocks = []
+    h = None
+    i = 0
+    while 2 * (i + 1) <= len(rem) - 1:
+        m = len(rem) - 1
+        if square is not None and 3 * (i + 1) > m and 2 * (i + 2) > m:
+            if square == ((len(g) - 1 - len(parts)) % 2 == 0):  # two factors
+                parts += (i + 1, m - i - 1)
+                rem = [1]
+            break
+        i += 1
+        if h is None:
+            h, powers = ar.xq(g)
+        else:
+            h = ar.step(h, powers, g, rem)
+        gi = ar.gcd(rem, ar.sub_x(h))
+        if len(gi) > 1:
+            parts += [i] * ((len(gi) - 1) // i)
+            blocks.append((gi, i))
+            rem = ar.divmod(rem, gi)[0]
+            if len(rem) > 1:
+                h = ar.divmod(h, rem)[1]
+    if len(rem) > 1:
+        parts.append(len(rem) - 1)
+        blocks.append((rem, len(rem) - 1))
+    parts.sort(reverse=True)
+    return tuple(parts), blocks
 
 
-def _rxq(ctx, g):
-    """x^q mod g (g monic, degree >= 1) and the power list [1, x^q] for _rcompose.
+def _pattern_or_none_int(p, g, disc=None):
+    """Cycle type of g (monic int list over F_p), None if not squarefree; see _ddf."""
+    return _ddf(_IntArith(p), g, disc)[0]
 
-    x^p comes from square-and-multiply.  The p-power map is semilinear:
-    (sum h_k x^k)^p = sum frob(h_k) H^k with H = x^p mod g, so l - 1 such
-    steps carry x^p to x^q.  On F_q[x]/(g) the q-power map is F_q-linear,
-    so each later x^(q^(i+1)) is _rcompose(x^(q^i)) over the returned powers.
-    """
-    one = ctx.one_raw
-    h = _rpow_poly_mod(ctx, [ctx.zero_raw, one], ctx.p, g)
-    frob_powers = [[one], h]
-    for _ in range(ctx.l - 1):
-        h = _rcompose(ctx, [ctx.frob(c) for c in h], frob_powers, g, g)
-    return h, [[one], h]
+
+def _pattern_or_none_generic(ctx, g, disc=None):
+    """Cycle type of g (monic raw list over any F_q), None if not squarefree; see _ddf."""
+    return _ddf(_RawArith(ctx), g, disc)[0]
 
 
 def cycle_pattern_or_none(ctx, coeffs):
     """Cycle type (descending tuple) of a monic raw-coefficient list, or None."""
     if ctx.l == 1:
-        qbits = [int(b) for b in bin(ctx.q)[2:]]
-        return _pattern_or_none_int(ctx.p, list(coeffs), qbits)
+        return _pattern_or_none_int(ctx.p, list(coeffs))
     return _pattern_or_none_generic(ctx, list(coeffs))
 
 
@@ -662,18 +629,17 @@ def is_irreducible(g: Poly) -> bool:
     if d == 1:
         return True
     m = _rmonic(ctx, list(g._c))
-    x = [ctx.zero_raw, ctx.one_raw]
     # iterated q-power images x^(q^j) mod m for j = 1..d
-    t, powers = _rxq(ctx, m)
+    ar = _RawArith(ctx)
+    t, powers = ar.xq(m)
     towers = {1: t}
     for j in range(2, d + 1):
-        t = _rcompose(ctx, t, powers, m, m)
+        t = ar.step(t, powers, m, m)
         towers[j] = t
-    if _trim(_rsub(ctx, towers[d], x)):
+    if ar.sub_x(towers[d]):
         return False
     for r in _small_prime_factors(d):
-        h = _rsub(ctx, towers[d // r], x)
-        if len(_rgcd(ctx, h, m)) != 1:
+        if len(ar.gcd(ar.sub_x(towers[d // r]), m)) != 1:
             return False
     return True
 
@@ -687,34 +653,6 @@ def degree_pattern(g: Poly) -> CycleType:
     if pattern is None:
         raise NotSquarefree(f"{g!r} has a repeated factor")
     return CycleType(pattern)
-
-
-def _ddf(ctx, g):
-    """Distinct-degree split of a monic squarefree raw list: list of (raws, i).
-
-    x^(q^i) is kept mod the unsplit part rem; it comes from _rxq and then
-    _rcompose, which stays valid mod rem because rem divides g.
-    """
-    x = [ctx.zero_raw, ctx.one_raw]
-    rem = list(g)
-    out = []
-    h = None
-    i = 0
-    while 2 * (i + 1) <= len(rem) - 1:
-        i += 1
-        if h is None:
-            h, powers = _rxq(ctx, g)
-        else:
-            h = _rcompose(ctx, h, powers, g, rem)
-        gi = _rgcd(ctx, _rsub(ctx, h, x), rem)
-        if len(gi) - 1 > 0:
-            out.append((gi, i))
-            rem, _ = _rdivmod(ctx, rem, gi)
-            if len(rem) - 1 > 0:
-                _, h = _rdivmod(ctx, h, rem)
-    if len(rem) - 1 > 0:
-        out.append((rem, len(rem) - 1))
-    return out
 
 
 def _random_nonconstant(ctx, max_deg, rng):
@@ -795,11 +733,10 @@ def factor(g: Poly, seed: int = 0) -> FactorizationResult:
     ctx = g.ctx
     rng = random.Random(f"edf/{seed}/{ctx.p}/{ctx.l}")
     unit = g.lc()
+    ar = _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
     found = []
-    for exponent, part in (
-        (e, raws) for e, raws in sorted(_sqf_decompose(ctx, _rmonic(ctx, list(g._c))).items())
-    ):
-        for block, deg_i in _ddf(ctx, part):
+    for exponent, part in sorted(_sqf_decompose(ctx, _rmonic(ctx, list(g._c))).items()):
+        for block, deg_i in _ddf(ar, part, None)[1]:
             for raws in _edf(ctx, block, deg_i, rng):
                 found.append((Poly.from_raw(ctx, raws), exponent))
     found.sort(key=lambda fm: fm[0].canonical_key())
@@ -849,9 +786,9 @@ def roots_in_field(g: Poly, seed: int = 0):
         raise OutOfRange("root finding needs degree >= 1")
     ctx = g.ctx
     m = _rmonic(ctx, list(g._c))
-    x = [ctx.zero_raw, ctx.one_raw]
-    h, _ = _rxq(ctx, m)
-    lin = _rgcd(ctx, _rsub(ctx, h, x), m)
+    ar = _RawArith(ctx)
+    h, _ = ar.xq(m)
+    lin = ar.gcd(ar.sub_x(h), m)
     if len(lin) - 1 < 1:
         return []
     rng = random.Random(f"roots/{seed}/{ctx.p}/{ctx.l}")

@@ -206,6 +206,23 @@ def test_correlate_command(capsys):
     assert payload["report"]["kind"] == "correlation_sum"
 
 
+def test_correlate_with_constant_derivative_exits_0(capsys):
+    # f' = 1 over F_2: no critical points, so no bad shifts
+    code, payload = run_json(
+        capsys,
+        [
+            "correlate",
+            "--p", "2",
+            "--f", "x^4+x+1",
+            "--shifts", "0,1",
+            "--phi", "mu",
+            "--phi", "mu",
+        ],
+    )
+    assert code == 0
+    assert payload["report"]["notes"] == {"bad_shifts": False}
+
+
 def test_field_info_extension(capsys):
     code, payload = run_json(capsys, ["field-info", "--p", "2", "--ext", "3"])
     assert code == 0

@@ -221,6 +221,7 @@ def test_field_above_the_table_cap_uses_schoolbook():
         a, b, c = (ctx.raw_from_index(rng.randrange(1, ctx.q)) for _ in range(3))
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
         assert ctx.mul(a, ctx.inv(a)) == one
+        assert ctx.inv(a) == ctx.pow_raw(a, ctx.q - 2)
         assert ctx.div(ctx.mul(a, b), b) == a
         assert ctx.pow_raw(a, ctx.q - 1) == one
         assert ctx.pth_root(ctx.frob(a)) == a
@@ -231,6 +232,15 @@ def test_field_above_the_table_cap_uses_schoolbook():
     for a in non_squares:
         assert ctx.pow_raw(a, (ctx.q - 1) // 2) == ctx.neg(one)
     assert ctx._log is None
+
+
+def test_inverse_above_the_cap_rejects_a_reducible_modulus():
+    # x^9 - x = x * (x^8 - 1) over F_3: x shares a factor with the modulus
+    ctx = FieldCtx(3, 9, (0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
+    assert ctx.q > finite_field._LOG_TABLE_CAP
+    with pytest.raises(ZeroDivisionError, match="not invertible"):
+        ctx.inv((0, 1, 0, 0, 0, 0, 0, 0, 0))
+    assert ctx.inv((2, 0, 0, 0, 0, 0, 0, 0, 0)) == (2, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_raw_outside_the_table_raises():

@@ -1,32 +1,34 @@
 """The distinct-degree kernels against their oracles.
 
-cycle_pattern_or_none is checked against factor() exhaustively on small
-fields and on seeded samples at sweep-sized primes; the Frobenius-matrix step
-against square-and-multiply; and the lazily reduced mulmod against a naive
-product-then-divide.  Over extension fields the generic kernel, factor(),
-is_irreducible and roots_in_field are checked exhaustively against a sieve
-that multiplies out irreducibles, and the Frobenius steps behind x^q against
-square-and-multiply.  The discriminant-assisted paths of both kernels are
-checked against their disc-free paths, which are the oracles.
+The kernels and factor() share one distinct-degree loop (_ddf), so the int
+kernel is checked against code that shares none of it: brute_force_factor
+exhaustively on small fields, and planted products of irreducibles certified
+by Rabin's test at sweep-sized primes.  Also checked: the Frobenius-matrix
+step against square-and-multiply, and the lazily reduced mulmod against a
+naive product-then-divide.  Over extension fields the generic kernel,
+factor(), is_irreducible and roots_in_field are checked exhaustively against
+a sieve that multiplies out irreducibles, and the Frobenius steps behind x^q
+against square-and-multiply.  The discriminant-assisted paths of both
+kernels are checked against their disc-free paths.
 """
 
 import random
 
 import pytest
 
+from ffintervals.class_functions import partitions_of
 from ffintervals.finite_field import _MAX_P, is_prime, make_extension, make_prime_field
 from ffintervals.polynomial import (
     Poly,
-    _ifrobenius,
+    _IntArith,
+    _RawArith,
     _imulmod,
-    _ipowmod_x,
     _pattern_or_none_generic,
     _pattern_or_none_int,
-    _rcompose,
     _rdivmod,
     _reval,
     _rpow_poly_mod,
-    _rxq,
+    brute_force_factor,
     cycle_pattern_or_none,
     disc_in_t,
     discriminant,
@@ -50,17 +52,16 @@ def _kernel(g):
     return cycle_pattern_or_none(g.ctx, list(g.raw_coeffs))
 
 
-def _qbits(p):
-    return [int(b) for b in bin(p)[2:]]
-
-
 @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 4), (7, 4)])
 def test_kernel_matches_factor_exhaustive(p, max_degree):
     ctx = make_prime_field(p)
     for d in range(1, max_degree + 1):
         for idx in range(p**d):
             g = poly_from_index(ctx, d, idx)
-            assert _kernel(g) == _expected_pattern(g), g
+            oracle = brute_force_factor(g)
+            assert factor(g) == oracle, g
+            repeated = any(mult > 1 for _, mult in oracle.factors)
+            assert _kernel(g) == (None if repeated else oracle.multiset_degrees()), g
 
 
 @pytest.mark.parametrize("p", [1747, 10007])
@@ -77,6 +78,32 @@ def test_kernel_matches_factor_random_high_degree(p):
             assert _kernel(g) == _expected_pattern(g), g
 
 
+@pytest.mark.parametrize("p", [1747, 10007])
+def test_kernel_on_planted_products(p):
+    # one product per cycle type of degree 6-9 over a pool of distinct
+    # irreducibles certified by Rabin's test; reusing a factor must give None
+    ctx = make_prime_field(p)
+    rng = random.Random(f"planted/{p}")
+    pool = {}
+    for k in range(1, 10):
+        pool[k] = []
+        while len(pool[k]) < 9 // k:
+            g = random_monic(ctx, k, rng)
+            if is_irreducible(g) and g not in pool[k]:
+                pool[k].append(g)
+    for d in range(6, 10):
+        for ct in partitions_of(d):
+            used = {k: 0 for k in pool}
+            g = Poly(ctx, [1])
+            for k in ct.parts:
+                g = g * pool[k][used[k]]
+                used[k] += 1
+            assert _kernel(g) == ct.parts, g
+            raws = list(g.raw_coeffs)
+            assert _pattern_or_none_int(p, raws, discriminant(g).raw) == ct.parts, g
+            assert _kernel(g * pool[ct.parts[-1]][0]) is None, g
+
+
 @pytest.mark.parametrize("p", [3, 13, 1747])
 def test_frobenius_matrix_step_is_pth_power(p):
     ctx = make_prime_field(p)
@@ -85,21 +112,22 @@ def test_frobenius_matrix_step_is_pth_power(p):
     def rand_poly(degree):
         return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
 
+    ar = _IntArith(p)
     for d in (2, 5, 8):
         for _ in range(5):
             g = list(random_monic(ctx, d, rng).raw_coeffs)
-            powers = [[1], _ipowmod_x(p, _qbits(p), g)]
-            assert powers[1] == _rpow_poly_mod(ctx, [0, 1], p, g)
+            xp, powers = ar.xq(g)
+            assert xp == powers[1] == _rpow_poly_mod(ctx, [0, 1], p, g)
             h = rand_poly(d - 1)
-            assert _ifrobenius(p, h, powers, g, g) == _rpow_poly_mod(ctx, h, p, g)
+            assert ar.step(h, powers, g, g) == _rpow_poly_mod(ctx, h, p, g)
             assert len(powers) == d
     # reduced mod a divisor m of g, the step gives h^p mod m
     m = random_monic(ctx, 3, rng)
     g = list((m * random_monic(ctx, 4, rng)).raw_coeffs)
     m = list(m.raw_coeffs)
-    powers = [[1], _ipowmod_x(p, _qbits(p), g)]
+    _, powers = ar.xq(g)
     h = rand_poly(2)
-    assert _ifrobenius(p, h, powers, g, m) == _rpow_poly_mod(ctx, h, p, m)
+    assert ar.step(h, powers, g, m) == _rpow_poly_mod(ctx, h, p, m)
 
 
 def _naive_mulmod(p, a, b, m):
@@ -179,21 +207,22 @@ def test_frobenius_steps_give_q_powers(p, l):
     ctx = make_extension(make_prime_field(p), l, 0)
     rng = random.Random(f"rxq/{p}/{l}")
     x = [ctx.zero_raw, ctx.one_raw]
+    ar = _RawArith(ctx)
     for d in (1, 2, 5, 7):
         g = list(random_monic(ctx, d, rng).raw_coeffs)
-        h, powers = _rxq(ctx, g)
+        h, powers = ar.xq(g)
         assert h == _rpow_poly_mod(ctx, x, ctx.q, g)
         for _ in range(3):
-            nxt = _rcompose(ctx, h, powers, g, g)
+            nxt = ar.step(h, powers, g, g)
             assert nxt == _rpow_poly_mod(ctx, h, ctx.q, g)
             h = nxt
     # composed mod g and reduced mod a divisor m of g, the step gives h^q mod m
     m = random_monic(ctx, 3, rng)
     g = list((m * random_monic(ctx, 4, rng)).raw_coeffs)
     m = list(m.raw_coeffs)
-    h, powers = _rxq(ctx, g)
+    h, powers = ar.xq(g)
     _, h = _rdivmod(ctx, h, m)
-    assert _rcompose(ctx, h, powers, g, m) == _rpow_poly_mod(ctx, h, ctx.q, m)
+    assert ar.step(h, powers, g, m) == _rpow_poly_mod(ctx, h, ctx.q, m)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +232,12 @@ def test_frobenius_steps_give_q_powers(p, l):
 @pytest.mark.parametrize("p,max_degree", [(7, 5), (11, 4), (13, 4)])
 def test_int_kernel_with_disc_matches_disc_free_exhaustive(p, max_degree):
     ctx = make_prime_field(p)
-    qbits = _qbits(p)
     for d in range(2, max_degree + 1):
         for idx in range(p**d):
             g = poly_from_index(ctx, d, idx)
             raws = list(g.raw_coeffs)
-            expected = _pattern_or_none_int(p, raws, qbits)
-            assert _pattern_or_none_int(p, raws, qbits, discriminant(g).raw) == expected, g
+            expected = _pattern_or_none_int(p, raws)
+            assert _pattern_or_none_int(p, raws, discriminant(g).raw) == expected, g
 
 
 @pytest.mark.parametrize("p,window", [(1747, 1747), (10007, 600)])
@@ -217,7 +245,6 @@ def test_int_kernel_with_disc_matches_disc_free_on_intervals(p, window):
     # members f + a get D(a) with D(t) = disc(f + t), as in a sweep; at
     # p = 10007 a seeded window of each interval keeps the test short
     ctx = make_prime_field(p)
-    qbits = _qbits(p)
     rng = random.Random(f"disc-kernel/{p}")
     for d in range(6, 10):
         f = random_monic(ctx, d, rng)
@@ -227,13 +254,13 @@ def test_int_kernel_with_disc_matches_disc_free_on_intervals(p, window):
             a %= p
             g = list(f.shift_const(a).raw_coeffs)
             disc = _reval(ctx, d_raws, a)
-            assert _pattern_or_none_int(p, g, qbits, disc) == _pattern_or_none_int(p, g, qbits)
+            assert _pattern_or_none_int(p, g, disc) == _pattern_or_none_int(p, g)
     # planted squares: a zero discriminant means "not squarefree"
     for d in range(6, 10):
         a, b = random_monic(ctx, 2, rng), random_monic(ctx, d - 4, rng)
         g = a * a * b
         assert discriminant(g).raw == 0
-        assert _pattern_or_none_int(p, list(g.raw_coeffs), qbits, 0) is None
+        assert _pattern_or_none_int(p, list(g.raw_coeffs), 0) is None
 
 
 @pytest.mark.parametrize("p,l,degrees", [(5, 2, (1, 2, 3)), (3, 2, (2,)), (3, 3, (2,))])

@@ -193,6 +193,18 @@ def test_make_non_morse_really_is_non_morse():
 
 
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("p,text", [(2, "x^4+x+1"), (3, "x^3+x")])
+def test_constant_derivative_has_no_critical_data(p, text):
+    # p | d leaves f' a nonzero constant: no critical points, no bad shifts
+    ctx = make_prime_field(p)
+    f = parse_poly(text, ctx)
+    cd = critical_data(f)
+    assert cd.ext_ctx == ctx and cd.points == cd.values == ()
+    assert cd.distinct_value_count == 0
+    assert bad_set(f) == set()
+    assert not bad_shift_check(f, (ctx(0), ctx(1)))
+
+
 # bad sets and bad shifts
 
 
