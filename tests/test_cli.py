@@ -1,8 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from ffintervals import reports
 from ffintervals.cli import run_command
 from ffintervals.errors import PolyParseError
 from ffintervals.finite_field import make_extension, make_prime_field
@@ -10,6 +12,7 @@ from ffintervals.polynomial import random_monic
 from ffintervals.polyparse import format_poly, parse_element, parse_poly, parse_shifts
 
 F7 = make_prime_field(7)
+GOLDEN = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,14 @@ def run_json(capsys, argv):
     code = run_command(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_large_q_demo_matches_the_golden_report(capsys):
+    # F_5, F_{5^4} and F_{5^5} element reprs, fixed before the int-raw refactor
+    code, payload = run_json(capsys, ["large-q-demo", "--l-list", "1,4,5"])
+    assert code == 0
+    got = (reports.to_json(reports.scrub_timings(payload)) + "\n").encode("utf-8")
+    assert got == (GOLDEN / "large_q_demo_1_4_5.json").read_bytes()
 
 
 def test_sum_command_json(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,13 @@ def test_same_seed_gives_identical_reports(quick_pair):
     a = json.dumps(reports.scrub_timings(first["reports"]), sort_keys=True)
     b = json.dumps(reports.scrub_timings(second["reports"]), sort_keys=True)
     assert a == b
+
+
+def test_quick_suite_matches_the_golden_report(quick_pair):
+    # holds F_{5^4} element reprs such as "0:0:1:0"; fixed before the int-raw refactor
+    first, _, _ = quick_pair
+    got = (reports.to_json(reports.scrub_timings(first)) + "\n").encode("utf-8")
+    assert got == (Path(__file__).parent / "data" / "paper_suite_quick_seed0.json").read_bytes()
 
 
 def test_tolerance_file_override(tmp_path):
