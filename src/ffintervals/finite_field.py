@@ -2,31 +2,32 @@
 
 A field context (:class:`FieldCtx`) describes either a prime field F_p or a
 degree-l extension F_p[y]/(m(y)) with a monic irreducible modulus m found by
-deterministic search.  Elements are stored in a "raw" form chosen for speed:
-a plain int residue when l == 1, and a length-l tuple of int residues in
-[0, p) (low coefficient first) when l > 1.  :class:`FieldElement` is a thin
-wrapper used at API boundaries; hot loops elsewhere in the package work on
-raws directly through the context's arithmetic methods.
+deterministic search.  Every element is stored in one "raw" form, its
+canonical index: the element with coefficients (c_0, ..., c_{l-1}) in [0, p),
+low first, is the int sum(c_i * p^i) in [0, q).  So an F_p raw is the
+residue itself, and in every field 0 and 1 are raws 0 and 1 and a
+prime-subfield constant c is raw c.  The index is also the package's order
+for enumeration and deterministic tie-breaking.  _digits and _undigits are
+the only conversion between a raw and its coefficients.
+:class:`FieldElement` is a thin wrapper used at API boundaries; hot loops
+elsewhere in the package work on raws directly through the context's
+arithmetic methods.
 
 For l > 1 and q <= _LOG_TABLE_CAP the context computes through discrete-log
 tables built on first use from schoolbook arithmetic: ``_exp`` lists the
-powers of a primitive element g, ``_log`` maps each raw tuple to its
-exponent, and ``_zech`` holds the Zech logarithms log(1 + g^d).  Sums,
-products, inverses, powers, Frobenius and the square test are then table
-lookups, and a raw that is not a reduced length-l tuple raises instead of
-being read as some element.  Above the cap the schoolbook code is the only
-path.  The tables are a cache: they take no part in equality, hashing or
-pickling, so a context sent to a pool worker rebuilds its own.
+powers of a primitive element g, ``_log[a]`` is the exponent of raw a, and
+``_zech`` holds the Zech logarithms log(1 + g^d).  Sums, products, inverses,
+powers, Frobenius and the square test are then table lookups, and a raw
+outside [0, q) or not an int raises instead of being read as some element.
+Above the cap the schoolbook code, on coefficient lists, is the only path.
+The tables are a cache: they take no part in equality, hashing or pickling,
+so a context sent to a pool worker rebuilds its own.
 make_extension memoizes its contexts, so within a process each field builds
 its tables once.
 
 This leaf module also holds the one int-list polynomial layer over F_p
 (_ireduce, _imulmod, _idivmod, _igcd_monic); the schoolbook extension
 arithmetic and polynomial's F_p distinct-degree loop both run on it.
-
-The canonical index of an element with coefficients (c_0, ..., c_{l-1}) is
-sum(c_i * p^i); it is a bijection onto [0, q) and is used for all
-deterministic tie-breaking and enumeration order.
 """
 
 from __future__ import annotations
@@ -80,6 +81,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _digits(p: int, l: int, a: int) -> list:
+    """The l coefficients over F_p of the element with raw a, low first."""
+    out = []
+    for _ in range(l):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _undigits(p: int, coeffs) -> int:
+    """The raw of the element with these coefficients in [0, p), low first."""
+    a = 0
+    for c in reversed(coeffs):
+        a = a * p + c
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +173,8 @@ class FieldCtx:
     """Immutable description of F_q = F_{p^l}, owner of element arithmetic."""
 
     __slots__ = ("p", "l", "modulus", "q", "_base", "_exp", "_log", "_zech", "_log_neg1")
+    zero_raw = 0
+    one_raw = 1
 
     def __init__(self, p: int, l: int = 1, modulus: tuple | None = None, _base=None):
         self.p = p
@@ -192,28 +212,25 @@ class FieldCtx:
 
     def prime_field(self) -> "FieldCtx":
         """The prime subfield F_p as a context."""
-        return self._base if self.l > 1 else self
+        return self._base
 
     # -- raw arithmetic ------------------------------------------------------
 
-    @property
-    def zero_raw(self):
-        return 0 if self.l == 1 else (0,) * self.l
-
-    @property
-    def one_raw(self):
-        return 1 if self.l == 1 else (1,) + (0,) * (self.l - 1)
-
     def is_zero(self, a) -> bool:
-        return a == 0 if self.l == 1 else not any(a)
+        return a == 0
+
+    def _outside(self):
+        return IndexError(f"raw outside [0, {self.q})")
 
     def add(self, a, b):
         if self.l == 1:
             return (a + b) % self.p
         log = self._log or self._logs()
         if log is None:
-            p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
+            p, l = self.p, self.l
+            return _undigits(p, [(x + y) % p for x, y in zip(_digits(p, l, a), _digits(p, l, b))])
+        if (a | b) < 0:
+            raise self._outside()
         la = log[a]
         return self._exp[la + self._zech[log[b] - la]]
 
@@ -222,8 +239,10 @@ class FieldCtx:
             return (a - b) % self.p
         log = self._log or self._logs()
         if log is None:
-            p = self.p
-            return tuple((x - y) % p for x, y in zip(a, b))
+            p, l = self.p, self.l
+            return _undigits(p, [(x - y) % p for x, y in zip(_digits(p, l, a), _digits(p, l, b))])
+        if (a | b) < 0:
+            raise self._outside()
         exp = self._exp
         la = log[a]
         minus_b = exp[log[b] + self._log_neg1]
@@ -234,8 +253,9 @@ class FieldCtx:
             return -a % self.p
         log = self._log or self._logs()
         if log is None:
-            p = self.p
-            return tuple(-x % p for x in a)
+            return _undigits(self.p, [-x % self.p for x in _digits(self.p, self.l, a)])
+        if a < 0:
+            raise self._outside()
         return self._exp[log[a] + self._log_neg1]
 
     def mul(self, a, b):
@@ -244,32 +264,36 @@ class FieldCtx:
         log = self._log or self._logs()
         if log is None:
             return self._mul_poly(a, b)
+        if (a | b) < 0:
+            raise self._outside()
         return self._exp[log[a] + log[b]]
 
     def _mul_poly(self, a, b):
         """Schoolbook product mod the modulus (l > 1)."""
-        t = _imulmod(self.p, a, b, self.modulus)
-        return tuple(t) + (0,) * (self.l - len(t))
+        p, l = self.p, self.l
+        return _undigits(p, _imulmod(p, _digits(p, l, a), _digits(p, l, b), self.modulus))
 
     def _pow_poly(self, a, e: int):
-        """Square-and-multiply on top of _mul_poly (l > 1, e >= 0)."""
-        acc = self.one_raw
-        base = a
+        """Square-and-multiply on coefficient lists (l > 1, e >= 0)."""
+        p, m = self.p, self.modulus
+        acc, base = [1], _digits(p, self.l, a)
         while e:
             if e & 1:
-                acc = self._mul_poly(acc, base)
-            base = self._mul_poly(base, base)
+                acc = _imulmod(p, acc, base, m)
+            base = _imulmod(p, base, base, m)
             e >>= 1
-        return acc
+        return _undigits(p, acc)
 
     def _logs(self):
         """The log table, built on first use; None for l == 1 and above the cap.
 
         With n = q - 1 and g the first element of canonical index >= p whose
         order is n (found by schoolbook powers), _exp[i] = g^(i mod n) for
-        i < 2n, so a sum of two logs needs no reduction.  Zero gets log 2n
-        and _exp[2n:] is zero through index 4n, so a product with zero needs
-        no branch either.  -1 = g^_log_neg1.
+        i < 2n, so a sum of two logs needs no reduction.  _log is a list
+        indexed by raw: a raw >= q fails the lookup, and the callers reject a
+        negative raw, which the list would wrap, and a non-int one before it.
+        Zero gets log 2n and _exp[2n:] is zero through index 4n, so a product
+        with zero needs no branch either.  -1 = g^_log_neg1.
 
         _zech[d] = log(1 + g^d) for |d| < n (negative d index from the end),
         so a + b = g^la * (1 + g^(lb - la)).  Two more bands make a zero
@@ -280,43 +304,41 @@ class FieldCtx:
         if self._log is not None or self.l == 1 or self.q > _LOG_TABLE_CAP:
             return self._log
         p, n = self.p, self.q - 1
-        one, zero = self.one_raw, self.zero_raw
         cofactors = [n // r for r in _small_prime_factors(n)]
-        for idx in range(p, self.q):
-            g = self.raw_from_index(idx)
-            if all(self._pow_poly(g, c) != one for c in cofactors):
+        for g in range(p, self.q):
+            if all(self._pow_poly(g, c) != 1 for c in cofactors):
                 break
-        powers = [one]
+        powers = [1]
         for _ in range(n - 1):
             powers.append(self._mul_poly(powers[-1], g))
-        log = {r: i for i, r in enumerate(powers)}
-        log[zero] = 2 * n
-        ones = [log[tuple((x + y) % p for x, y in zip(one, r))] for r in powers]
+        log = [2 * n] * self.q
+        for i, r in enumerate(powers):
+            log[r] = i
+        # 1 + r adds one to the low digit of r, which wraps from p - 1 to 0
+        ones = [log[r + 1 - p if r % p == p - 1 else r + 1] for r in powers]
         self._zech = ones + [0] * (n + 1) + list(range(-2 * n, -n)) + [0] + ones[1:]
         self._log_neg1 = n // 2 if p != 2 else 0
-        self._exp = powers * 2 + [zero] * (2 * n + 1)
+        self._exp = powers * 2 + [0] * (2 * n + 1)
         self._log = log
         return log
 
     def scalar_mul(self, k: int, a):
         """Multiply by an integer scalar (k reduced mod p)."""
-        k %= self.p
-        if self.l == 1:
-            return a * k % self.p
-        p = self.p
-        return tuple(x * k % p for x in a)
+        return self.mul(k % self.p, a)
 
     def inv(self, a):
-        if self.is_zero(a):
+        if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.l == 1:
             return pow(a, self.p - 2, self.p)
         log = self._logs()
         if log is not None:
+            if a < 0:
+                raise self._outside()
             return self._exp[self.q - 1 - log[a]]
         # extended Euclid on r_i = u_i * a mod the modulus, u_i kept mod it too
         p, m = self.p, self.modulus
-        r0, r1 = list(m), _idivmod(p, a, m)[1]
+        r0, r1 = list(m), _idivmod(p, _digits(p, self.l, a), m)[1]
         u0, u1 = [], [1]
         while r1:
             quo, rem = _idivmod(p, r0, r1)
@@ -326,14 +348,16 @@ class FieldCtx:
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
         inv = pow(r0[0], p - 2, p)
-        return tuple(c * inv % p for c in u0) + (0,) * (self.l - len(u0))
+        return _undigits(p, [c * inv % p for c in u0])
 
     def div(self, a, b):
         log = self._logs()
         if log is None:
             return self.mul(a, self.inv(b))
-        if self.is_zero(b):
+        if b == 0:
             raise ZeroDivisionError("inverse of zero")
+        if (a | b) < 0:
+            raise self._outside()
         return self._exp[log[a] + self.q - 1 - log[b]]
 
     def pow_raw(self, a, e: int):
@@ -344,9 +368,11 @@ class FieldCtx:
         log = self._logs()
         if log is None:
             return self._pow_poly(a, e)
+        if a < 0:
+            raise self._outside()
         k, n = log[a], self.q - 1
         if k == 2 * n:  # zero
-            return self.zero_raw if e else self.one_raw
+            return 0 if e else 1
         return self._exp[k * e % n]
 
     def frob(self, a):
@@ -367,36 +393,26 @@ class FieldCtx:
             return True
         log = self._logs()
         if log is not None:
+            if a < 0:
+                raise self._outside()
             return log[a] % 2 == 0
-        if self.is_zero(a):
+        if a == 0:
             return True
-        return self.pow_raw(a, (self.q - 1) // 2) == self.one_raw
+        return self.pow_raw(a, (self.q - 1) // 2) == 1
 
-    # -- canonical index ----------------------------------------------------
+    # -- canonical index: the raw itself ------------------------------------
 
     def index_of(self, a) -> int:
-        if self.l == 1:
-            return a
-        idx = 0
-        for c in reversed(a):
-            idx = idx * self.p + c
-        return idx
+        return a
 
     def raw_from_index(self, idx: int):
         if not 0 <= idx < self.q:
             raise OutOfRange(f"index {idx} outside [0, {self.q})")
-        if self.l == 1:
-            return idx
-        digits = []
-        for _ in range(self.l):
-            digits.append(idx % self.p)
-            idx //= self.p
-        return tuple(digits)
+        return idx
 
     def from_int(self, n: int):
         """Embed an integer as a prime-subfield constant (raw form)."""
-        n %= self.p
-        return n if self.l == 1 else (n,) + (0,) * (self.l - 1)
+        return n % self.p
 
     # -- element wrapper ----------------------------------------------------
 
@@ -412,7 +428,7 @@ class FieldCtx:
     def elements(self):
         """All elements in canonical index order (generator)."""
         for idx in range(self.q):
-            yield FieldElement(self, self.raw_from_index(idx))
+            yield FieldElement(self, idx)
 
 
 class FieldElement:
@@ -426,11 +442,11 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple:
-        return (self.raw,) if self.ctx.l == 1 else self.raw
+        return tuple(_digits(self.ctx.p, self.ctx.l, self.raw))
 
     @property
     def index(self) -> int:
-        return self.ctx.index_of(self.raw)
+        return self.raw
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -498,12 +514,10 @@ class FieldElement:
         return hash((self.ctx.p, self.ctx.l, self.raw))
 
     def __bool__(self):
-        return not self.ctx.is_zero(self.raw)
+        return self.raw != 0
 
     def __repr__(self):
-        if self.ctx.l == 1:
-            return str(self.raw)
-        return ":".join(str(c) for c in self.raw)
+        return ":".join(str(c) for c in self.coeffs)
 
 
 def make_prime_field(p: int) -> FieldCtx:
@@ -548,12 +562,7 @@ def _extension(base: FieldCtx, l: int, seed: int) -> FieldCtx:
     total = p**l
     start = seed % total
     for off in range(total):
-        idx = (start + off) % total
-        low = []
-        rem = idx
-        for _ in range(l):
-            low.append(rem % p)
-            rem //= p
+        low = _digits(p, l, (start + off) % total)
         cand = Poly(base, low + [1])
         if is_irreducible(cand):
             return FieldCtx(p, l, tuple(low + [1]), _base=base)
@@ -572,8 +581,6 @@ def in_prime_subfield(a: FieldElement) -> bool:
 
 def to_prime_subfield(a: FieldElement) -> FieldElement:
     """Express a prime-subfield element of an extension as an F_p element."""
-    if a.ctx.l == 1:
-        return a
     if not in_prime_subfield(a):
         raise OutOfRange(f"{a!r} is not in the prime subfield")
-    return FieldElement(a.ctx.prime_field(), a.raw[0])
+    return FieldElement(a.ctx.prime_field(), a.raw)

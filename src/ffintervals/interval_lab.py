@@ -67,18 +67,18 @@ def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
     """
     counts = {}
     add, f0 = ctx.add, f_raws[0]
-    for idx in range(lo, hi):
-        a = ctx.raw_from_index(idx)
+    if ctx.l == 1:
+        kernel, field = _pattern_or_none_int, ctx.p
+    else:
+        kernel, field = _pattern_or_none_generic, ctx
+    for a in range(lo, hi):
         key = []
         for h in shift_raws:
             t = add(h, a)
             g = list(f_raws)
             g[0] = add(f0, t)
             disc = None if d_raws is None else _reval(ctx, d_raws, t)
-            if ctx.l == 1:
-                key.append(_pattern_or_none_int(ctx.p, g, disc))
-            else:
-                key.append(_pattern_or_none_generic(ctx, g, disc))
+            key.append(kernel(field, g, disc))
         key = tuple(key)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -367,9 +367,7 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
     for h in shifts:
         for rho in roots:
             bad.add(ctx.sub(rho.raw, h.raw))
-    bad_sorted = tuple(
-        FieldElement(ctx, r) for r in sorted(bad, key=ctx.index_of)
-    )
+    bad_sorted = tuple(FieldElement(ctx, r) for r in sorted(bad))
     k, d = len(shifts), f.degree
     return CensusReport(
         params=_params_dict(ctx, f, shifts),
@@ -442,9 +440,8 @@ def morse_density_scan(ctx, f) -> MorseScanReport:
     bad = []
     base = list(f.raw_coeffs)
     while len(base) < 2:
-        base.append(ctx.zero_raw)
-    for idx in range(ctx.q):
-        s = ctx.raw_from_index(idx)
+        base.append(0)
+    for s in range(ctx.q):
         coeffs = list(base)
         coeffs[1] = ctx.add(coeffs[1], s)
         f_s = Poly.from_raw(ctx, coeffs)
@@ -512,12 +509,11 @@ def _stickelberger_product_sum(ctx, f, shifts):
     shift_raws = [h.raw for h in shifts]
     zero_count = 0
     plus = minus = 0
-    for idx in range(ctx.q):
-        a = ctx.raw_from_index(idx)
+    for a in range(ctx.q):
         prod = 1
         for h in shift_raws:
             acc = _reval(ctx, d_raws, ctx.add(h, a))
-            if ctx.is_zero(acc):
+            if acc == 0:
                 prod = 0
                 break
             if not ctx.is_square(acc):
@@ -575,23 +571,22 @@ def large_q_demo(p: int = 5, l_list=(1, 4), seed: int = 0, workers: int = 1) -> 
             raise TooLarge(f"q = {p}^{l} exceeds demo guard")
         t0 = time.perf_counter()
         ctx = make_extension(base, l, 0)
-        three_inv = ctx.inv(ctx.from_int(3))
+        three_inv = ctx.inv(3)
         s_raw = None
-        for s_int in range(1, p):
-            cand = ctx.from_int(s_int)
+        for cand in range(1, p):  # the constants of F_p^*, as raws of F_q
             target = ctx.neg(ctx.mul(cand, three_inv))
-            if not ctx.is_zero(target) and ctx.is_square(target):
+            if target and ctx.is_square(target):
                 s_raw = cand
                 break
         if s_raw is None:
             raise NoSuitableS(f"no admissible s in F_{p}^* for q = {ctx.q}")
-        f_s = Poly.from_raw(ctx, [ctx.zero_raw, s_raw, ctx.zero_raw, ctx.one_raw])
+        f_s = Poly.from_raw(ctx, [0, s_raw, 0, 1])
         cd = critical_data(f_s)
         assert cd.ext_ctx == ctx, "critical values must lie in F_q by construction"
-        value_raws = sorted(cd.value_set_raws(), key=ctx.index_of)
+        value_raws = sorted(cd.value_set_raws())
         beta = value_raws[0]
         shifts = []
-        acc = ctx.zero_raw
+        acc = 0
         for _ in range(p):
             acc = ctx.add(acc, beta)
             shifts.append(FieldElement(ctx, acc))

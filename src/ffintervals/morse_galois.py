@@ -24,7 +24,7 @@ from .errors import (
     ExtensionTooLarge,
     OutOfRange,
 )
-from .finite_field import FieldCtx, FieldElement, make_extension
+from .finite_field import FieldCtx, FieldElement, _digits, make_extension
 from .polynomial import (
     Poly,
     _lagrange,
@@ -70,14 +70,17 @@ class CancellationVerdict:
 
 
 def _embed_raw(cd_ext, src_ctx, gen_image, raw):
-    """Embed a src_ctx raw into the extension used for critical data."""
-    if cd_ext == src_ctx:
+    """Embed a src_ctx raw into the extension used for critical data.
+
+    gen_image is None when cd_ext is src_ctx or src_ctx is a prime field; a
+    raw keeps its index then.  Otherwise the raw's coefficients are read at
+    gen_image, the image of the generator of src_ctx.
+    """
+    if gen_image is None:
         return raw
-    if src_ctx.l == 1:
-        return cd_ext.from_int(raw)
-    acc = cd_ext.zero_raw
-    for c in reversed(raw):
-        acc = cd_ext.add(cd_ext.mul(acc, gen_image), cd_ext.from_int(c))
+    acc = 0
+    for c in reversed(_digits(src_ctx.p, src_ctx.l, raw)):
+        acc = cd_ext.add(cd_ext.mul(acc, gen_image), c)
     return acc
 
 
@@ -140,7 +143,7 @@ def _critical_value_poly(f: Poly):
     n = fp.degree + 1
     if ctx.q < n:
         return None
-    nodes = [ctx.raw_from_index(i) for i in range(n)]
+    nodes = list(range(n))
     values = []
     for y0 in nodes:
         shifted = Poly.from_raw(ctx, [ctx.neg(c) for c in f.raw_coeffs]).shift_const(
@@ -201,16 +204,13 @@ def bad_set(f: Poly, seed: int = 0):
     cd = critical_data(f, seed)
     ext = cd.ext_ctx
     prime = f.ctx.prime_field()
-    raws = sorted(cd.value_set_raws(), key=ext.index_of)
+    raws = sorted(cd.value_set_raws())
     out = set()
     for i, r1 in enumerate(raws):
         for r2 in raws[:i] + raws[i + 1 :]:
             delta = ext.sub(r1, r2)
-            if ext.is_zero(delta):
-                continue
-            if ext.frob(delta) == delta:
-                const = delta if ext.l == 1 else delta[0]
-                out.add(FieldElement(prime, const))
+            if delta and ext.frob(delta) == delta:  # a prime-subfield raw is its F_p raw
+                out.add(FieldElement(prime, delta))
     return out
 
 
@@ -229,12 +229,12 @@ def bad_shift_check(f: Poly, shifts, seed: int = 0) -> bool:
         return False
     cd = critical_data(f, seed)
     ext = cd.ext_ctx
-    raws = sorted(cd.value_set_raws(), key=ext.index_of)
+    raws = sorted(cd.value_set_raws())
     diffs = set()
     for i, r1 in enumerate(raws):
         for r2 in raws[:i] + raws[i + 1 :]:
             delta = ext.sub(r1, r2)
-            if not ext.is_zero(delta):
+            if delta:
                 diffs.add(delta)
     for i, h1 in enumerate(hs):
         for h2 in hs[:i]:

@@ -1,8 +1,8 @@
 """Univariate polynomials over a FieldCtx.
 
-Coefficients are stored in raw form (ints for prime fields, tuples for
-extensions), ascending degree, no trailing zeros.  The zero polynomial has an
-empty coefficient tuple and degree -1.
+Coefficients are stored as raws (each an int, the element's canonical index;
+see finite_field), ascending degree, no trailing zeros.  The zero polynomial
+has an empty coefficient tuple and degree -1.
 
 Besides ring arithmetic this module provides gcds, squarefree/distinct-degree/
 equal-degree factorization, Rabin's irreducibility test, resultants and
@@ -10,7 +10,7 @@ discriminants, the one-variable discriminant interpolation disc_in_t, and a
 trial-division oracle used by the test suite.  One distinct-degree loop,
 _ddf, gives cycle types (the hot path of the interval sweeps) and factor()'s
 blocks alike; it runs on int lists over F_p (_IntArith, on the int layer of
-finite_field) and on raws over F_{p^l} (_RawArith).  The sweeps pass each
+finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one.  The sweeps pass each
 member's discriminant when p > deg; brute_force_factor is the oracle.
 """
 
@@ -37,6 +37,7 @@ from .finite_field import (
     _imulmod,
     _ireduce,
     _small_prime_factors,
+    _undigits,
 )
 
 _BRUTE_FORCE_GUARD = 10**6
@@ -47,36 +48,30 @@ _BRUTE_FORCE_GUARD = 10**6
 
 
 def _trim(c):
-    while c and (c[-1] == 0 if isinstance(c[-1], int) else not any(c[-1])):
+    while c and c[-1] == 0:
         c.pop()
     return c
 
 
 def _radd(ctx, a, b):
     n = max(len(a), len(b))
-    z = ctx.zero_raw
-    out = [
-        ctx.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z) for i in range(n)
-    ]
+    out = [ctx.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
     return _trim(out)
 
 
 def _rsub(ctx, a, b):
     n = max(len(a), len(b))
-    z = ctx.zero_raw
-    out = [
-        ctx.sub(a[i] if i < len(a) else z, b[i] if i < len(b) else z) for i in range(n)
-    ]
+    out = [ctx.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
     return _trim(out)
 
 
 def _rmul(ctx, a, b):
     if not a or not b:
         return []
-    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    out = [ctx.zero_raw] * (len(a) + len(b) - 1)
+    add, mul = ctx.add, ctx.mul
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not is_zero(ai):
+        if ai:
             for j, bj in enumerate(b, i):
                 out[j] = add(out[j], mul(ai, bj))
     return _trim(out)
@@ -87,17 +82,16 @@ def _rdivmod(ctx, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     db = len(b) - 1
-    zero = ctx.zero_raw
-    inv = None if b[-1] == ctx.one_raw else ctx.inv(b[-1])
-    quo = [zero] * max(len(a) - db, 0)
-    sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
+    inv = None if b[-1] == 1 else ctx.inv(b[-1])
+    quo = [0] * max(len(a) - db, 0)
+    sub, mul = ctx.sub, ctx.mul
     low = b[:db]
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
-        if not is_zero(c):
+        if c:
             k = c if inv is None else mul(c, inv)
             quo[i - db] = k
-            a[i] = zero  # c - k * lc(b)
+            a[i] = 0  # c - k * lc(b)
             for j, bj in enumerate(low, i - db):
                 a[j] = sub(a[j], mul(k, bj))
     return _trim(quo), _trim(a)
@@ -107,7 +101,7 @@ def _rmonic(ctx, a):
     if not a:
         return []
     lc = a[-1]
-    if lc == ctx.one_raw:
+    if lc == 1:
         return list(a)
     inv = ctx.inv(lc)
     return [ctx.mul(c, inv) for c in a]
@@ -122,7 +116,7 @@ def _rgcd(ctx, a, b):
 
 
 def _reval(ctx, a, x):
-    acc = ctx.zero_raw
+    acc = 0
     for c in reversed(a):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
@@ -139,7 +133,7 @@ def _rderiv(ctx, a):
 
 def _rpow_poly_mod(ctx, base, e, mod):
     """base^e mod mod by square-and-multiply; reduced whenever e >= 1."""
-    acc = [ctx.one_raw]
+    acc = [1]
     t = list(base)
     while e:
         if e & 1:
@@ -226,18 +220,18 @@ class _IntArith:
 class _RawArith:
     """_ddf's arithmetic on raw coefficient lists over any F_q, through the FieldCtx."""
 
-    __slots__ = ("ctx", "zero", "is_square", "deriv", "gcd", "divmod")
+    __slots__ = ("ctx", "is_square", "deriv", "gcd", "divmod")
+    zero = 0
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.zero = ctx.zero_raw
         self.is_square = ctx.is_square
         self.deriv = partial(_rderiv, ctx)
         self.gcd = partial(_rgcd, ctx)
         self.divmod = partial(_rdivmod, ctx)
 
     def sub_x(self, h):
-        return _rsub(self.ctx, h, [self.zero, self.ctx.one_raw])
+        return _rsub(self.ctx, h, [0, 1])
 
     def xq(self, g):
         """x^q mod g (monic, degree >= 1) and the power list [1, x^q] for step.
@@ -247,12 +241,11 @@ class _RawArith:
         such steps carry x^p to x^q.
         """
         ctx = self.ctx
-        one = ctx.one_raw
-        h = _rpow_poly_mod(ctx, [ctx.zero_raw, one], ctx.p, g)
-        frob_powers = [[one], h]
+        h = _rpow_poly_mod(ctx, [0, 1], ctx.p, g)
+        frob_powers = [[1], h]
         for _ in range(ctx.l - 1):
             h = self.step([ctx.frob(c) for c in h], frob_powers, g, g)
-        return h, [[one], h]
+        return h, [[1], h]
 
     def step(self, h, powers, g, m):
         """h(P) mod m for m dividing g, with h's coefficients taken as they are.
@@ -264,14 +257,19 @@ class _RawArith:
         while len(powers) < len(h):
             _, r = _rdivmod(ctx, _rmul(ctx, powers[-1], powers[1]), g)
             powers.append(r)
-        add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-        acc = [ctx.zero_raw] * (len(g) - 1)
+        add, mul = ctx.add, ctx.mul
+        acc = [0] * (len(g) - 1)
         for c, pw in zip(h, powers):
-            if not is_zero(c):
+            if c:
                 for j, v in enumerate(pw):
                     acc[j] = add(acc[j], mul(c, v))
         _, r = _rdivmod(ctx, _trim(acc), m)
         return r
+
+
+def _arith(ctx):
+    """_ddf's arithmetic for ctx: int lists over F_p, raws through ctx otherwise."""
+    return _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
 
 
 def _ddf(ar, g, disc):
@@ -343,9 +341,7 @@ def _pattern_or_none_generic(ctx, g, disc=None):
 
 def cycle_pattern_or_none(ctx, coeffs):
     """Cycle type (descending tuple) of a monic raw-coefficient list, or None."""
-    if ctx.l == 1:
-        return _pattern_or_none_int(ctx.p, list(coeffs))
-    return _pattern_or_none_generic(ctx, list(coeffs))
+    return _ddf(_arith(ctx), list(coeffs), None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +368,7 @@ class Poly:
                 and len(c) == ctx.l
                 and all(isinstance(x, int) for x in c)
             ):
-                raws.append(tuple(x % ctx.p for x in c))
+                raws.append(_undigits(ctx.p, [x % ctx.p for x in c]))
             else:
                 raise OutOfRange(f"bad coefficient {c!r}")
         self.ctx = ctx
@@ -387,7 +383,7 @@ class Poly:
 
     @classmethod
     def x(cls, ctx):
-        return cls.from_raw(ctx, [ctx.zero_raw, ctx.one_raw])
+        return cls.from_raw(ctx, [0, 1])
 
     # -- views ---------------------------------------------------------------
 
@@ -404,7 +400,7 @@ class Poly:
         return tuple(FieldElement(self.ctx, c) for c in self._c)
 
     def coeff(self, i: int) -> FieldElement:
-        raw = self._c[i] if 0 <= i < len(self._c) else self.ctx.zero_raw
+        raw = self._c[i] if 0 <= i < len(self._c) else 0
         return FieldElement(self.ctx, raw)
 
     @property
@@ -418,11 +414,11 @@ class Poly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == self.ctx.one_raw
+        return bool(self._c) and self._c[-1] == 1
 
     def canonical_key(self):
         """Sort key: (degree, coefficient indices ascending by power)."""
-        return (self.degree, tuple(self.ctx.index_of(c) for c in self._c))
+        return (self.degree, self._c)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -470,7 +466,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise OutOfRange("negative polynomial power")
-        acc = Poly.from_raw(self.ctx, [self.ctx.one_raw])
+        acc = Poly.from_raw(self.ctx, [1])
         base = self
         while e:
             if e & 1:
@@ -496,7 +492,7 @@ class Poly:
     def shift_const(self, a) -> "Poly":
         """self + a for a field element (the interval parameter)."""
         raw = a.raw if isinstance(a, FieldElement) else self.ctx.from_int(a)
-        c = list(self._c) if self._c else [self.ctx.zero_raw]
+        c = list(self._c) if self._c else [0]
         c[0] = self.ctx.add(c[0], raw)
         return Poly.from_raw(self.ctx, c)
 
@@ -514,10 +510,10 @@ def poly_from_index(ctx, degree: int, idx: int, monic: bool = True) -> Poly:
     """The idx-th monic polynomial of the given degree in canonical order."""
     coeffs = []
     for _ in range(degree):
-        coeffs.append(ctx.raw_from_index(idx % ctx.q))
-        idx //= ctx.q
+        idx, c = divmod(idx, ctx.q)
+        coeffs.append(c)
     if monic:
-        coeffs.append(ctx.one_raw)
+        coeffs.append(1)
     return Poly.from_raw(ctx, coeffs)
 
 
@@ -630,7 +626,7 @@ def is_irreducible(g: Poly) -> bool:
         return True
     m = _rmonic(ctx, list(g._c))
     # iterated q-power images x^(q^j) mod m for j = 1..d
-    ar = _RawArith(ctx)
+    ar = _arith(ctx)
     t, powers = ar.xq(m)
     towers = {1: t}
     for j in range(2, d + 1):
@@ -657,7 +653,7 @@ def degree_pattern(g: Poly) -> CycleType:
 
 def _random_nonconstant(ctx, max_deg, rng):
     while True:
-        raws = [ctx.raw_from_index(rng.randrange(ctx.q)) for _ in range(max_deg + 1)]
+        raws = [rng.randrange(ctx.q) for _ in range(max_deg + 1)]
         raws = _trim(raws)
         if len(raws) - 1 >= 1:
             return raws
@@ -686,7 +682,7 @@ def _edf(ctx, u, m, rng):
                 w = _rgcd(ctx, acc, v)
             else:
                 b = _rpow_poly_mod(ctx, a, (q**m - 1) // 2, v)
-                w = _rgcd(ctx, _rsub(ctx, b, [ctx.one_raw]), v)
+                w = _rgcd(ctx, _rsub(ctx, b, [1]), v)
             dw = len(w) - 1
             if 0 < dw < dv:
                 rest, _ = _rdivmod(ctx, v, w)
@@ -733,7 +729,7 @@ def factor(g: Poly, seed: int = 0) -> FactorizationResult:
     ctx = g.ctx
     rng = random.Random(f"edf/{seed}/{ctx.p}/{ctx.l}")
     unit = g.lc()
-    ar = _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
+    ar = _arith(ctx)
     found = []
     for exponent, part in sorted(_sqf_decompose(ctx, _rmonic(ctx, list(g._c))).items()):
         for block, deg_i in _ddf(ar, part, None)[1]:
@@ -786,7 +782,7 @@ def roots_in_field(g: Poly, seed: int = 0):
         raise OutOfRange("root finding needs degree >= 1")
     ctx = g.ctx
     m = _rmonic(ctx, list(g._c))
-    ar = _RawArith(ctx)
+    ar = _arith(ctx)
     h, _ = ar.xq(m)
     lin = ar.gcd(ar.sub_x(h), m)
     if len(lin) - 1 < 1:
@@ -795,7 +791,7 @@ def roots_in_field(g: Poly, seed: int = 0):
     roots = []
     for raws in _edf(ctx, lin, 1, rng):
         roots.append(ctx.neg(raws[0]))
-    roots.sort(key=ctx.index_of)
+    roots.sort()
     return [FieldElement(ctx, r) for r in roots]
 
 
@@ -811,7 +807,7 @@ def resultant(f: Poly, g: Poly) -> FieldElement:
         raise ZeroInput("resultant of the zero polynomial")
     ctx = f.ctx
     a, b = list(f._c), list(g._c)
-    res = ctx.one_raw
+    res = 1
     negate = False
     if len(a) < len(b):
         if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
@@ -824,7 +820,7 @@ def resultant(f: Poly, g: Poly) -> FieldElement:
             break
         _, r = _rdivmod(ctx, a, b)
         if not r:
-            return FieldElement(ctx, ctx.zero_raw)
+            return FieldElement(ctx, 0)
         dr = len(r) - 1
         if (da * db) % 2 == 1:
             negate = not negate
@@ -844,7 +840,7 @@ def discriminant(g: Poly) -> FieldElement:
     ctx = g.ctx
     gp = derivative(g)
     if gp.is_zero:
-        return FieldElement(ctx, ctx.zero_raw)
+        return FieldElement(ctx, 0)
     res = resultant(g, gp)
     if (g.degree * (g.degree - 1) // 2) % 2 == 1:
         return -res
@@ -865,18 +861,18 @@ def disc_in_t(f: Poly) -> Poly:
     ctx = f.ctx
     if ctx.p <= d:
         raise FieldTooSmall(f"need p > deg(f) = {d}, got p = {ctx.p}")
-    nodes = [ctx.raw_from_index(i) for i in range(d)]
+    nodes = list(range(d))
     values = [discriminant(f.shift_const(FieldElement(ctx, a))).raw for a in nodes]
     return _lagrange(ctx, nodes, values)
 
 
 def _lagrange(ctx, nodes, values) -> Poly:
-    full = [ctx.one_raw]
+    full = [1]
     for x in nodes:
-        full = _rmul(ctx, full, [ctx.neg(x), ctx.one_raw])
+        full = _rmul(ctx, full, [ctx.neg(x), 1])
     acc = []
     for xj, vj in zip(nodes, values):
-        numer, _ = _rdivmod(ctx, full, [ctx.neg(xj), ctx.one_raw])
+        numer, _ = _rdivmod(ctx, full, [ctx.neg(xj), 1])
         denom = _reval(ctx, numer, xj)
         scale = ctx.mul(vj, ctx.inv(denom))
         term = [ctx.mul(c, scale) for c in numer]

@@ -12,7 +12,7 @@ sequence):
 from __future__ import annotations
 
 from .errors import PolyParseError
-from .finite_field import FieldCtx, FieldElement
+from .finite_field import FieldCtx, FieldElement, _undigits
 from .polynomial import Poly
 
 
@@ -96,18 +96,13 @@ def format_poly(poly: Poly, var: str = "x") -> str:
     pieces = []
     for i in range(poly.degree, -1, -1):
         raw = poly.raw_coeffs[i]
-        if ctx.is_zero(raw):
+        if raw == 0:
             continue
-        if ctx.l == 1:
+        if raw < ctx.p:  # a prime-subfield constant: keep the grammar-compatible int form
             cstr = str(raw)
-            is_one = raw == 1
-        elif not any(raw[1:]):
-            # prime-subfield constant: keep the grammar-compatible int form
-            cstr = str(raw[0])
-            is_one = raw[0] == 1
         else:
-            cstr = "(" + ":".join(str(c) for c in raw) + ")"
-            is_one = False
+            cstr = f"({FieldElement(ctx, raw)!r})"
+        is_one = raw == 1
         if i == 0:
             pieces.append(cstr)
         elif i == 1:
@@ -125,9 +120,7 @@ def parse_element(text: str, ctx: FieldCtx) -> FieldElement:
         parts = [int(x) for x in text.split(":")]
         if len(parts) > ctx.l:
             raise PolyParseError(f"too many components for F_{ctx.p}^{ctx.l}", 0)
-        parts += [0] * (ctx.l - len(parts))
-        raw = tuple(c % ctx.p for c in parts) if ctx.l > 1 else parts[0] % ctx.p
-        return FieldElement(ctx, raw)
+        return FieldElement(ctx, _undigits(ctx.p, [c % ctx.p for c in parts]))
     return ctx(int(text))
 
 

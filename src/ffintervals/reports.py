@@ -18,7 +18,6 @@ from .interval_lab import (
     ChebotarevReport,
     ExperimentReport,
     LargeQDemoReport,
-    MoebiusBatteryResult,
     MorseScanReport,
 )
 from .morse_galois import CancellationVerdict, CriticalData
@@ -122,16 +121,6 @@ def verdict_to_dict(v: CancellationVerdict) -> dict:
         "sign": v.sign,
         "disc_t": format_poly(v.witness_disc, "t"),
         "squarefree_exponents": list(v.witness_exponents),
-    }
-
-
-def battery_to_dict(r: MoebiusBatteryResult) -> dict:
-    return {
-        "kind": "moebius_battery",
-        "single": experiment_to_dict(r.single),
-        "chowla": experiment_to_dict(r.chowla),
-        "verdict": verdict_to_dict(r.verdict),
-        "branch": r.branch,
     }
 
 

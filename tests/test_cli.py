@@ -76,10 +76,29 @@ def test_format_parse_roundtrip_extension_constants():
 
 def test_parse_element_extension_tuple():
     F25 = make_extension(make_prime_field(5), 2, 0)
-    assert parse_element("3:1", F25).raw == (3, 1)
-    assert parse_element("2", F25).raw == (2, 0)
+    assert parse_element("3:1", F25).raw == 8  # 3 + 1 * 5
+    assert parse_element("3:1", F25).coeffs == (3, 1)
+    assert parse_element("2", F25).raw == 2
+    assert parse_element("2", F25).coeffs == (2, 0)
     shifts = parse_shifts("0,1,2:1", F25)
-    assert [s.raw for s in shifts] == [(0, 0), (1, 0), (2, 1)]
+    assert [s.raw for s in shifts] == [0, 1, 7]
+    assert [s.coeffs for s in shifts] == [(0, 0), (1, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("p,l,count", [(5, 2, None), (3, 3, None), (3, 9, 200)])
+def test_element_text_round_trip(p, l, count):
+    # every element of F_25 and F_27, and seeded elements of F_{3^9} (above the
+    # log-table cap): text -> raw -> repr / coeffs -> text
+    ctx = make_extension(make_prime_field(p), l, 0)
+    rng = random.Random(f"element-text/{p}/{l}")
+    indices = range(ctx.q) if count is None else [rng.randrange(ctx.q) for _ in range(count)]
+    for idx in indices:
+        coeffs = tuple(idx // p**i % p for i in range(l))
+        text = ":".join(str(c) for c in coeffs)
+        elem = parse_element(text, ctx)
+        assert elem.raw == idx
+        assert repr(elem) == text and elem.coeffs == coeffs
+        assert parse_element(repr(elem), ctx) == elem
 
 
 def test_parse_shifts_rejects_duplicates():

@@ -122,8 +122,10 @@ def test_frobenius_on_f4_generator():
     # F_4 = F_2[y]/(y^2+y+1); reducing y^2 by the modulus gives y + 1
     ctx = make_extension(make_prime_field(2), 2, 0)
     assert ctx.modulus == (1, 1, 1)
-    y = FieldElement(ctx, (0, 1))
-    assert frobenius(y) == FieldElement(ctx, (1, 1))
+    y = FieldElement(ctx, 2)  # coefficients (0, 1)
+    assert y.coeffs == (0, 1)
+    assert frobenius(y) == FieldElement(ctx, 3)
+    assert frobenius(y).coeffs == (1, 1)
     assert not in_prime_subfield(y)
     assert in_prime_subfield(ctx(0))
     assert in_prime_subfield(ctx(1))
@@ -157,7 +159,7 @@ def test_to_prime_subfield_roundtrip():
     a = ctx(3)
     down = to_prime_subfield(a)
     assert down.ctx.l == 1 and down.raw == 3
-    y = FieldElement(ctx, (0, 1))
+    y = FieldElement(ctx, 5)  # coefficients (0, 1)
     with pytest.raises(OutOfRange):
         to_prime_subfield(y)
 
@@ -239,20 +241,28 @@ def test_inverse_above_the_cap_rejects_a_reducible_modulus():
     ctx = FieldCtx(3, 9, (0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
     assert ctx.q > finite_field._LOG_TABLE_CAP
     with pytest.raises(ZeroDivisionError, match="not invertible"):
-        ctx.inv((0, 1, 0, 0, 0, 0, 0, 0, 0))
-    assert ctx.inv((2, 0, 0, 0, 0, 0, 0, 0, 0)) == (2, 0, 0, 0, 0, 0, 0, 0, 0)
+        ctx.inv(3)  # x, coefficients (0, 1, 0, ..., 0)
+    assert ctx.inv(2) == 2
 
 
 def test_raw_outside_the_table_raises():
     ctx = make_extension(make_prime_field(5), 4, 0)
     one = ctx.one_raw
-    for bad in ((5, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0)):
-        with pytest.raises(KeyError):
-            ctx.mul(bad, one)
-        with pytest.raises(KeyError):
-            ctx.add(one, bad)
-        with pytest.raises(KeyError):
-            ctx.inv(bad)
+    ops = (
+        lambda r: ctx.mul(r, one),
+        lambda r: ctx.add(one, r),
+        lambda r: ctx.sub(r, one),
+        lambda r: ctx.div(one, r),
+        ctx.neg,
+        ctx.inv,
+        ctx.frob,
+        ctx.is_square,
+    )
+    # unreduced, negative (a list index would wrap) and an old-style tuple
+    for bad, error in ((ctx.q, IndexError), (-1, IndexError), ((1, 0, 0, 0), TypeError)):
+        for op in ops:
+            with pytest.raises(error):
+                op(bad)
     with pytest.raises(TypeError):
         ctx.mul([1, 0, 0, 0], one)
 

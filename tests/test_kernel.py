@@ -5,7 +5,8 @@ kernel is checked against code that shares none of it: brute_force_factor
 exhaustively on small fields, and planted products of irreducibles certified
 by Rabin's test at sweep-sized primes.  Also checked: the Frobenius-matrix
 step against square-and-multiply, and the lazily reduced mulmod against a
-naive product-then-divide.  Over extension fields the generic kernel,
+naive product-then-divide.  is_irreducible and roots_in_field over F_p
+are checked against brute_force_factor as well.  Over extension fields the generic kernel,
 factor(), is_irreducible and roots_in_field are checked exhaustively against
 a sieve that multiplies out irreducibles, and the Frobenius steps behind x^q
 against square-and-multiply.  The discriminant-assisted paths of both
@@ -62,6 +63,9 @@ def test_kernel_matches_factor_exhaustive(p, max_degree):
             assert factor(g) == oracle, g
             repeated = any(mult > 1 for _, mult in oracle.factors)
             assert _kernel(g) == (None if repeated else oracle.multiset_degrees()), g
+            assert is_irreducible(g) == (oracle.factors == ((g, 1),)), g
+            roots = sorted(-h.raw_coeffs[0] % p for h, _ in oracle.factors if h.degree == 1)
+            assert [r.raw for r in roots_in_field(g)] == roots, g
 
 
 @pytest.mark.parametrize("p", [1747, 10007])

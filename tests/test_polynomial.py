@@ -34,7 +34,8 @@ F13 = make_prime_field(13)
 def test_tuple_coefficients_are_reduced_mod_p():
     ctx = make_extension(F5, 2, 0)
     g = Poly(ctx, [(7, -1), (5, 10), (6, 0)])
-    assert g.raw_coeffs == ((2, 4), (0, 0), (1, 0))
+    assert g.raw_coeffs == (22, 0, 1)  # (2, 4) is 2 + 4 * 5
+    assert [c.coeffs for c in g.coeffs] == [(2, 4), (0, 0), (1, 0)]
     assert g == Poly(ctx, [(2, 4), 0, 1])
     assert g.is_monic and degree_pattern(g) == degree_pattern(Poly(ctx, [(2, 4), 0, 1]))
     for bad in [(1, 2, 3)], [(1.0, 2)], [(1, None)]:
