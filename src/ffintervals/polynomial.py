@@ -9,9 +9,10 @@ equal-degree factorization, Rabin's irreducibility test, resultants and
 discriminants, the one-variable discriminant interpolation disc_in_t, and a
 trial-division oracle used by the test suite.  One distinct-degree loop,
 _ddf, gives cycle types (the hot path of the interval sweeps) and factor()'s
-blocks alike; it runs on int lists over F_p (_IntArith, on the int layer of
-finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one.  The sweeps pass each
-member's discriminant when p > deg; brute_force_factor is the oracle.
+blocks alike.  It runs on int lists over F_p (_IntArith, on the int layer of
+finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one for it
+and for the x^q steps of is_irreducible and roots_in_field.  The sweeps pass
+each member's discriminant when p > deg; brute_force_factor is the oracle.
 """
 
 from __future__ import annotations
@@ -148,7 +149,6 @@ class _IntArith:
     """_ddf's arithmetic on int lists over F_p."""
 
     __slots__ = ("p",)
-    zero = 0
 
     def __init__(self, p):
         self.p = p
@@ -221,7 +221,6 @@ class _RawArith:
     """_ddf's arithmetic on raw coefficient lists over any F_q, through the FieldCtx."""
 
     __slots__ = ("ctx", "is_square", "deriv", "gcd", "divmod")
-    zero = 0
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -294,7 +293,7 @@ def _ddf(ar, g, disc):
         if not gp or len(ar.gcd(g, gp)) > 1:
             return None, None
         square = None
-    elif disc == ar.zero:
+    elif disc == 0:
         return None, None
     else:
         square = ar.is_square(disc)
