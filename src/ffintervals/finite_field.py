@@ -84,7 +84,11 @@ def is_prime(n: int) -> bool:
 
 
 def _digits(p: int, l: int, a: int) -> list:
-    """The l coefficients over F_p of the element with raw a, low first."""
+    """The first l base-p digits of a, least significant first.
+
+    For a raw a these are the coefficients of its element over F_p; with the
+    base q they are the coefficients behind a polynomial's enumeration index.
+    """
     out = []
     for _ in range(l):
         out.append(a % p)

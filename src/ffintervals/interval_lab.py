@@ -31,6 +31,7 @@ from .errors import (
 from .finite_field import (
     FieldCtx,
     FieldElement,
+    _digits,
     _small_prime_factors,
     make_extension,
     make_prime_field,
@@ -387,13 +388,7 @@ def gauss_census(p: int, d: int):
     ctx = make_prime_field(p)
     count = 0
     for idx in range(p**d):
-        g = []
-        rem = idx
-        for _ in range(d):
-            g.append(rem % p)
-            rem //= p
-        g.append(1)
-        pattern = _pattern_or_none_int(p, g)
+        pattern = _pattern_or_none_int(p, _digits(p, d, idx) + [1])
         if pattern == (d,):
             count += 1
     total = 0

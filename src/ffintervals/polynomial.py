@@ -36,6 +36,7 @@ from .finite_field import (
     _idivmod,
     _igcd_monic,
     _imulmod,
+    _digits,
     _ireduce,
     _small_prime_factors,
     _undigits,
@@ -507,10 +508,7 @@ class Poly:
 
 def poly_from_index(ctx, degree: int, idx: int, monic: bool = True) -> Poly:
     """The idx-th monic polynomial of the given degree in canonical order."""
-    coeffs = []
-    for _ in range(degree):
-        idx, c = divmod(idx, ctx.q)
-        coeffs.append(c)
+    coeffs = _digits(ctx.q, degree, idx)
     if monic:
         coeffs.append(1)
     return Poly.from_raw(ctx, coeffs)
