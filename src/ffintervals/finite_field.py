@@ -8,7 +8,7 @@ low first, is the int sum(c_i * p^i) in [0, q).  So an F_p raw is the
 residue itself, and in every field 0 and 1 are raws 0 and 1 and a
 prime-subfield constant c is raw c.  The index is also the package's order
 for enumeration and deterministic tie-breaking.  _digits and _undigits are
-the only conversion between a raw and its coefficients.
+the only conversion between a raw and its coefficient list.
 :class:`FieldElement` is a thin wrapper used at API boundaries; hot loops
 elsewhere in the package work on raws directly through the context's
 arithmetic methods.
@@ -19,7 +19,9 @@ powers of a primitive element g, ``_log[a]`` is the exponent of raw a, and
 ``_zech`` holds the Zech logarithms log(1 + g^d).  Sums, products, inverses,
 powers, Frobenius and the square test are then table lookups, and a raw
 outside [0, q) or not an int raises instead of being read as some element.
-Above the cap the schoolbook code, on coefficient lists, is the only path.
+Above the cap the schoolbook code is the only path: sums, differences and
+negatives correct the int result digit by digit, with no lists, products
+peel the digits in one pass, and inverses and powers run on coefficient lists.
 The tables are a cache: they take no part in equality, hashing or pickling,
 so a context sent to a pool worker rebuilds its own.
 make_extension memoizes its contexts, so within a process each field builds
@@ -229,10 +231,18 @@ class FieldCtx:
     def add(self, a, b):
         if self.l == 1:
             return (a + b) % self.p
+        if self.q > _LOG_TABLE_CAP:
+            # a + b, less p^(i+1) for each digit i whose sum reaches p
+            p = self.p
+            r, s = a + b, p
+            for _ in range(self.l):
+                if a % p + b % p >= p:
+                    r -= s
+                a //= p
+                b //= p
+                s *= p
+            return r
         log = self._log or self._logs()
-        if log is None:
-            p, l = self.p, self.l
-            return _undigits(p, [(x + y) % p for x, y in zip(_digits(p, l, a), _digits(p, l, b))])
         if (a | b) < 0:
             raise self._outside()
         la = log[a]
@@ -241,10 +251,18 @@ class FieldCtx:
     def sub(self, a, b):
         if self.l == 1:
             return (a - b) % self.p
+        if self.q > _LOG_TABLE_CAP:
+            # a - b, plus p^(i+1) for each digit i where b's digit is larger
+            p = self.p
+            r, s = a - b, p
+            for _ in range(self.l):
+                if a % p < b % p:
+                    r += s
+                a //= p
+                b //= p
+                s *= p
+            return r
         log = self._log or self._logs()
-        if log is None:
-            p, l = self.p, self.l
-            return _undigits(p, [(x - y) % p for x, y in zip(_digits(p, l, a), _digits(p, l, b))])
         if (a | b) < 0:
             raise self._outside()
         exp = self._exp
@@ -255,9 +273,9 @@ class FieldCtx:
     def neg(self, a):
         if self.l == 1:
             return -a % self.p
+        if self.q > _LOG_TABLE_CAP:
+            return self.sub(0, a)
         log = self._log or self._logs()
-        if log is None:
-            return _undigits(self.p, [-x % self.p for x in _digits(self.p, self.l, a)])
         if a < 0:
             raise self._outside()
         return self._exp[log[a] + self._log_neg1]
@@ -265,17 +283,42 @@ class FieldCtx:
     def mul(self, a, b):
         if self.l == 1:
             return a * b % self.p
-        log = self._log or self._logs()
-        if log is None:
+        if self.q > _LOG_TABLE_CAP:
             return self._mul_poly(a, b)
+        log = self._log or self._logs()
         if (a | b) < 0:
             raise self._outside()
         return self._exp[log[a] + log[b]]
 
     def _mul_poly(self, a, b):
-        """Schoolbook product mod the modulus (l > 1)."""
+        """Schoolbook product mod the modulus (l > 1), reduced as in _ireduce.
+
+        Done in one pass over the digits: on the small l of critical-data
+        extensions, list conversions would cost as much as the product.
+        """
         p, l = self.p, self.l
-        return _undigits(p, _imulmod(p, _digits(p, l, a), _digits(p, l, b), self.modulus))
+        x = _digits(p, l, a)
+        t = [0] * (2 * l - 1)
+        for j in range(l):
+            y = b % p
+            b //= p
+            if y:
+                k = j
+                for xi in x:
+                    t[k] += xi * y
+                    k += 1
+        low = self.modulus[:l]
+        for k in range(2 * l - 2, l - 1, -1):
+            c = t[k] % p
+            if c:
+                i = k - l
+                for mj in low:
+                    t[i] -= c * mj
+                    i += 1
+        r = 0
+        for k in range(l - 1, -1, -1):
+            r = r * p + t[k] % p
+        return r
 
     def _pow_poly(self, a, e: int):
         """Square-and-multiply on coefficient lists (l > 1, e >= 0)."""
@@ -406,9 +449,6 @@ class FieldCtx:
 
     # -- canonical index: the raw itself ------------------------------------
 
-    def index_of(self, a) -> int:
-        return a
-
     def raw_from_index(self, idx: int):
         if not 0 <= idx < self.q:
             raise OutOfRange(f"index {idx} outside [0, {self.q})")
@@ -433,6 +473,22 @@ class FieldCtx:
         """All elements in canonical index order (generator)."""
         for idx in range(self.q):
             yield FieldElement(self, idx)
+
+
+def _binop(name: str, swap: bool = False):
+    """A FieldElement operator: FieldCtx.<name> on the two raws, as an element.
+
+    The context method is looked up per call, so a patched one is used.
+    """
+
+    def op(self, other):
+        raw = self._coerce(other)
+        if raw is NotImplemented:
+            return NotImplemented
+        a, b = (raw, self.raw) if swap else (self.raw, raw)
+        return FieldElement(self.ctx, getattr(self.ctx, name)(a, b))
+
+    return op
 
 
 class FieldElement:
@@ -461,45 +517,12 @@ class FieldElement:
             return self.ctx.from_int(other)
         return NotImplemented
 
-    def __add__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.raw, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.raw, raw))
-
-    def __rsub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(raw, self.raw))
-
-    def __mul__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.raw, raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(self.raw, raw))
-
-    def __rtruediv__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(raw, self.raw))
+    __add__ = __radd__ = _binop("add")
+    __sub__ = _binop("sub")
+    __rsub__ = _binop("sub", swap=True)
+    __mul__ = __rmul__ = _binop("mul")
+    __truediv__ = _binop("div")
+    __rtruediv__ = _binop("div", swap=True)
 
     def __pow__(self, e: int):
         return FieldElement(self.ctx, self.ctx.pow_raw(self.raw, e))

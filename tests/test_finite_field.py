@@ -236,6 +236,28 @@ def test_field_above_the_table_cap_uses_schoolbook():
     assert ctx._log is None
 
 
+@pytest.mark.parametrize("p,l", [(1009, 2), (1009, 3), (997, 4), (3, 9)])
+def test_schoolbook_digit_arithmetic_matches_coefficient_lists(p, l):
+    # the extensions critical_data builds at p ~ 1000, and F_{3^9}
+    ctx = make_extension(make_prime_field(p), l, 0)
+    assert ctx.q > finite_field._LOG_TABLE_CAP
+
+    def coeffs(r):
+        return finite_field._digits(p, l, r)
+
+    def raw(cs):
+        return finite_field._undigits(p, cs)
+
+    rng = random.Random(f"digits/{p}/{l}")
+    picks = [0, 1, p - 1, p, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(200)]
+    for a, b in zip(picks, picks[1:] + picks[:1]):
+        x, y = coeffs(a), coeffs(b)
+        assert ctx.add(a, b) == raw([(u + v) % p for u, v in zip(x, y)])
+        assert ctx.sub(a, b) == raw([(u - v) % p for u, v in zip(x, y)])
+        assert ctx.neg(a) == raw([-u % p for u in x])
+        assert ctx.mul(a, b) == raw(finite_field._imulmod(p, x, y, ctx.modulus))
+
+
 def test_inverse_above_the_cap_rejects_a_reducible_modulus():
     # x^9 - x = x * (x^8 - 1) over F_3: x shares a factor with the modulus
     ctx = FieldCtx(3, 9, (0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
