@@ -22,10 +22,12 @@ outside [0, q) or not an int raises instead of being read as some element.
 Above the cap the schoolbook code is the only path: sums, differences and
 negatives correct the int result digit by digit, with no lists, products
 peel the digits in one pass, and inverses and powers run on coefficient lists.
-The tables are a cache: they take no part in equality, hashing or pickling,
-so a context sent to a pool worker rebuilds its own.
+Above the cap a raw outside [0, q) raises as well, in sums, products,
+inverses and powers.
+The tables are a cache: they take no part in equality, hashing or pickling.
 make_extension memoizes its contexts, so within a process each field builds
-its tables once.
+its tables once, and a memoized context unpickles as the process's own: a
+pool worker forked after the parent built the tables uses them.
 
 This leaf module also holds the one int-list polynomial layer over F_p
 (_ireduce, _imulmod, _idivmod, _igcd_monic); the schoolbook extension
@@ -214,7 +216,7 @@ class FieldCtx:
         return f"F_{self.p}^{self.l}"
 
     def __reduce__(self):
-        return (FieldCtx, (self.p, self.l, self.modulus))
+        return (_context, (self.p, self.l, self.modulus))
 
     def prime_field(self) -> "FieldCtx":
         """The prime subfield F_p as a context."""
@@ -228,11 +230,18 @@ class FieldCtx:
     def _outside(self):
         return IndexError(f"raw outside [0, {self.q})")
 
+    def _check(self, a):
+        """a, or IndexError when it is not in [0, q) (the schoolbook path)."""
+        if not 0 <= a < self.q:
+            raise self._outside()
+        return a
+
     def add(self, a, b):
         if self.l == 1:
             return (a + b) % self.p
         if self.q > _LOG_TABLE_CAP:
-            # a + b, less p^(i+1) for each digit i whose sum reaches p
+            # a + b, less p^(i+1) for each digit i whose sum reaches p; after
+            # l digits a raw in [0, q) is 0, any other int is not
             p = self.p
             r, s = a + b, p
             for _ in range(self.l):
@@ -241,6 +250,8 @@ class FieldCtx:
                 a //= p
                 b //= p
                 s *= p
+            if a or b:
+                raise self._outside()
             return r
         log = self._log or self._logs()
         if (a | b) < 0:
@@ -261,6 +272,8 @@ class FieldCtx:
                 a //= p
                 b //= p
                 s *= p
+            if a or b:
+                raise self._outside()
             return r
         log = self._log or self._logs()
         if (a | b) < 0:
@@ -284,6 +297,8 @@ class FieldCtx:
         if self.l == 1:
             return a * b % self.p
         if self.q > _LOG_TABLE_CAP:
+            if not (0 <= a < self.q and 0 <= b < self.q):
+                raise self._outside()
             return self._mul_poly(a, b)
         log = self._log or self._logs()
         if (a | b) < 0:
@@ -323,7 +338,7 @@ class FieldCtx:
     def _pow_poly(self, a, e: int):
         """Square-and-multiply on coefficient lists (l > 1, e >= 0)."""
         p, m = self.p, self.modulus
-        acc, base = [1], _digits(p, self.l, a)
+        acc, base = [1], _digits(p, self.l, self._check(a))
         while e:
             if e & 1:
                 acc = _imulmod(p, acc, base, m)
@@ -385,7 +400,7 @@ class FieldCtx:
             return self._exp[self.q - 1 - log[a]]
         # extended Euclid on r_i = u_i * a mod the modulus, u_i kept mod it too
         p, m = self.p, self.modulus
-        r0, r1 = list(m), _idivmod(p, _digits(p, self.l, a), m)[1]
+        r0, r1 = list(m), _idivmod(p, _digits(p, self.l, self._check(a)), m)[1]
         u0, u1 = [], [1]
         while r1:
             quo, rem = _idivmod(p, r0, r1)
@@ -576,12 +591,22 @@ def make_extension(base: FieldCtx, l: int, seed: int = 0) -> FieldCtx:
     return _extension(base, l, seed)
 
 
+_contexts = {}  # (p, l, modulus) -> the context make_extension returned
+
+
+def _context(p: int, l: int, modulus):
+    """Unpickle a FieldCtx: the process's memoized extension if it has one."""
+    ctx = _contexts.get((p, l, modulus))
+    return FieldCtx(p, l, modulus) if ctx is None else ctx
+
+
 @functools.lru_cache(maxsize=None)
 def _extension(base: FieldCtx, l: int, seed: int) -> FieldCtx:
     """The modulus search behind make_extension, memoized per (base, l, seed).
 
     Contexts are immutable and their tables a cache, so every caller in a
-    process shares one context and its tables are built once.
+    process shares one context per (p, l, modulus), found by _context too,
+    and its tables are built once.
     """
     from .polynomial import Poly, is_irreducible
 
@@ -592,7 +617,8 @@ def _extension(base: FieldCtx, l: int, seed: int) -> FieldCtx:
         low = _digits(p, l, (start + off) % total)
         cand = Poly(base, low + [1])
         if is_irreducible(cand):
-            return FieldCtx(p, l, tuple(low + [1]), _base=base)
+            modulus = tuple(low + [1])
+            return _contexts.setdefault((p, l, modulus), FieldCtx(p, l, modulus, _base=base))
     raise NotPrime("no irreducible modulus found (unreachable for prime p)")
 
 

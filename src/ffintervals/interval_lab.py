@@ -9,6 +9,15 @@ non-squarefree without a gcd, and over F_p its square class ends the
 distinct-degree loop early (Stickelberger parity; see the kernels).  All
 sums are exact rationals; floats appear only in the normalized error and
 timing fields.
+
+Every experiment depends on the members only through their cycle types, and
+f + h + a runs over I(f) for every shift h.  Inside run_scope() the first
+sweep of an interval therefore fills one table, the cycle type of the member
+with constant term c at index c (in index-ordered blocks, so it is the same
+at any worker count), and every later sweep of I(f) in the scope reads it
+with no kernel call and no pool.  A battery and moebius_battery each run in
+a fresh scope; a standalone call outside any scope evaluates all q * shifts
+members.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,7 +67,29 @@ _SCAN_GUARD = 10**6
 
 
 # ---------------------------------------------------------------------------
-# sweep kernels
+# sweep kernels and the run scope's interval tables
+
+_tables = None  # the run scope's memo: interval key -> cycle-type table; None outside
+
+
+@contextmanager
+def run_scope():
+    """Let the sweeps inside share one cycle-type table per interval.
+
+    Starts with an empty memo and restores the outer one on exit, so a run
+    never reads the tables of the run around it.
+    """
+    global _tables
+    outer, _tables = _tables, {}
+    try:
+        yield
+    finally:
+        _tables = outer
+
+
+def _kernel(ctx):
+    """The sweep kernel for ctx and its field argument (the module's binding)."""
+    return (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
 
 
 def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
@@ -68,10 +100,7 @@ def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
     """
     counts = {}
     add, f0 = ctx.add, f_raws[0]
-    if ctx.l == 1:
-        kernel, field = _pattern_or_none_int, ctx.p
-    else:
-        kernel, field = _pattern_or_none_generic, ctx
+    kernel, field = _kernel(ctx)
     for a in range(lo, hi):
         key = []
         for h in shift_raws:
@@ -85,34 +114,78 @@ def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
     return counts
 
 
-def _sweep_block_task(payload):
-    return _sweep_block(*payload)
+def _table_block(ctx, f_raws, d_raws, lo, hi):
+    """Cycle types of the members with constant term c in [lo, hi), in order.
+
+    f_raws is the center with constant term 0 and d_raws its D(t), or None.
+    """
+    kernel, field = _kernel(ctx)
+    out = []
+    for c in range(lo, hi):
+        g = list(f_raws)
+        g[0] = c
+        out.append(kernel(field, g, None if d_raws is None else _reval(ctx, d_raws, c)))
+    return out
+
+
+def _blocks(block, head, q, workers):
+    """block(*head, lo, hi) for index-ordered blocks of [0, q), one per worker."""
+    if workers <= 1:
+        return [block(*head, 0, q)]
+    bounds = [q * i // workers for i in range(workers + 1)]
+    calls = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block, *zip(*calls)))
+
+
+def _interval_table(ctx, f: Poly, workers: int):
+    """The run scope's table of I(f), built by the interval's first sweep.
+
+    Entry c is the cycle type of the member with constant term c, or None.
+    Every member takes its discriminant from the center with constant term
+    0, so f and each f + c key and build the same table.
+    """
+    key = (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
+    table = _tables.get(key)
+    if table is None:
+        center = (0,) + f.raw_coeffs[1:]
+        d_raws = None
+        if ctx.p > f.degree:
+            d_raws = disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
+        blocks = _blocks(_table_block, (ctx, center, d_raws), ctx.q, workers)
+        types = {}  # one tuple per cycle type, however many members share it
+        table = _tables[key] = [types.setdefault(t, t) for block in blocks for t in block]
+    return table
 
 
 def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
     """Aggregate joint cycle-type counts over the whole interval.
 
-    For p > deg f (so q is odd) D(t) = disc(f + t) is built once here and
-    handed to every block; the kernels then skip the squarefree gcd.
+    Outside a run scope this evaluates every member f + h + a, q * shifts
+    kernel calls; for p > deg f (so q is odd) D(t) = disc(f + t) is built
+    once here and handed to every block, and the kernels then skip the
+    squarefree gcd.  Inside one it reads the interval's table at the index
+    of f_0 + h + a, building the table first if this is the interval's
+    first sweep in the run.
     """
     shift_raws = tuple(h.raw for h in shifts)
     q = ctx.q
     if q * len(shift_raws) > _GAUSS_GUARD:
         raise TooLarge(f"q * shifts = {q * len(shift_raws)} members exceed sweep guard")
-    d_raws = disc_in_t(f).raw_coeffs if ctx.p > f.degree else None
-    if workers <= 1:
-        return _sweep_block(ctx, f.raw_coeffs, shift_raws, d_raws, 0, q)
-    bounds = [q * i // workers for i in range(workers + 1)]
-    payloads = [
-        (ctx, f.raw_coeffs, shift_raws, d_raws, bounds[i], bounds[i + 1])
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
     totals = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for counts in pool.map(_sweep_block_task, payloads):
-            for key, n in counts.items():
-                totals[key] = totals.get(key, 0) + n
+    if _tables is not None:
+        table = _interval_table(ctx, f, workers)
+        add, f0 = ctx.add, f.raw_coeffs[0]
+        for a in range(q):
+            t = add(f0, a)
+            key = tuple([table[add(t, h)] for h in shift_raws])
+            totals[key] = totals.get(key, 0) + 1
+        return totals
+    d_raws = disc_in_t(f).raw_coeffs if ctx.p > f.degree else None
+    head = (ctx, f.raw_coeffs, shift_raws, d_raws)
+    for counts in _blocks(_sweep_block, head, q, workers):
+        for key, n in counts.items():
+            totals[key] = totals.get(key, 0) + n
     return totals
 
 
@@ -475,9 +548,10 @@ def moebius_battery(ctx, f, shifts, tolerance_c: float = 4.0, workers: int = 1) 
         raise FieldTooSmall("battery assumes odd p > deg(f)")
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
     mu = make_builtin("moebius", f.degree)
-    single = class_sum(ctx, f.shift_const(shifts[0]), mu, workers)
-    spec = IntervalSpec(ctx, f, shifts, (mu,) * len(shifts))
-    chowla = correlation_sum(spec, workers)
+    with run_scope():  # both sums sweep I(f)
+        single = class_sum(ctx, f.shift_const(shifts[0]), mu, workers)
+        spec = IntervalSpec(ctx, f, shifts, (mu,) * len(shifts))
+        chowla = correlation_sum(spec, workers)
     verdict = classify_mu_cancellation(f)
     q = ctx.q
     rt = tolerance_c * math.sqrt(q)

@@ -272,32 +272,22 @@ def _arith(ctx):
     return _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
 
 
-def _ddf(ar, g, disc):
-    """Distinct-degree factorization of a monic coefficient list g.
+def _ddf(ar, g, square):
+    """Distinct-degree factorization of a squarefree monic coefficient list g.
 
     ar is the arithmetic: _IntArith over F_p, _RawArith over any F_q.
     Returns (cycle type, blocks): the factor degrees, descending, and pairs
-    (block, i) with block the product of the degree-i factors; both are None
-    when g is not squarefree.  Only x^q comes from powering; each later
-    x^(q^i) is an F_q-linear step, kept mod the unsplit part rem.
+    (block, i) with block the product of the degree-i factors.  Only x^q
+    comes from powering; each later x^(q^i) is an F_q-linear step, kept mod
+    the unsplit part rem.
 
-    disc, when given, is disc(g) for odd q (the sweeps pass it for
-    p > deg g): zero means g is not squarefree, and otherwise the gcd(g, g')
-    test is skipped.  Before step i + 1 every factor of rem (degree m) has
-    degree > i; if also 3(i + 1) > m and 2(i + 2) > m, rem is irreducible or
-    has degrees (i + 1, m - i - 1), and Stickelberger's theorem (disc g is a
-    square iff deg g minus the number of factors is even) tells which.  The
-    blocks then stop short of rem, so factor() passes no disc.
+    square, when not None, tells whether disc(g) is a square in F_q (odd q).
+    Before step i + 1 every factor of rem (degree m) has degree > i; if also
+    3(i + 1) > m and 2(i + 2) > m, rem is irreducible or has degrees
+    (i + 1, m - i - 1), and Stickelberger's theorem (disc g is a square iff
+    deg g minus the number of factors is even) tells which.  The blocks then
+    stop short of rem, so factor() passes None.
     """
-    if disc is None:
-        gp = ar.deriv(g)
-        if not gp or len(ar.gcd(g, gp)) > 1:
-            return None, None
-        square = None
-    elif disc == 0:
-        return None, None
-    else:
-        square = ar.is_square(disc)
     rem = g
     parts = []
     blocks = []
@@ -329,19 +319,36 @@ def _ddf(ar, g, disc):
     return tuple(parts), blocks
 
 
+def _pattern(ar, g, disc):
+    """Cycle type of a monic coefficient list g, None if not squarefree.
+
+    disc, when given, is disc(g) for odd q (the sweeps pass it for
+    p > deg g): zero means g is not squarefree, and otherwise the gcd(g, g')
+    test is skipped and its square class lets _ddf stop early.
+    """
+    if disc is None:
+        gp = ar.deriv(g)
+        if not gp or len(ar.gcd(g, gp)) > 1:
+            return None
+        return _ddf(ar, g, None)[0]
+    if disc == 0:
+        return None
+    return _ddf(ar, g, ar.is_square(disc))[0]
+
+
 def _pattern_or_none_int(p, g, disc=None):
-    """Cycle type of g (monic int list over F_p), None if not squarefree; see _ddf."""
-    return _ddf(_IntArith(p), g, disc)[0]
+    """Cycle type of g (monic int list over F_p), None if not squarefree; see _pattern."""
+    return _pattern(_IntArith(p), g, disc)
 
 
 def _pattern_or_none_generic(ctx, g, disc=None):
-    """Cycle type of g (monic raw list over any F_q), None if not squarefree; see _ddf."""
-    return _ddf(_RawArith(ctx), g, disc)[0]
+    """Cycle type of g (monic raw list over any F_q), None if not squarefree; see _pattern."""
+    return _pattern(_RawArith(ctx), g, disc)
 
 
 def cycle_pattern_or_none(ctx, coeffs):
     """Cycle type (descending tuple) of a monic raw-coefficient list, or None."""
-    return _ddf(_arith(ctx), list(coeffs), None)[0]
+    return _pattern(_arith(ctx), list(coeffs), None)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +735,7 @@ def factor(g: Poly, seed: int = 0) -> FactorizationResult:
     unit = g.lc()
     ar = _arith(ctx)
     found = []
+    # every part of the squarefree decomposition is squarefree already
     for exponent, part in sorted(_sqf_decompose(ctx, _rmonic(ctx, list(g._c))).items()):
         for block, deg_i in _ddf(ar, part, None)[1]:
             for raws in _edf(ctx, block, deg_i, rng):

@@ -26,6 +26,7 @@ from .interval_lab import (
     gauss_census,
     large_q_demo,
     morse_density_scan,
+    run_scope,
     squarefree_census,
 )
 from .morse_galois import (
@@ -633,21 +634,22 @@ class _Battery:
         )
 
     def run_all(self):
-        self.check_gauss()
-        self.check_kummer_exact()
-        self.check_kummer_pair()
-        self.check_thm1()
-        self.check_thm2()
-        self.check_thm5_exact()
-        self.check_sec62()
-        self.check_bad_set()
-        self.check_divisor()
-        self.check_mu_sgn()
-        self.check_oracles()
-        self.check_census()
-        self.check_chebotarev()
-        self.check_morse_scan()
-        self.check_large_q()
+        with run_scope():  # this battery's own tables, at its own worker count
+            self.check_gauss()
+            self.check_kummer_exact()
+            self.check_kummer_pair()
+            self.check_thm1()
+            self.check_thm2()
+            self.check_thm5_exact()
+            self.check_sec62()
+            self.check_bad_set()
+            self.check_divisor()
+            self.check_mu_sgn()
+            self.check_oracles()
+            self.check_census()
+            self.check_chebotarev()
+            self.check_morse_scan()
+            self.check_large_q()
         return self.checks, self.bundle
 
 

@@ -268,34 +268,48 @@ def test_inverse_above_the_cap_rejects_a_reducible_modulus():
 
 
 def test_raw_outside_the_table_raises():
+    # F_{5^4} computes through its tables, F_{3^9} and F_{1009^2} above the cap
+    for p, l in ((5, 4), (3, 9), (1009, 2)):
+        ctx = make_extension(make_prime_field(p), l, 0)
+        one = ctx.one_raw
+        ops = (
+            lambda r: ctx.mul(r, one),
+            lambda r: ctx.mul(one, r),
+            lambda r: ctx.add(one, r),
+            lambda r: ctx.sub(r, one),
+            lambda r: ctx.div(one, r),
+            ctx.neg,
+            ctx.inv,
+            ctx.frob,
+            ctx.is_square,
+        )
+        # unreduced, negative (a list index would wrap) and an old-style tuple
+        tuple_raw = (1,) + (0,) * (l - 1)
+        for bad, error in ((ctx.q, IndexError), (-1, IndexError), (tuple_raw, TypeError)):
+            for op in ops:
+                with pytest.raises(error):
+                    op(bad)
+        with pytest.raises(TypeError):
+            ctx.mul([1] + [0] * (l - 1), one)
+
+
+def test_memoized_contexts_unpickle_as_themselves_and_tables_stay_out():
     ctx = make_extension(make_prime_field(5), 4, 0)
-    one = ctx.one_raw
-    ops = (
-        lambda r: ctx.mul(r, one),
-        lambda r: ctx.add(one, r),
-        lambda r: ctx.sub(r, one),
-        lambda r: ctx.div(one, r),
-        ctx.neg,
-        ctx.inv,
-        ctx.frob,
-        ctx.is_square,
-    )
-    # unreduced, negative (a list index would wrap) and an old-style tuple
-    for bad, error in ((ctx.q, IndexError), (-1, IndexError), ((1, 0, 0, 0), TypeError)):
-        for op in ops:
-            with pytest.raises(error):
-                op(bad)
-    with pytest.raises(TypeError):
-        ctx.mul([1, 0, 0, 0], one)
+    ctx.mul(ctx.one_raw, ctx.one_raw)
+    assert ctx._log is not None
+    assert pickle.loads(pickle.dumps(ctx)) is ctx  # a pool worker reuses its tables
+    bare = FieldCtx(5, 4, ctx.modulus)
+    assert pickle.dumps(ctx) == pickle.dumps(bare)  # no tables in the pickle
+    assert len(pickle.dumps(ctx)) < 200
 
 
 def test_tables_stay_out_of_identity_and_pickles():
-    ctx = make_extension(make_prime_field(5), 3, 0)
+    ctx = FieldCtx(7, 2, (3, 1, 1))  # x^2 + x + 3, not from make_extension
     ctx.mul(ctx.one_raw, ctx.one_raw)
     clone = pickle.loads(pickle.dumps(ctx))
     assert clone == ctx and hash(clone) == hash(ctx)
     assert ctx._log is not None and clone._log is None
-    assert ctx.__reduce__() == (FieldCtx, (5, 3, ctx.modulus))
+    assert ctx.__reduce__() == (finite_field._context, (7, 2, (3, 1, 1)))
 
 
 @pytest.mark.parametrize("p,l", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,10 +19,12 @@ from ffintervals.interval_lab import (
     large_q_demo,
     moebius_battery,
     morse_density_scan,
+    run_scope,
     squarefree_census,
 )
 from ffintervals.polynomial import Poly, cycle_pattern_or_none, is_squarefree, random_monic
 from ffintervals.polyparse import parse_poly
+from ffintervals.suite import first_morse_center
 
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
@@ -333,6 +336,138 @@ def test_extension_tables_are_built_once_per_process(monkeypatch):
         sums.append(class_sum(ctx, parse_poly("x^3+x+1", ctx), mu).raw_sum)
     assert calls == []  # none in the second sum
     assert sums[0] == sums[1]
+
+
+# ---------------------------------------------------------------------------
+# the run scope: one cycle-type table per interval
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    for name in ("_pattern_or_none_int", "_pattern_or_none_generic"):
+        kernel = getattr(interval_lab, name)
+        monkeypatch.setattr(
+            interval_lab, name, lambda *args, _k=kernel: calls.append(1) or _k(*args)
+        )
+    return calls
+
+
+def _untimed(report):
+    return dataclasses.replace(report, elapsed=0.0)
+
+
+def _experiments(ctx, f):
+    """Three experiments on I(f), each with its number of shifts."""
+    prime, mu = make_builtin("prime", f.degree), make_builtin("moebius", f.degree)
+    pair = IntervalSpec(ctx, f, (ctx(0), ctx(1)), (mu, mu))
+    return (
+        (lambda: class_sum(ctx, f, prime), 1),
+        (lambda: correlation_sum(pair), 2),
+        (lambda: chebotarev_empirical(ctx, f, (0,)), 1),
+    )
+
+
+def test_run_scope_sweeps_each_interval_once(monkeypatch):
+    F25 = make_extension(F5, 2, 0)
+    F101 = make_prime_field(101)
+    cases = (
+        (F101, first_morse_center(F101, 4), 7),  # p > d: members take D(t)
+        (F5, parse_poly("x^6+x+2", F5), 3),  # p <= d: the disc-free kernel
+        (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11),  # the generic kernel
+    )
+    calls = _count_kernel_calls(monkeypatch)
+    for ctx, f, c in cases:
+        runs = _experiments(ctx, f) + _experiments(ctx, f.shift_const(ctx.element_from_index(c)))
+        outside = []
+        for run, shifts in runs:
+            calls.clear()
+            outside.append(_untimed(run()))
+            assert len(calls) == ctx.q * shifts, (ctx, f)
+        calls.clear()
+        with run_scope():
+            inside = [_untimed(run()) for run, _ in runs]
+            assert len(interval_lab._tables) == 1
+        assert len(calls) == ctx.q, (ctx, f)  # the first sweep builds the table
+        assert inside == outside, (ctx, f)
+        assert interval_lab._tables is None
+
+
+def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
+    F31 = make_prime_field(31)
+    F8 = make_extension(make_prime_field(2), 3, 0)
+    mu = make_builtin("moebius", 3)
+    for ctx, f in ((F31, parse_poly("x^3+2*x+1", F31)), (F8, Poly(F8, [1, 1, 0, 1]))):
+        tables = []
+        for workers in (1, 2):
+            with run_scope():
+                class_sum(ctx, f, mu, workers)
+                tables.append(dict(interval_lab._tables))
+        assert tables[0] == tables[1]
+        (table,) = tables[0].values()
+        expected = [
+            cycle_pattern_or_none(ctx, [c] + list(f.raw_coeffs[1:])) for c in range(ctx.q)
+        ]
+        assert table == expected
+    # a tabled interval opens no pool
+    with run_scope():
+        first = class_sum(F31, parse_poly("x^3+2*x+1", F31), mu, 2)
+        monkeypatch.setattr(interval_lab, "ProcessPoolExecutor", None)
+        again = class_sum(F31, parse_poly("x^3+2*x+5", F31), mu, 2)
+    assert again.cycle_type_counts == first.cycle_type_counts
+
+
+def test_run_scope_keys_tables_by_field_and_modulus():
+    mu = make_builtin("moebius", 3)
+    F25a = make_extension(F5, 2, 0)
+    F25b = next(
+        ctx for ctx in (make_extension(F5, 2, seed) for seed in range(1, 25))
+        if ctx.modulus != F25a.modulus
+    )
+    fields = (make_prime_field(1009), make_prime_field(1013), F25a, F25b)
+    centers = [Poly.from_raw(ctx, [2, 3, 0, 1]) for ctx in fields]
+    outside = [class_sum(ctx, f, mu).cycle_type_counts for ctx, f in zip(fields, centers)]
+    with run_scope():
+        inside = [class_sum(ctx, f, mu).cycle_type_counts for ctx, f in zip(fields, centers)]
+        tables = list(interval_lab._tables.values())
+    assert inside == outside
+    assert len(tables) == 4
+    for ctx, table in zip(fields, tables):
+        assert table == [cycle_pattern_or_none(ctx, [c, 3, 0, 1]) for c in range(ctx.q)]
+    assert tables[2] != tables[3]  # the same raws are different polynomials
+
+
+def test_run_scopes_nest_and_restore(monkeypatch):
+    f = parse_poly("x^3+x+1", F13)
+    mu = make_builtin("moebius", 3)
+    calls = _count_kernel_calls(monkeypatch)
+    with run_scope():
+        class_sum(F13, f, mu)
+        outer = interval_lab._tables
+        with run_scope():
+            assert interval_lab._tables == {}
+            class_sum(F13, f, mu)
+        assert interval_lab._tables is outer
+    assert len(calls) == 2 * 13
+
+
+def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
+    from ffintervals import suite
+
+    for name in vars(suite._Battery):
+        if name.startswith("check_") and name != "check_divisor":
+            monkeypatch.setattr(suite._Battery, name, lambda self: None)
+    builds = []
+    blocks = interval_lab._blocks
+
+    def record(block, head, q, workers):
+        builds.append((block.__name__, workers))
+        return blocks(block, head, q, workers)
+
+    monkeypatch.setattr(interval_lab, "_blocks", record)
+    result = suite.run_paper_suite(suite.SuiteParams(quick=True))
+    # three sweeps of one interval per battery; the rerun builds at 2 workers
+    assert builds == [("_table_block", 1), ("_table_block", 2)]
+    assert result["pass"] and [c["id"] for c in result["checks"]] == [9, 16]
 
 
 # ---------------------------------------------------------------------------
