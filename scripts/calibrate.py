@@ -154,7 +154,7 @@ def main():
     print(f"[calibrate] sec62 done ({time.time()-t_start:.0f}s)", flush=True)
 
     # --- fixed characteristic demo -------------------------------------------
-    demo = large_q_demo(5, (3, 4, 5), 0)
+    demo = large_q_demo(5, (3, 4, 5))
     vals = [abs(float(st.single_report.raw_sum)) / st.sqrt_q for st in demo.steps]
     out["large_q_single"] = two_x(vals)
     meta["pilots"]["large_q"] = [st.q for st in demo.steps]

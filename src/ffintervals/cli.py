@@ -129,11 +129,14 @@ def _build_parser():
 
 
 def _make_ctx(args):
-    ctx = make_prime_field(args.p)
-    ext = getattr(args, "ext", 1)
-    if ext > 1:
-        ctx = make_extension(ctx, ext, args.seed)
-    return ctx
+    return make_extension(make_prime_field(args.p), getattr(args, "ext", 1), args.seed)
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _make_phi(spec_text: str, d: int):
@@ -142,7 +145,7 @@ def _make_phi(spec_text: str, d: int):
     if spec_text in ("mu", "moebius"):
         return make_builtin("moebius", d)
     if spec_text.startswith("dr:"):
-        return make_builtin("divisor", d, r=int(spec_text[3:]))
+        return make_builtin("divisor", d, r=_int(spec_text[3:], "R in dr:R"))
     if spec_text.startswith("file:"):
         with open(spec_text[5:], encoding="utf-8") as handle:
             return parse_table_text(handle.read(), d)
@@ -186,8 +189,8 @@ def _run(args) -> int:
         return 0 if enumerated == formula else 1
 
     if args.verb == "large-q-demo":
-        l_list = tuple(int(x) for x in args.l_list.split(",") if x.strip())
-        demo = large_q_demo(args.p, l_list, args.seed, args.workers)
+        l_list = tuple(_int(x, "--l-list entry") for x in args.l_list.split(",") if x.strip())
+        demo = large_q_demo(args.p, l_list, args.workers)
         _emit(_envelope(args, reports.demo_to_dict(demo)), args.out)
         return 0
 

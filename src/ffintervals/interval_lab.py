@@ -1,23 +1,24 @@
 """Exact experiments over very short intervals {f + a : a in F_q}.
 
-The sweep kernels walk the interval in canonical index order, compute the
-cycle type of every (shifted) member by distinct-degree factorization, and
-reduce per-block counts by plain addition, so reports are identical for any
-worker count.  For p > deg f a sweep builds D(t) = disc(f + t) once and
-hands member f + h + a its discriminant D(h + a): a zero marks it
-non-squarefree without a gcd, and over F_p its square class ends the
-distinct-degree loop early (Stickelberger parity; see the kernels).  All
-sums are exact rationals; floats appear only in the normalized error and
-timing fields.
-
 Every experiment depends on the members only through their cycle types, and
-f + h + a runs over I(f) for every shift h.  Inside run_scope() the first
-sweep of an interval therefore fills one table, the cycle type of the member
-with constant term c at index c (in index-ordered blocks, so it is the same
-at any worker count), and every later sweep of I(f) in the scope reads it
-with no kernel call and no pool.  A battery and moebius_battery each run in
-a fresh scope; a standalone call outside any scope evaluates all q * shifts
-members.
+f + h + a runs over I(f) for every shift h.  One routine, _member_types,
+evaluates members by distinct-degree factorization.  It takes the center of
+I(f), its member with constant term 0, and for p > deg f the center's
+D(t) = disc(center + t), and hands the member with constant term c its
+discriminant D(c): a zero marks it non-squarefree without a gcd, and over
+F_p its square class ends the distinct-degree loop early (Stickelberger
+parity; see the kernels).  Sweeps walk the interval in contiguous index
+blocks, one per worker, and join the blocks in index order, so reports are
+identical for any worker count.
+
+Inside run_scope() the first sweep of an interval fills one table, the cycle
+type of the member with constant term c at index c, and every later sweep
+of I(f) in the scope reads it with no kernel call and no pool.  A battery,
+moebius_battery and each large_q_demo step run in a fresh scope, so the
+demo's p-shift Möbius product is a reduction over the table its single sum
+built; a standalone call outside any scope evaluates all q * shifts
+members.  All sums are exact rationals; floats appear only in the
+normalized error and timing fields.
 """
 
 from __future__ import annotations
@@ -92,40 +93,49 @@ def _kernel(ctx):
     return (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
 
 
-def _sweep_block(ctx, f_raws, shift_raws, d_raws, lo, hi):
-    """Joint cycle-type counts over a in [lo, hi); None marks non-squarefree.
+def _center(ctx, f: Poly):
+    """I(f)'s member with constant term 0, and its D(t) = disc(center + t).
 
-    d_raws are the coefficients of D(t) = disc(f + t), or None; member
-    f + h + a then gets its discriminant D(h + a) from one Horner pass.
+    D is None for p <= deg f; otherwise the member with constant term c takes
+    its discriminant D(c), so f, every f + c and every shift share one D.
     """
-    counts = {}
-    add, f0 = ctx.add, f_raws[0]
+    center = (0,) + f.raw_coeffs[1:]
+    if ctx.p <= f.degree:
+        return center, None
+    return center, disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
+
+
+def _member_types(ctx, center, d_raws, consts):
+    """Cycle type (None: not squarefree) of each member of I(center), by constant term.
+
+    center and d_raws come from _center; every member evaluation of a sweep
+    or a table goes through here.
+    """
     kernel, field = _kernel(ctx)
-    for a in range(lo, hi):
-        key = []
-        for h in shift_raws:
-            t = add(h, a)
-            g = list(f_raws)
-            g[0] = add(f0, t)
-            disc = None if d_raws is None else _reval(ctx, d_raws, t)
-            key.append(kernel(field, g, disc))
-        key = tuple(key)
+    for c in consts:
+        g = list(center)
+        g[0] = c
+        yield kernel(field, g, None if d_raws is None else _reval(ctx, d_raws, c))
+
+
+def _sweep_block(ctx, center, d_raws, offsets, lo, hi):
+    """Joint cycle-type counts of the members at constant terms o + a, a in [lo, hi).
+
+    offsets are f_0 + h for the shifts h, so the k-tuple at a is the cycle
+    types of f + h + a.
+    """
+    add = ctx.add
+    consts = (add(o, a) for a in range(lo, hi) for o in offsets)
+    types = _member_types(ctx, center, d_raws, consts)
+    counts = {}
+    for key in zip(*[types] * len(offsets)):
         counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def _table_block(ctx, f_raws, d_raws, lo, hi):
-    """Cycle types of the members with constant term c in [lo, hi), in order.
-
-    f_raws is the center with constant term 0 and d_raws its D(t), or None.
-    """
-    kernel, field = _kernel(ctx)
-    out = []
-    for c in range(lo, hi):
-        g = list(f_raws)
-        g[0] = c
-        out.append(kernel(field, g, None if d_raws is None else _reval(ctx, d_raws, c)))
-    return out
+def _table_block(ctx, center, d_raws, lo, hi):
+    """Cycle types of the members with constant term c in [lo, hi), in order."""
+    return list(_member_types(ctx, center, d_raws, range(lo, hi)))
 
 
 def _blocks(block, head, q, workers):
@@ -141,18 +151,13 @@ def _blocks(block, head, q, workers):
 def _interval_table(ctx, f: Poly, workers: int):
     """The run scope's table of I(f), built by the interval's first sweep.
 
-    Entry c is the cycle type of the member with constant term c, or None.
-    Every member takes its discriminant from the center with constant term
-    0, so f and each f + c key and build the same table.
+    Entry c is the cycle type of the member with constant term c, or None;
+    f and each f + c key and build the same table.
     """
     key = (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
     table = _tables.get(key)
     if table is None:
-        center = (0,) + f.raw_coeffs[1:]
-        d_raws = None
-        if ctx.p > f.degree:
-            d_raws = disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
-        blocks = _blocks(_table_block, (ctx, center, d_raws), ctx.q, workers)
+        blocks = _blocks(_table_block, (ctx, *_center(ctx, f)), ctx.q, workers)
         types = {}  # one tuple per cycle type, however many members share it
         table = _tables[key] = [types.setdefault(t, t) for block in blocks for t in block]
     return table
@@ -161,28 +166,25 @@ def _interval_table(ctx, f: Poly, workers: int):
 def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
     """Aggregate joint cycle-type counts over the whole interval.
 
-    Outside a run scope this evaluates every member f + h + a, q * shifts
-    kernel calls; for p > deg f (so q is odd) D(t) = disc(f + t) is built
-    once here and handed to every block, and the kernels then skip the
-    squarefree gcd.  Inside one it reads the interval's table at the index
-    of f_0 + h + a, building the table first if this is the interval's
-    first sweep in the run.
+    The k-tuple at a holds the cycle types of f + h + a, the members of I(f)
+    with constant terms f_0 + h + a.  Outside a run scope every block
+    evaluates its members, q * shifts kernel calls; inside one the tuples
+    are read from the interval's table, which the interval's first sweep in
+    the run builds.
     """
-    shift_raws = tuple(h.raw for h in shifts)
     q = ctx.q
-    if q * len(shift_raws) > _GAUSS_GUARD:
-        raise TooLarge(f"q * shifts = {q * len(shift_raws)} members exceed sweep guard")
+    if q * len(shifts) > _GAUSS_GUARD:
+        raise TooLarge(f"q * shifts = {q * len(shifts)} members exceed sweep guard")
+    add = ctx.add
+    offsets = tuple(add(f.raw_coeffs[0], h.raw) for h in shifts)
     totals = {}
     if _tables is not None:
         table = _interval_table(ctx, f, workers)
-        add, f0 = ctx.add, f.raw_coeffs[0]
         for a in range(q):
-            t = add(f0, a)
-            key = tuple([table[add(t, h)] for h in shift_raws])
+            key = tuple([table[add(o, a)] for o in offsets])
             totals[key] = totals.get(key, 0) + 1
         return totals
-    d_raws = disc_in_t(f).raw_coeffs if ctx.p > f.degree else None
-    head = (ctx, f.raw_coeffs, shift_raws, d_raws)
+    head = (ctx, *_center(ctx, f), offsets)
     for counts in _blocks(_sweep_block, head, q, workers):
         for key, n in counts.items():
             totals[key] = totals.get(key, 0) + n
@@ -456,6 +458,8 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
 
 def gauss_census(p: int, d: int):
     """(enumerated irreducible count, Gauss formula value) for monic degree d."""
+    if d < 1:
+        raise OutOfRange(f"degree must be >= 1, got {d}")
     if p**d > _GAUSS_GUARD:
         raise TooLarge(f"p^d = {p**d} exceeds enumeration guard")
     ctx = make_prime_field(p)
@@ -568,34 +572,20 @@ def moebius_battery(ctx, f, shifts, tolerance_c: float = 4.0, workers: int = 1) 
 
 
 def _stickelberger_product_sum(ctx, f, shifts):
-    """Exact sum over a of prod_i mu(f + h_i + a) via discriminant parity.
+    """Exact sum over a of prod_i mu(f + h_i + a), as (sum, zeros, plus, minus).
 
-    Valid for odd q; uses D(t) = disc(f + t) and ctx.is_square, so each term
-    costs a few field operations.
+    A reduction over the joint counts: a non-squarefree member makes the
+    product 0, and otherwise it is (-1)^(total number of irreducible factors).
     """
-    d_raws = list(disc_in_t(f).raw_coeffs)
-    sign_d = 1 if (f.degree * len(shifts)) % 2 == 0 else -1
-    shift_raws = [h.raw for h in shifts]
-    zero_count = 0
-    plus = minus = 0
-    for a in range(ctx.q):
-        prod = 1
-        for h in shift_raws:
-            acc = _reval(ctx, d_raws, ctx.add(h, a))
-            if acc == 0:
-                prod = 0
-                break
-            if not ctx.is_square(acc):
-                prod = -prod
-        if prod == 0:
-            zero_count += 1
-            continue
-        prod *= sign_d
-        if prod > 0:
-            plus += 1
+    zeros = plus = minus = 0
+    for key, n in _joint_counts(ctx, f, shifts).items():
+        if None in key:
+            zeros += n
+        elif sum(map(len, key)) % 2:
+            minus += n
         else:
-            minus += 1
-    return plus - minus, zero_count, plus, minus
+            plus += n
+    return plus - minus, zeros, plus, minus
 
 
 @dataclass
@@ -621,7 +611,7 @@ class LargeQDemoReport:
     steps: tuple
 
 
-def large_q_demo(p: int = 5, l_list=(1, 4), seed: int = 0, workers: int = 1) -> LargeQDemoReport:
+def large_q_demo(p: int = 5, l_list=(1, 4), workers: int = 1) -> LargeQDemoReport:
     """Fixed characteristic, growing q: single Möbius sums cancel while the
     p-shift Chowla product does not.
 
@@ -666,8 +656,9 @@ def large_q_demo(p: int = 5, l_list=(1, 4), seed: int = 0, workers: int = 1) -> 
                 counter[key] = counter.get(key, 0) + 1
         multiset_ok = all(v == 2 for v in counter.values())
         mu = make_builtin("moebius", 3)
-        single = class_sum(ctx, f_s, mu, workers)
-        total, zeros, plus, minus = _stickelberger_product_sum(ctx, f_s, shifts)
+        with run_scope():  # the product reads the table the single sum builds
+            single = class_sum(ctx, f_s, mu, workers)
+            total, zeros, plus, minus = _stickelberger_product_sum(ctx, f_s, shifts)
         steps.append(
             LargeQStep(
                 l=l,

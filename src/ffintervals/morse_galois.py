@@ -24,7 +24,7 @@ from .errors import (
     ExtensionTooLarge,
     OutOfRange,
 )
-from .finite_field import FieldCtx, FieldElement, _digits, make_extension
+from .finite_field import _MAX_EXT_DEGREE, FieldCtx, FieldElement, _digits, make_extension
 from .polynomial import (
     Poly,
     _lagrange,
@@ -38,8 +38,6 @@ from .polynomial import (
     second_hasse_schmidt,
     squarefree_decomposition,
 )
-
-_EXT_CAP = 24
 
 NO_CANCELLATION = "no-cancellation"
 SQRT_CANCELLATION = "square-root-cancellation"
@@ -98,8 +96,8 @@ def critical_data(f: Poly, seed: int = 0) -> CriticalData:
     m_lcm = 1
     for poly, _ in fac.factors:
         m_lcm = math.lcm(m_lcm, poly.degree)
-    if m_lcm > _EXT_CAP:
-        raise ExtensionTooLarge(f"needs F_(q^{m_lcm}), cap is {_EXT_CAP}")
+    if m_lcm > _MAX_EXT_DEGREE:
+        raise ExtensionTooLarge(f"needs F_(q^{m_lcm}), cap is {_MAX_EXT_DEGREE}")
 
     gen_image = None
     if m_lcm == 1:
@@ -108,8 +106,8 @@ def critical_data(f: Poly, seed: int = 0) -> CriticalData:
         ext = make_extension(ctx, m_lcm, 0)
     else:
         total = ctx.l * m_lcm
-        if total > _EXT_CAP:
-            raise ExtensionTooLarge(f"needs F_(p^{total}), cap is {_EXT_CAP}")
+        if total > _MAX_EXT_DEGREE:
+            raise ExtensionTooLarge(f"needs F_(p^{total}), cap is {_MAX_EXT_DEGREE}")
         ext = make_extension(ctx.prime_field(), total, 0)
         mod_poly = Poly(ext, [int(c) for c in ctx.modulus])
         gen_roots = roots_in_field(mod_poly, seed)
@@ -199,19 +197,21 @@ def is_morse(f: Poly, seed: int = 0):
     return ok, diag
 
 
+def _value_differences(cd: CriticalData) -> set:
+    """The nonzero differences of distinct critical values, as raws of cd.ext_ctx.
+
+    Built from ordered pairs, so the set is closed under negation.
+    """
+    raws = cd.value_set_raws()
+    return {cd.ext_ctx.sub(r1, r2) for r1 in raws for r2 in raws if r1 != r2}
+
+
 def bad_set(f: Poly, seed: int = 0):
     """B(f): nonzero differences of critical values landing in the prime field."""
     cd = critical_data(f, seed)
-    ext = cd.ext_ctx
-    prime = f.ctx.prime_field()
-    raws = sorted(cd.value_set_raws())
-    out = set()
-    for i, r1 in enumerate(raws):
-        for r2 in raws[:i] + raws[i + 1 :]:
-            delta = ext.sub(r1, r2)
-            if delta and ext.frob(delta) == delta:  # a prime-subfield raw is its F_p raw
-                out.add(FieldElement(prime, delta))
-    return out
+    prime, frob = f.ctx.prime_field(), cd.ext_ctx.frob
+    # a prime-subfield raw is its F_p raw
+    return {FieldElement(prime, delta) for delta in _value_differences(cd) if frob(delta) == delta}
 
 
 def bad_shift_check(f: Poly, shifts, seed: int = 0) -> bool:
@@ -228,21 +228,12 @@ def bad_shift_check(f: Poly, shifts, seed: int = 0) -> bool:
     if len(hs) < 2:
         return False
     cd = critical_data(f, seed)
-    ext = cd.ext_ctx
-    raws = sorted(cd.value_set_raws())
-    diffs = set()
-    for i, r1 in enumerate(raws):
-        for r2 in raws[:i] + raws[i + 1 :]:
-            delta = ext.sub(r1, r2)
-            if delta:
-                diffs.add(delta)
-    for i, h1 in enumerate(hs):
-        for h2 in hs[:i]:
-            delta = ctx.sub(h1.raw, h2.raw)
-            emb = _embed_raw(ext, ctx, cd.gen_image, delta)
-            if emb in diffs or ext.neg(emb) in diffs:
-                return True
-    return False
+    diffs = _value_differences(cd)
+    return any(
+        _embed_raw(cd.ext_ctx, ctx, cd.gen_image, ctx.sub(h1.raw, h2.raw)) in diffs
+        for i, h1 in enumerate(hs)
+        for h2 in hs[:i]
+    )
 
 
 def classify_mu_cancellation(f: Poly) -> CancellationVerdict:

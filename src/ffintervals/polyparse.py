@@ -116,12 +116,15 @@ def format_poly(poly: Poly, var: str = "x") -> str:
 def parse_element(text: str, ctx: FieldCtx) -> FieldElement:
     """Parse a field element: an integer, or 'a0:a1:...' for extension fields."""
     text = text.strip()
-    if ":" in text:
+    try:
         parts = [int(x) for x in text.split(":")]
-        if len(parts) > ctx.l:
-            raise PolyParseError(f"too many components for F_{ctx.p}^{ctx.l}", 0)
-        return FieldElement(ctx, _undigits(ctx.p, [c % ctx.p for c in parts]))
-    return ctx(int(text))
+    except ValueError:
+        raise PolyParseError(f"{text!r} is not an integer or an a0:a1:... tuple", 0) from None
+    if ":" not in text:
+        return ctx(parts[0])
+    if len(parts) > ctx.l:
+        raise PolyParseError(f"too many components for F_{ctx.p}^{ctx.l}", 0)
+    return FieldElement(ctx, _undigits(ctx.p, [c % ctx.p for c in parts]))
 
 
 def parse_shifts(text: str, ctx: FieldCtx):

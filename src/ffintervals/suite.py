@@ -606,7 +606,7 @@ class _Battery:
 
     def check_large_q(self):
         t0 = time.perf_counter()
-        demo = large_q_demo(5, self.params.demo_ls, self.seed, self.workers)
+        demo = large_q_demo(5, self.params.demo_ls, self.workers)
         ok = True
         obs = []
         csingle = self.tol["large_q_single"]

@@ -150,6 +150,24 @@ def test_bad_poly_exits_2(capsys):
     assert run_command(["sum", "--p", "7", "--f", "x^^2", "--phi", "prime"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "--p", "3", "--d", "0"],
+        ["gauss", "--p", "3", "--d", "-1"],
+        ["large-q-demo", "--l-list", "1,x"],
+        ["large-q-demo", "--l-list", "0"],
+        ["sum", "--p", "7", "--f", "x^3", "--phi", "dr:x"],
+        ["correlate", "--p", "7", "--f", "x^3", "--shifts", "0,x", "--phi", "mu", "--phi", "mu"],
+        ["census", "--p", "5", "--ext", "2", "--f", "x^3", "--shifts", "0,1:y"],
+        ["field-info", "--p", "3", "--ext", "0"],
+    ],
+)
+def test_malformed_numbers_exit_2(capsys, argv):
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sum_over_the_sweep_guard_exits_1(capsys):
     assert run_command(["sum", "--p", "10000019", "--f", "x^3+x", "--phi", "mu"]) == 1
     assert "sweep guard" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -527,7 +528,10 @@ def test_moebius_battery_cancellation_branch():
 
 
 def test_stickelberger_product_matches_ddf_route():
-    # the fast parity kernel must agree with the evaluate()-based product
+    # the reduction over the joint counts must agree with the evaluate()-based
+    # product and with the kernel-free discriminant-parity product
+    from ffintervals.morse_galois import stickelberger_mu
+
     for p, l in ((5, 2), (13, 1)):
         ctx = make_extension(make_prime_field(p), l, 0) if l > 1 else make_prime_field(p)
         rng = random.Random(f"prod/{p}/{l}")
@@ -537,7 +541,7 @@ def test_stickelberger_product_matches_ddf_route():
         total, zeros, plus, minus = _stickelberger_product_sum(ctx, f, shifts)
         mu = make_builtin("moebius", 3)
         oracle = Fraction(0)
-        zero_count = 0
+        zero_count = parity = 0
         for a in range(ctx.q):
             elem = ctx.element_from_index(a)
             term = Fraction(1)
@@ -546,13 +550,15 @@ def test_stickelberger_product_matches_ddf_route():
             if term == 0:
                 zero_count += 1
             oracle += term
-        assert total == oracle
+            parity += math.prod(stickelberger_mu(f.shift_const(h + elem)) for h in shifts)
+        assert total == oracle == parity
         assert zeros == zero_count
         assert plus - minus == total
+        assert zeros + plus + minus == ctx.q
 
 
 def test_large_q_demo_multiset_structure_and_dichotomy_failure():
-    demo = large_q_demo(5, (1, 2, 4), seed=0)
+    demo = large_q_demo(5, (1, 2, 4))
     for step in demo.steps:
         assert step.multiset_multiplicity_two
     q625 = demo.steps[-1]
@@ -563,6 +569,13 @@ def test_large_q_demo_multiset_structure_and_dichotomy_failure():
     assert abs(q625.product_sum) >= 312  # frozen demo magnitude
     # constant sign: every nonzero product has the same sign
     assert q625.product_plus == 0 or q625.product_minus == 0
+
+
+def test_large_q_demo_product_reads_the_single_sums_table(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    (step,) = large_q_demo(5, (4,)).steps
+    assert len(calls) == step.q == 625  # the single sum's table; the product adds none
+    assert interval_lab._tables is None
 
 
 def test_large_q_demo_guards():
