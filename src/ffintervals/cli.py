@@ -147,8 +147,12 @@ def _make_phi(spec_text: str, d: int):
     if spec_text.startswith("dr:"):
         return make_builtin("divisor", d, r=_int(spec_text[3:], "R in dr:R"))
     if spec_text.startswith("file:"):
-        with open(spec_text[5:], encoding="utf-8") as handle:
-            return parse_table_text(handle.read(), d)
+        try:
+            with open(spec_text[5:], encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read class function table {spec_text[5:]!r}: {exc}") from None
+        return parse_table_text(text, d)
     raise UsageError(f"unknown class function {spec_text!r}")
 
 

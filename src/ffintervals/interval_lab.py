@@ -2,18 +2,20 @@
 
 Every experiment depends on the members only through their cycle types, and
 f + h + a runs over I(f) for every shift h.  One routine, _member_types,
-evaluates members by distinct-degree factorization.  It takes the center of
+factors members (distinct-degree factorization).  It takes the center of
 I(f), its member with constant term 0, and for p > deg f the center's
 D(t) = disc(center + t), and hands the member with constant term c its
-discriminant D(c): a zero marks it non-squarefree without a gcd, and over
-F_p its square class ends the distinct-degree loop early (Stickelberger
-parity; see the kernels).  Sweeps walk the interval in contiguous index
-blocks, one per worker, and join the blocks in index order, so reports are
-identical for any worker count.
+discriminant D(c): a zero marks it non-squarefree without a gcd, and its
+square class ends the distinct-degree loop early (Stickelberger parity; see
+the kernels).  Sweeps walk the interval in contiguous index blocks, one per
+worker, and join the blocks in index order, so reports are identical for
+any worker count.
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
-of I(f) in the scope reads it with no kernel call and no pool.  A battery,
+of I(f) in the scope reads it with no kernel call and no pool.  For
+p > deg f <= 5, _table_block fills it from root counts and the square class
+of D(c), with _member_types as its oracle, and factors no member.  A battery,
 moebius_battery and each large_q_demo step run in a fresh scope, so the
 demo's p-shift Möbius product is a reduction over the table its single sum
 built; a standalone call outside any scope evaluates all q * shifts
@@ -30,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant
+from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
 from .errors import (
     DegreeMismatch,
     DichotomyViolation,
@@ -108,8 +110,8 @@ def _center(ctx, f: Poly):
 def _member_types(ctx, center, d_raws, consts):
     """Cycle type (None: not squarefree) of each member of I(center), by constant term.
 
-    center and d_raws come from _center; every member evaluation of a sweep
-    or a table goes through here.
+    center and d_raws come from _center.  Every member a sweep or a table
+    factors goes through here; the fiber route of _table_block factors none.
     """
     kernel, field = _kernel(ctx)
     for c in consts:
@@ -133,9 +135,42 @@ def _sweep_block(ctx, center, d_raws, offsets, lo, hi):
     return counts
 
 
+def _fiber_types(d):
+    """(root count, disc is a square) -> cycle type of S_d, or None if not one-to-one.
+
+    A squarefree g of degree d over odd F_q has as many roots as its type has
+    parts 1, and disc g is a square iff d minus its number of parts is even
+    (Stickelberger).  The pair names the type exactly for d <= 5.
+    """
+    types = {}
+    for ct in partitions_of(d):
+        key = ct.parts.count(1), (d - len(ct.parts)) % 2 == 0
+        if key in types:
+            return None
+        types[key] = ct.parts
+    return types
+
+
 def _table_block(ctx, center, d_raws, lo, hi):
-    """Cycle types of the members with constant term c in [lo, hi), in order."""
-    return list(_member_types(ctx, center, d_raws, range(lo, hi)))
+    """Cycle types of the members with constant term c in [lo, hi), in order.
+
+    When the center has a D(t) and _fiber_types names each type, one pass
+    over x in F_q counts the roots of every member (x is a root of the one
+    with constant term -center(x)) and D(c) gives the square class, with no
+    factorization; otherwise _member_types, the oracle, factors each member.
+    """
+    types = None if d_raws is None else _fiber_types(len(center) - 1)
+    if types is None:
+        return list(_member_types(ctx, center, d_raws, range(lo, hi)))
+    roots = [0] * (hi - lo)
+    neg = ctx.neg
+    for x in range(ctx.q):
+        c = neg(_reval(ctx, center, x))
+        if lo <= c < hi:
+            roots[c - lo] += 1
+    is_square = ctx.is_square
+    discs = (_reval(ctx, d_raws, c) for c in range(lo, hi))
+    return [types[r, is_square(disc)] if disc else None for r, disc in zip(roots, discs)]
 
 
 def _blocks(block, head, q, workers):
@@ -375,8 +410,6 @@ def chebotarev_empirical(ctx, f, shifts, workers: int = 1) -> ChebotarevReport:
     total = sum(clean.values())
     nonsf = ctx.q - total
     freqs = {k: Fraction(n, total) for k, n in clean.items()}
-    from .class_functions import partitions_of
-
     cts = partitions_of(f.degree)
     predicted = {}
 

@@ -168,6 +168,15 @@ def test_malformed_numbers_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name,content", [("missing.txt", None), (".", None), ("bad.txt", b"\xff")])
+def test_unreadable_phi_file_exits_2(capsys, tmp_path, name, content):
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    argv = ["sum", "--p", "7", "--f", "x^3", "--phi", f"file:{tmp_path / name}"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read class function table")
+
+
 def test_sum_over_the_sweep_guard_exits_1(capsys):
     assert run_command(["sum", "--p", "10000019", "--f", "x^3+x", "--phi", "mu"]) == 1
     assert "sweep guard" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ffintervals.class_functions import evaluate, make_builtin
+from ffintervals.class_functions import evaluate, make_builtin, partitions_of
 from ffintervals.errors import FieldTooSmall, OutOfRange, TooLarge
 from ffintervals.finite_field import make_extension, make_prime_field
 from ffintervals import interval_lab
@@ -353,6 +354,13 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
+def _count_table_builds(monkeypatch):
+    builds = []
+    block = interval_lab._table_block
+    monkeypatch.setattr(interval_lab, "_table_block", lambda *args: builds.append(1) or block(*args))
+    return builds
+
+
 def _untimed(report):
     return dataclasses.replace(report, elapsed=0.0)
 
@@ -372,12 +380,13 @@ def test_run_scope_sweeps_each_interval_once(monkeypatch):
     F25 = make_extension(F5, 2, 0)
     F101 = make_prime_field(101)
     cases = (
-        (F101, first_morse_center(F101, 4), 7),  # p > d: members take D(t)
-        (F5, parse_poly("x^6+x+2", F5), 3),  # p <= d: the disc-free kernel
-        (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11),  # the generic kernel
+        (F101, first_morse_center(F101, 4), 7, 0),  # p > d, d <= 5: the fiber pass
+        (F5, parse_poly("x^6+x+2", F5), 3, 5),  # p <= d: the disc-free kernel per member
+        (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11, 0),  # the fiber pass over F_25
     )
     calls = _count_kernel_calls(monkeypatch)
-    for ctx, f, c in cases:
+    builds = _count_table_builds(monkeypatch)
+    for ctx, f, c, table_calls in cases:
         runs = _experiments(ctx, f) + _experiments(ctx, f.shift_const(ctx.element_from_index(c)))
         outside = []
         for run, shifts in runs:
@@ -385,10 +394,12 @@ def test_run_scope_sweeps_each_interval_once(monkeypatch):
             outside.append(_untimed(run()))
             assert len(calls) == ctx.q * shifts, (ctx, f)
         calls.clear()
+        builds.clear()
         with run_scope():
             inside = [_untimed(run()) for run, _ in runs]
             assert len(interval_lab._tables) == 1
-        assert len(calls) == ctx.q, (ctx, f)  # the first sweep builds the table
+        assert len(builds) == 1, (ctx, f)  # the first sweep builds the table
+        assert len(calls) == table_calls, (ctx, f)
         assert inside == outside, (ctx, f)
         assert interval_lab._tables is None
 
@@ -441,6 +452,7 @@ def test_run_scopes_nest_and_restore(monkeypatch):
     f = parse_poly("x^3+x+1", F13)
     mu = make_builtin("moebius", 3)
     calls = _count_kernel_calls(monkeypatch)
+    builds = _count_table_builds(monkeypatch)
     with run_scope():
         class_sum(F13, f, mu)
         outer = interval_lab._tables
@@ -448,7 +460,8 @@ def test_run_scopes_nest_and_restore(monkeypatch):
             assert interval_lab._tables == {}
             class_sum(F13, f, mu)
         assert interval_lab._tables is outer
-    assert len(calls) == 2 * 13
+    assert len(builds) == 2  # the inner scope builds its own table
+    assert calls == []  # both by the fiber pass
 
 
 def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
@@ -469,6 +482,66 @@ def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
     # three sweeps of one interval per battery; the rerun builds at 2 workers
     assert builds == [("_table_block", 1), ("_table_block", 2)]
     assert result["pass"] and [c["id"] for c in result["checks"]] == [9, 16]
+
+
+# ---------------------------------------------------------------------------
+# the fiber route: root counts and the square class of D(c) name the type
+
+
+def _assert_fiber_table_matches_ddf(ctx, raws, calls, rng=None):
+    """The fiber table of I(raws) against DDF given D(c), the sweeps' kernel path.
+
+    With rng, also against the disc-free kernel and on a random sub-block.
+    (The disc-free kernel is checked against DDF given disc g on every small
+    field of the exhaustive test in test_kernel.py.)
+    """
+    center, d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, raws))
+    table = interval_lab._table_block(ctx, center, d_raws, 0, ctx.q)
+    assert len(calls) == (0 if d_raws else ctx.q), (ctx, raws)  # p > d: no member factored
+    assert table == list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q))), raws
+    calls.clear()
+    if rng is not None:
+        disc_free = [cycle_pattern_or_none(ctx, [c] + list(center[1:])) for c in range(ctx.q)]
+        assert table == disc_free, (ctx, raws)
+        lo = rng.randrange(ctx.q)
+        hi = rng.randrange(lo + 1, ctx.q + 1)
+        assert interval_lab._table_block(ctx, center, d_raws, lo, hi) == table[lo:hi]
+    return table
+
+
+def test_fiber_types_are_one_to_one_exactly_up_to_degree_five():
+    assert [d for d in range(1, 13) if interval_lab._fiber_types(d)] == [1, 2, 3, 4, 5]
+    assert interval_lab._fiber_types(5)[1, True] == (2, 2, 1)
+    assert interval_lab._fiber_types(5)[1, False] == (4, 1)
+
+
+def test_fiber_table_matches_ddf_on_every_small_interval(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    F25, F49 = make_extension(F5, 2, 0), make_extension(F7, 2, 0)
+    F27 = make_extension(make_prime_field(3), 3, 0)
+    degrees = [(F7, (2, 3, 4, 5)), (F25, (2, 3)), (F27, (2,)), (F49, (2,))]
+    degrees += [(ctx, (2, 3, 4)) for ctx in (F5, F11, F13)]
+    seen = set()
+    for ctx, ds in degrees:
+        for d in ds:
+            for middle in itertools.product(range(ctx.q), repeat=d - 1):
+                seen.update(_assert_fiber_table_matches_ddf(ctx, (0,) + middle + (1,), calls))
+    # every entry of every map, and the zero-discriminant branch, is reached
+    assert seen == {None} | {ct.parts for d in range(2, 6) for ct in partitions_of(d)}
+
+
+def test_fiber_table_matches_ddf_on_seeded_intervals_and_blocks(monkeypatch):
+    rng = random.Random("fiber")
+    F49, F625 = make_extension(F7, 2, 0), make_extension(F5, 4, 0)
+    calls = _count_kernel_calls(monkeypatch)
+    for ctx, degrees in ((F49, (3, 4, 5)), (F625, (3, 4)), (make_prime_field(1009), (3, 4, 5))):
+        for d in degrees:
+            for _ in range(2):
+                raws = [0] + [rng.randrange(ctx.q) for _ in range(d - 1)] + [1]
+                table = _assert_fiber_table_matches_ddf(ctx, raws, calls, rng)
+        for workers in (1, 2):
+            with run_scope():
+                assert interval_lab._interval_table(ctx, Poly.from_raw(ctx, raws), workers) == table
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +646,11 @@ def test_large_q_demo_multiset_structure_and_dichotomy_failure():
 
 def test_large_q_demo_product_reads_the_single_sums_table(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
+    builds = _count_table_builds(monkeypatch)
     (step,) = large_q_demo(5, (4,)).steps
-    assert len(calls) == step.q == 625  # the single sum's table; the product adds none
+    assert step.q == 625
+    assert len(builds) == 1  # the single sum's table; the product builds none
+    assert calls == []  # the fiber pass
     assert interval_lab._tables is None
 
 
