@@ -14,7 +14,7 @@ import sys
 
 from . import reports
 from .class_functions import make_builtin, parse_table_text
-from .errors import FFIntervalsError, NotPrime, OutOfRange, PolyParseError
+from .errors import FFIntervalsError, NotPrime, OutOfRange, PolyParseError, ToleranceFileError
 from .finite_field import make_extension, make_prime_field
 from .interval_lab import (
     IntervalSpec,
@@ -258,12 +258,12 @@ def _run(args) -> int:
         return 0 if ok else 1
 
     if args.verb == "morse":
-        ok, diag = is_morse(f, args.seed)
+        ok, diag = is_morse(f)
         report = {"is_morse": ok, "diagnostics": diag, "f": format_poly(f)}
         try:
-            cd = critical_data(f, args.seed)
+            cd = critical_data(f)
             report["critical_data"] = reports.critical_to_dict(cd)
-            report["bad_set"] = sorted(repr(e) for e in bad_set(f, args.seed))
+            report["bad_set"] = sorted(repr(e) for e in bad_set(f))
         except FFIntervalsError as exc:
             report["critical_data_error"] = str(exc)
         if ctx.p != 2:
@@ -288,7 +288,7 @@ def run_command(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _run(args)
-    except (UsageError, PolyParseError, NotPrime, OutOfRange) as exc:
+    except (UsageError, PolyParseError, NotPrime, OutOfRange, ToleranceFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FFIntervalsError as exc:

@@ -61,6 +61,10 @@ class NoSuitableS(FFIntervalsError):
     """No admissible slope parameter exists for the demo construction."""
 
 
+class ToleranceFileError(FFIntervalsError):
+    """A tolerance fixtures file cannot be read or lacks a constant."""
+
+
 class PolyParseError(FFIntervalsError):
     """Polynomial expression text is malformed.
 

@@ -7,9 +7,9 @@ when the base field is itself an extension, it is embedded once via a root of
 its modulus.
 
 The Morse test itself never builds an extension: the critical values of f are
-the roots of V(y) = Res_x(f'(x), y - f(x)), a polynomial over the base field
-computed by evaluation and interpolation, and f is Morse exactly when
-deg f' = d - 1 and V is squarefree.  This keeps the genericity scans cheap.
+the negatives of the roots of D(t) = disc(f + t), the polynomial over the base
+field that the sweeps and the classifier read too, and f is Morse exactly when
+deg f' = d - 1 and D is squarefree.  This keeps the genericity scans cheap.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .errors import (
 from .finite_field import _MAX_EXT_DEGREE, FieldCtx, FieldElement, _digits, make_extension
 from .polynomial import (
     Poly,
-    _lagrange,
+    _disc_poly,
     derivative,
     disc_in_t,
     discriminant,
     factor,
     is_squarefree,
-    resultant,
     roots_in_field,
     second_hasse_schmidt,
     squarefree_decomposition,
@@ -82,7 +81,7 @@ def _embed_raw(cd_ext, src_ctx, gen_image, raw):
     return acc
 
 
-def critical_data(f: Poly, seed: int = 0) -> CriticalData:
+def critical_data(f: Poly) -> CriticalData:
     """Factor f', build the common extension, and extract all critical points."""
     ctx = f.ctx
     if f.degree < 2 or not f.is_monic:
@@ -92,7 +91,7 @@ def critical_data(f: Poly, seed: int = 0) -> CriticalData:
         raise DerivativeVanishes("f' = 0; no critical point data")
     if fp.degree == 0:  # p | d and f' a nonzero constant: no critical points
         return CriticalData(ctx, (), (), 0)
-    fac = factor(fp, seed)
+    fac = factor(fp)
     m_lcm = 1
     for poly, _ in fac.factors:
         m_lcm = math.lcm(m_lcm, poly.degree)
@@ -110,8 +109,7 @@ def critical_data(f: Poly, seed: int = 0) -> CriticalData:
             raise ExtensionTooLarge(f"needs F_(p^{total}), cap is {_MAX_EXT_DEGREE}")
         ext = make_extension(ctx.prime_field(), total, 0)
         mod_poly = Poly(ext, [int(c) for c in ctx.modulus])
-        gen_roots = roots_in_field(mod_poly, seed)
-        gen_image = gen_roots[0].raw
+        gen_image = roots_in_field(mod_poly)[0].raw
 
     def lift(poly):
         return Poly.from_raw(
@@ -121,34 +119,12 @@ def critical_data(f: Poly, seed: int = 0) -> CriticalData:
     f_ext = lift(f)
     points = []
     for poly, mult in fac.factors:
-        for root in roots_in_field(lift(poly), seed):
+        for root in roots_in_field(lift(poly)):
             points.append((root, mult))
     points.sort(key=lambda pm: pm[0].index)
     values = tuple(f_ext(pt) for pt, _ in points)
     distinct = len({v.raw for v in values})
     return CriticalData(ext, tuple(points), values, distinct, gen_image)
-
-
-def _critical_value_poly(f: Poly):
-    """V(y) with V's roots the critical values of f (with multiplicity).
-
-    V(y) = Res_x(f'(x), y - f(x)) up to a nonzero constant; computed by
-    evaluating the resultant at deg(f') + 1 points and interpolating.
-    Returns None when the field is too small to interpolate.
-    """
-    ctx = f.ctx
-    fp = derivative(f)
-    n = fp.degree + 1
-    if ctx.q < n:
-        return None
-    nodes = list(range(n))
-    values = []
-    for y0 in nodes:
-        shifted = Poly.from_raw(ctx, [ctx.neg(c) for c in f.raw_coeffs]).shift_const(
-            FieldElement(ctx, y0)
-        )
-        values.append(resultant(fp, shifted).raw)
-    return _lagrange(ctx, nodes, values)
 
 
 def _distinct_root_count(poly: Poly) -> int:
@@ -159,7 +135,7 @@ def _distinct_root_count(poly: Poly) -> int:
     return sum(s.degree for s, _ in parts)
 
 
-def is_morse(f: Poly, seed: int = 0):
+def is_morse(f: Poly):
     """Morse test: deg f' = d - 1, f' squarefree, d - 1 distinct critical values.
 
     Returns (bool, diagnostics).  Diagnostics carry a warning flag when
@@ -180,10 +156,10 @@ def is_morse(f: Poly, seed: int = 0):
         diag.update(derivative_squarefree=False, distinct_value_count=0)
         return False, diag
     diag["derivative_squarefree"] = fp.degree < 1 or is_squarefree(fp)
-    vpoly = _critical_value_poly(f)
-    if vpoly is None:
-        # field too small to interpolate V; fall back to explicit critical data
-        cd = critical_data(f, seed)
+    dpoly = _disc_poly(f)
+    if dpoly is None:
+        # field too small to interpolate D; fall back to explicit critical data
+        cd = critical_data(f)
         diag["distinct_value_count"] = cd.distinct_value_count
         ok = (
             fp.degree == d - 1
@@ -191,7 +167,7 @@ def is_morse(f: Poly, seed: int = 0):
             and cd.distinct_value_count == d - 1
         )
         return ok, diag
-    distinct = _distinct_root_count(vpoly)
+    distinct = _distinct_root_count(dpoly)
     diag["distinct_value_count"] = distinct
     ok = fp.degree == d - 1 and distinct == d - 1
     return ok, diag
@@ -206,15 +182,15 @@ def _value_differences(cd: CriticalData) -> set:
     return {cd.ext_ctx.sub(r1, r2) for r1 in raws for r2 in raws if r1 != r2}
 
 
-def bad_set(f: Poly, seed: int = 0):
+def bad_set(f: Poly):
     """B(f): nonzero differences of critical values landing in the prime field."""
-    cd = critical_data(f, seed)
+    cd = critical_data(f)
     prime, frob = f.ctx.prime_field(), cd.ext_ctx.frob
     # a prime-subfield raw is its F_p raw
     return {FieldElement(prime, delta) for delta in _value_differences(cd) if frob(delta) == delta}
 
 
-def bad_shift_check(f: Poly, shifts, seed: int = 0) -> bool:
+def bad_shift_check(f: Poly, shifts) -> bool:
     """True iff some nonzero difference of shifts is a critical value difference.
 
     Shifts live in f's coefficient field (the demo uses extension elements);
@@ -227,7 +203,7 @@ def bad_shift_check(f: Poly, shifts, seed: int = 0) -> bool:
         raise OutOfRange("shifts must be distinct")
     if len(hs) < 2:
         return False
-    cd = critical_data(f, seed)
+    cd = critical_data(f)
     diffs = _value_differences(cd)
     return any(
         _embed_raw(cd.ext_ctx, ctx, cd.gen_image, ctx.sub(h1.raw, h2.raw)) in diffs

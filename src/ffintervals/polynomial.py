@@ -781,7 +781,7 @@ def brute_force_factor(g: Poly) -> FactorizationResult:
     return FactorizationResult(tuple(found), unit)
 
 
-def roots_in_field(g: Poly, seed: int = 0):
+def roots_in_field(g: Poly):
     """All roots of g in its own coefficient field, sorted by canonical index."""
     if g.degree < 1:
         raise OutOfRange("root finding needs degree >= 1")
@@ -792,7 +792,7 @@ def roots_in_field(g: Poly, seed: int = 0):
     lin = ar.gcd(ar.sub_x(h), m)
     if len(lin) - 1 < 1:
         return []
-    rng = random.Random(f"roots/{seed}/{ctx.p}/{ctx.l}")
+    rng = random.Random(f"roots/{ctx.p}/{ctx.l}")
     roots = []
     for raws in _edf(ctx, lin, 1, rng):
         roots.append(ctx.neg(raws[0]))
@@ -853,20 +853,31 @@ def discriminant(g: Poly) -> FieldElement:
 
 
 def disc_in_t(f: Poly) -> Poly:
-    """The discriminant of f + t as a polynomial in t, by interpolation.
+    """The discriminant of f + t as a polynomial in t, for p > deg(f).
 
-    Evaluates disc(f + a) at deg(f) distinct points and Lagrange-interpolates;
-    the result has degree at most deg(f) - 1.
+    Then deg f' = deg(f) - 1, so the result has degree at most deg(f) - 1.
     """
     d = f.degree
     if d < 2:
         raise OutOfRange("disc_in_t needs degree >= 2")
     if not f.is_monic:
         raise OutOfRange("disc_in_t expects a monic polynomial")
+    if f.ctx.p <= d:
+        raise FieldTooSmall(f"need p > deg(f) = {d}, got p = {f.ctx.p}")
+    return _disc_poly(f)
+
+
+def _disc_poly(f: Poly):
+    """D(t) = disc(f + t) for monic f by interpolation, or None when q <= deg f'.
+
+    D = +-lc(f')^d * prod_{f'(xi) = 0} (t + f(xi)) has degree deg f', so its
+    values at the nodes a = 0..deg f' (canonical indices) fix it.  The
+    critical values of f are the negatives of its roots.
+    """
     ctx = f.ctx
-    if ctx.p <= d:
-        raise FieldTooSmall(f"need p > deg(f) = {d}, got p = {ctx.p}")
-    nodes = list(range(d))
+    nodes = list(range(derivative(f).degree + 1))
+    if ctx.q < len(nodes):
+        return None
     values = [discriminant(f.shift_const(FieldElement(ctx, a))).raw for a in nodes]
     return _lagrange(ctx, nodes, values)
 

@@ -184,17 +184,12 @@ class _Battery:
         prime3 = make_builtin("prime", 3)
         rows = []
         ok = True
-        for p in (7, 13, self.params.p_1mod3):
+        for p in (7, 13, self.params.p_1mod3, 5, 11, self.params.p_2mod3):
             ctx = make_prime_field(p)
             rep = class_sum(ctx, parse_poly("x^3", ctx), prime3, self.workers)
-            want = Fraction(2 * (p - 1), 3)
+            want = Fraction(2 * (p - 1), 3) if p % 3 == 1 else 0
             rows.append(reports.experiment_to_dict(rep))
             ok = ok and rep.raw_sum == want
-        for p in (5, 11, self.params.p_2mod3):
-            ctx = make_prime_field(p)
-            rep = class_sum(ctx, parse_poly("x^3", ctx), prime3, self.workers)
-            rows.append(reports.experiment_to_dict(rep))
-            ok = ok and rep.raw_sum == 0
         self.bundle["kummer_exact"] = rows
         self._record(
             2,
@@ -232,36 +227,40 @@ class _Battery:
 
     # -- criteria 4 and 5 ----------------------------------------------------
 
-    def _morse_centers(self, ctx):
-        return {d: first_morse_center(ctx, d) for d in (3, 4, 5)}
+    def _morse_tuples(self, kind, targets, tol_keys, describe):
+        """Single and (0, 1)-pair sums of ``kind`` at the Morse centers d = 3, 4, 5.
+
+        ``targets(p, d)`` gives the two targets, ``tol_keys`` the two
+        tolerance-key stems and ``describe(d, single, pair)`` one observed
+        entry.  Returns (p, ok, observed, rows).
+        """
+        p = self.params.p_main
+        ctx = make_prime_field(p)
+        rows, obs, ok = [], [], True
+        for d in (3, 4, 5):
+            f = first_morse_center(ctx, d)
+            phi = make_builtin(kind, d)
+            single = class_sum(ctx, f, phi, self.workers)
+            pair = correlation_sum(IntervalSpec(ctx, f, (ctx(0), ctx(1)), (phi, phi)), self.workers)
+            for rep, target, key in zip((single, pair), targets(p, d), tol_keys):
+                ok = _within(rep.raw_sum, target, self.tol[f"{key}_d{d}"] * math.sqrt(p)) and ok
+                rows.append(reports.experiment_to_dict(rep))
+            obs.append(describe(d, single.raw_sum, pair.raw_sum))
+        return p, ok, "; ".join(obs), rows
 
     def check_thm1(self):
         t0 = time.perf_counter()
-        p = self.params.p_main
-        ctx = make_prime_field(p)
-        centers = self._morse_centers(ctx)
-        rows = []
-        ok = True
-        obs = []
-        for d, f in centers.items():
-            phi = make_builtin("prime", d)
-            single = class_sum(ctx, f, phi, self.workers)
-            bound_s = self.tol[f"thm1_single_d{d}"] * math.sqrt(p)
-            ok_s = _within(single.raw_sum, Fraction(p, d), bound_s)
-            spec = IntervalSpec(ctx, f, (ctx(0), ctx(1)), (phi, phi))
-            pair = correlation_sum(spec, self.workers)
-            bound_p = self.tol[f"thm1_pair_d{d}"] * math.sqrt(p)
-            ok_p = _within(pair.raw_sum, Fraction(p, d * d), bound_p)
-            ok = ok and ok_s and ok_p
-            obs.append(f"d={d}: single {single.raw_sum} pair {pair.raw_sum}")
-            rows.append(reports.experiment_to_dict(single))
-            rows.append(reports.experiment_to_dict(pair))
-        self.bundle["thm1"] = rows
+        p, ok, observed, self.bundle["thm1"] = self._morse_tuples(
+            "prime",
+            lambda p, d: (Fraction(p, d), Fraction(p, d * d)),
+            ("thm1_single", "thm1_pair"),
+            lambda d, single, pair: f"d={d}: single {single} pair {pair}",
+        )
         self._record(
             4,
             "thm1-morse-prime-tuples",
             ok,
-            "; ".join(obs),
+            observed,
             f"p/d and p/d^2 at p = {p} (d = 3, 4, 5)",
             "calibrated C_d * sqrt(p)",
             t0,
@@ -269,31 +268,17 @@ class _Battery:
 
     def check_thm2(self):
         t0 = time.perf_counter()
-        p = self.params.p_main
-        ctx = make_prime_field(p)
-        centers = self._morse_centers(ctx)
-        rows = []
-        ok = True
-        obs = []
-        for d, f in centers.items():
-            mu = make_builtin("moebius", d)
-            single = class_sum(ctx, f, mu, self.workers)
-            bound_s = self.tol[f"thm2_mu_d{d}"] * math.sqrt(p)
-            ok_s = abs(float(single.raw_sum)) <= bound_s
-            spec = IntervalSpec(ctx, f, (ctx(0), ctx(1)), (mu, mu))
-            pair = correlation_sum(spec, self.workers)
-            bound_p = self.tol[f"thm2_chowla_d{d}"] * math.sqrt(p)
-            ok_p = abs(float(pair.raw_sum)) <= bound_p
-            ok = ok and ok_s and ok_p
-            obs.append(f"d={d}: |mu| {abs(single.raw_sum)} |chowla| {abs(pair.raw_sum)}")
-            rows.append(reports.experiment_to_dict(single))
-            rows.append(reports.experiment_to_dict(pair))
-        self.bundle["thm2"] = rows
+        p, ok, observed, self.bundle["thm2"] = self._morse_tuples(
+            "moebius",
+            lambda p, d: (0, 0),
+            ("thm2_mu", "thm2_chowla"),
+            lambda d, single, pair: f"d={d}: |mu| {abs(single)} |chowla| {abs(pair)}",
+        )
         self._record(
             5,
             "thm2-moebius-chowla-cancellation",
             ok,
-            "; ".join(obs),
+            observed,
             f"O(sqrt(p)) cancellation at p = {p}",
             "calibrated C_d * sqrt(p)",
             t0,

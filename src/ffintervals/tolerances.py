@@ -11,17 +11,31 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from .errors import ToleranceFileError
+
 _cache = None
 
 
 def load_tolerances(path: str | None = None) -> dict:
-    """Fixture constants, from the packaged file or an explicit override."""
+    """Fixture constants, from the packaged file or an explicit override.
+
+    An override must give every constant of the packaged file (each key
+    without a leading underscore) as an int or a float.
+    """
     global _cache
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
     if _cache is None:
         text = resources.files("ffintervals.data").joinpath("tolerances.json").read_text()
         _cache = json.loads(text)
-    return _cache
-
+    if path is None:
+        return _cache
+    try:
+        with open(path, encoding="utf-8") as handle:
+            tol = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ToleranceFileError(f"cannot read tolerance file {path!r}: {exc}") from None
+    if not isinstance(tol, dict):
+        raise ToleranceFileError(f"tolerance file {path!r} must hold a JSON object")
+    bad = [k for k in sorted(_cache) if k[0] != "_" and type(tol.get(k)) not in (int, float)]
+    if bad:
+        raise ToleranceFileError(f"tolerance file {path!r} needs a number for {', '.join(bad)}")
+    return tol

@@ -177,6 +177,38 @@ def test_unreadable_phi_file_exits_2(capsys, tmp_path, name, content):
     assert capsys.readouterr().err.startswith("error: cannot read class function table")
 
 
+def _tolerances_with(**changes):
+    from ffintervals.tolerances import load_tolerances
+
+    tol = {k: v for k, v in load_tolerances().items() if not k.startswith("_")}
+    tol.update(changes)
+    return json.dumps({k: v for k, v in tol.items() if v is not None}).encode("utf-8")
+
+
+_BAD_TOLERANCE_FILES = [
+    ("missing.json", None),
+    (".", None),
+    ("latin1.json", b"\xff{}"),
+    ("broken.json", b'{"kummer_pair": '),
+    ("list.json", b"[]"),
+    ("empty.json", b"{}"),
+    ("no_scan_bound.json", _tolerances_with(morse_scan_bound_d5=None)),
+    ("bool.json", _tolerances_with(kummer_pair=True)),
+    ("string.json", _tolerances_with(thm2_mu_d4="2.7")),
+]
+
+
+@pytest.mark.parametrize("name,content", _BAD_TOLERANCE_FILES, ids=[n for n, _ in _BAD_TOLERANCE_FILES])
+def test_bad_tolerance_file_exits_2_before_any_check(capsys, tmp_path, name, content):
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    argv = ["paper-suite", "--quick", "--tolerance-file", str(tmp_path / name)]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tolerance file" in err
+    assert "[PASS]" not in err
+
+
 def test_sum_over_the_sweep_guard_exits_1(capsys):
     assert run_command(["sum", "--p", "10000019", "--f", "x^3+x", "--phi", "mu"]) == 1
     assert "sweep guard" in capsys.readouterr().err

@@ -19,12 +19,16 @@ from ffintervals.morse_galois import (
 )
 from ffintervals.polynomial import (
     Poly,
+    derivative,
     factor,
     is_squarefree,
+    poly_from_index,
     random_monic,
 )
 from ffintervals.polyparse import parse_poly
 
+F2 = make_prime_field(2)
+F3 = make_prime_field(3)
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
 F13 = make_prime_field(13)
@@ -156,16 +160,32 @@ def test_is_morse_coprimality_warning():
     assert diag["coprimality_warning"]
 
 
+def _monics(ctx, degrees):
+    for d in degrees:
+        for idx in range(ctx.q**d):
+            yield poly_from_index(ctx, d, idx)
+
+
 def test_is_morse_agrees_with_critical_data_route():
-    # dual route: the interpolated critical-value polynomial versus explicit
-    # root extraction in the splitting extension
+    # dual route: distinct roots of the interpolated D(t) = disc(f + t) versus
+    # explicit root extraction in the splitting extension.  The exhaustive
+    # fields reach p <= d, p | d, the q <= deg f' fallback and F_{p^l}.
     rng = random.Random("morse-dual")
+    sampled = []
     for _ in range(120):
         ctx = (F7, F13)[rng.randrange(2)]
-        d = rng.randrange(2, 5)
-        f = random_monic(ctx, d, rng)
-        from ffintervals.polynomial import derivative
-
+        sampled.append(random_monic(ctx, rng.randrange(2, 5), rng))
+    exhaustive = [
+        (F3, (2, 3, 4, 5)),
+        (F5, (2, 3, 4, 5)),
+        (F7, (2, 3, 4)),
+        (make_extension(F2, 2), (2, 3)),
+        (make_extension(F2, 3), (2, 3)),
+        (make_extension(F3, 2), (2, 3)),
+        (make_extension(F5, 2), (2,)),
+    ]
+    for f in sampled + [f for ctx, degrees in exhaustive for f in _monics(ctx, degrees)]:
+        d = f.degree
         fp = derivative(f)
         fast, diag = is_morse(f)
         if fp.is_zero:
@@ -177,8 +197,8 @@ def test_is_morse_agrees_with_critical_data_route():
             and all(m == 1 for _, m in cd.points)
             and cd.distinct_value_count == d - 1
         )
-        assert fast == slow
-        assert diag["distinct_value_count"] == cd.distinct_value_count
+        assert fast == slow, f
+        assert diag["distinct_value_count"] == cd.distinct_value_count, f
 
 
 def test_make_non_morse_really_is_non_morse():

@@ -349,6 +349,22 @@ def test_disc_in_t_matches_pointwise_evaluations():
             assert dt(F13(a)) == discriminant(f.shift_const(F13(a)))
 
 
+def test_shared_disc_interpolation_matches_pointwise_evaluations_for_p_at_most_d():
+    # the interpolation behind disc_in_t and is_morse, where p <= d < q
+    from ffintervals.polynomial import _disc_poly
+
+    rng = random.Random("disc-poly")
+    F9 = make_extension(F3, 2)
+    for d in (3, 4):
+        for _ in range(60):
+            f = random_monic(F9, d, rng)
+            dt = _disc_poly(f)
+            assert dt.degree <= derivative(f).degree
+            for a in map(F9.element_from_index, range(9)):
+                assert dt(a) == discriminant(f.shift_const(a))
+    assert _disc_poly(parse_poly("x^4+x", F3)) is None  # q <= deg f' = 3
+
+
 def test_disc_in_t_degree_bound_random():
     rng = random.Random("dtdeg")
     F101 = make_prime_field(101)
