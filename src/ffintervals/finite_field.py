@@ -30,8 +30,9 @@ its tables once, and a memoized context unpickles as the process's own: a
 pool worker forked after the parent built the tables uses them.
 
 This leaf module also holds the one int-list polynomial layer over F_p
-(_ireduce, _imulmod, _idivmod, _igcd_monic); the schoolbook extension
-arithmetic and polynomial's F_p distinct-degree loop both run on it.
+(_imul, _ireduce, _imulmod, _idivmod, _igcd_monic).  The schoolbook
+extension arithmetic runs on it, and so does all F_p polynomial arithmetic
+in polynomial.
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ def _ireduce(p, t, m):
     return t
 
 
-def _imulmod(p, a, b, m):
-    """a * b mod m for monic m; products accumulate unreduced."""
+def _imul(a, b):
+    """a * b with unreduced int coefficients; [] when either factor is."""
+    if not a or not b:
+        return []
     t = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -143,11 +146,19 @@ def _imulmod(p, a, b, m):
             for bj in b:
                 t[k] += ai * bj
                 k += 1
-    return _ireduce(p, t, m)
+    return t
+
+
+def _imulmod(p, a, b, m):
+    """a * b mod m for monic m; products accumulate unreduced."""
+    return _ireduce(p, _imul(a, b), m)
 
 
 def _idivmod(p, a, b):
-    """(a // b, a % b) for a reduced mod p and b != 0; both trimmed."""
+    """(a // b, a % b) for a trimmed and reduced mod p and b trimmed and nonzero.
+
+    Both outputs are trimmed.
+    """
     a = list(a)
     db = len(b) - 1
     inv = pow(b[-1], p - 2, p)

@@ -21,6 +21,11 @@ demo's p-shift Möbius product is a reduction over the table its single sum
 built; a standalone call outside any scope evaluates all q * shifts
 members.  All sums are exact rationals; floats appear only in the
 normalized error and timing fields.
+
+The Morse genericity scan, for p > d, reads the non-Morse slopes s of
+f + s*x off the roots of one polynomial E(s), the discriminant of
+disc(f + s*x + t) in t, interpolated from d(d - 2) + 1 slopes; it tests
+each slope only where E does not apply (see morse_density_scan).
 """
 
 from __future__ import annotations
@@ -57,11 +62,13 @@ from .morse_galois import (
 )
 from .polynomial import (
     Poly,
+    _lagrange,
     _pattern_or_none_generic,
     _pattern_or_none_int,
     _reval,
     derivative,
     disc_in_t,
+    discriminant,
     roots_in_field,
 )
 
@@ -528,6 +535,20 @@ class MorseScanReport:
 def morse_density_scan(ctx, f) -> MorseScanReport:
     """Count s in F_q for which f + s*x fails to be Morse.
 
+    For p > d, f_s = f + s*x is Morse exactly when D_s(t) = disc(f_s + t) is
+    squarefree (see is_morse).  D_s has degree d - 1 in t and a leading
+    coefficient that does not depend on s, so the bad s are the roots in
+    F_q of E(s) = disc_t(D_s / lc), and every s is bad when E = 0.
+    deg E <= d(d - 2): disc_x is isobaric of weight d(d - 1), and s and t
+    enter only the coefficients of weight d - 1 and d, so the t^k
+    coefficient of D_s has degree at most d(d - 1 - k)/(d - 1) in s; disc_t
+    is isobaric of weight (d - 1)(d - 2) in those coefficients, whose weights
+    are d - 1 - k.  So E is interpolated from the nodes s = 0..d(d - 2),
+    each one disc_in_t and one discriminant of degree d - 1, and the scan
+    costs no more as q grows, apart from root finding.
+
+    For p <= d, or q <= d(d - 2) + 1 where the nodes do not fit, the scan
+    runs is_morse for each s; that loop is also the E route's test oracle.
     Hypothesis violations (p | 2d or f'' = 0) are reported in ``warnings``
     rather than aborting the scan.
     """
@@ -542,25 +563,42 @@ def morse_density_scan(ctx, f) -> MorseScanReport:
     fpp = derivative(derivative(f))
     if fpp.is_zero:
         warnings.append("f'' = 0: genericity proposition hypothesis fails")
-    bad = []
-    base = list(f.raw_coeffs)
-    while len(base) < 2:
-        base.append(0)
-    for s in range(ctx.q):
-        coeffs = list(base)
-        coeffs[1] = ctx.add(coeffs[1], s)
-        f_s = Poly.from_raw(ctx, coeffs)
-        ok, _ = is_morse(f_s)
-        if not ok:
-            bad.append(FieldElement(ctx, s))
+    d = f.degree
+    if ctx.p > d and ctx.q > d * (d - 2) + 1:
+        bad = _non_morse_slopes_by_e(ctx, f)
+    else:
+        bad = _non_morse_slopes_by_loop(ctx, f)
     return MorseScanReport(
         params=_params_dict(ctx, f),
         q=ctx.q,
         bad_count=len(bad),
-        bad_s=tuple(bad),
+        bad_s=tuple(FieldElement(ctx, s) for s in bad),
         warnings=tuple(warnings),
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _slope(ctx, f, s):
+    """f + s*x."""
+    coeffs = list(f.raw_coeffs)
+    coeffs[1] = ctx.add(coeffs[1], s)
+    return Poly.from_raw(ctx, coeffs)
+
+
+def _non_morse_slopes_by_loop(ctx, f):
+    """The s (raws, ascending) with f + s*x not Morse, by is_morse at every s."""
+    return [s for s in range(ctx.q) if not is_morse(_slope(ctx, f, s))[0]]
+
+
+def _non_morse_slopes_by_e(ctx, f):
+    """The s (raws, ascending) with f + s*x not Morse, as the roots of E (p > d)."""
+    d = f.degree
+    nodes = range(d * (d - 2) + 1)
+    values = [discriminant(disc_in_t(_slope(ctx, f, s)).monic()).raw for s in nodes]
+    e = _lagrange(ctx, nodes, values)
+    if e.is_zero:
+        return list(range(ctx.q))
+    return [r.raw for r in roots_in_field(e)] if e.degree >= 1 else []
 
 
 # ---------------------------------------------------------------------------

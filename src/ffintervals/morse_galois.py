@@ -9,7 +9,9 @@ its modulus.
 The Morse test itself never builds an extension: the critical values of f are
 the negatives of the roots of D(t) = disc(f + t), the polynomial over the base
 field that the sweeps and the classifier read too, and f is Morse exactly when
-deg f' = d - 1 and D is squarefree.  This keeps the genericity scans cheap.
+deg f' = d - 1 and D is squarefree.  The genericity scan for p > d tests
+squarefreeness of D for every slope at once, through the discriminant of D
+(interval_lab.morse_density_scan), and runs is_morse per slope otherwise.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ blocks alike.  It runs on int lists over F_p (_IntArith, on the int layer of
 finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one for it
 and for the x^q steps of is_irreducible and roots_in_field.  The sweeps pass
 each member's discriminant when p > deg; brute_force_factor is the oracle.
+Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
+factor's squarefree and equal-degree steps, brute_force_factor) runs on the
+same int layer through the raw helpers below.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .finite_field import (
     FieldElement,
     _idivmod,
     _igcd_monic,
+    _imul,
     _imulmod,
     _digits,
     _ireduce,
@@ -46,7 +50,10 @@ _BRUTE_FORCE_GUARD = 10**6
 
 
 # ---------------------------------------------------------------------------
-# raw-coefficient helpers (lists of raws, ascending, trimmed)
+# raw-coefficient helpers (lists of raws, ascending, trimmed; inputs trimmed
+# too).  Over F_p, _rmul, _rdivmod, _rgcd and _reval run on the int-list layer
+# of finite_field; over F_{p^l} they go through the FieldCtx.  A zero divisor
+# raises ZeroDivisionError.
 
 
 def _trim(c):
@@ -68,6 +75,9 @@ def _rsub(ctx, a, b):
 
 
 def _rmul(ctx, a, b):
+    if ctx.l == 1:
+        p = ctx.p
+        return _trim([c % p for c in _imul(a, b)])
     if not a or not b:
         return []
     add, mul = ctx.add, ctx.mul
@@ -82,6 +92,8 @@ def _rmul(ctx, a, b):
 def _rdivmod(ctx, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if ctx.l == 1:
+        return _idivmod(ctx.p, a, b)
     a = list(a)
     db = len(b) - 1
     inv = None if b[-1] == 1 else ctx.inv(b[-1])
@@ -110,6 +122,8 @@ def _rmonic(ctx, a):
 
 
 def _rgcd(ctx, a, b):
+    if ctx.l == 1:
+        return _igcd_monic(ctx.p, list(a), list(b))
     a, b = list(a), list(b)
     while b:
         _, r = _rdivmod(ctx, a, b)
@@ -119,6 +133,11 @@ def _rgcd(ctx, a, b):
 
 def _reval(ctx, a, x):
     acc = 0
+    if ctx.l == 1:
+        p = ctx.p
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        return acc
     for c in reversed(a):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
@@ -747,8 +766,8 @@ def factor(g: Poly, seed: int = 0) -> FactorizationResult:
 def brute_force_factor(g: Poly) -> FactorizationResult:
     """Trial division by every monic polynomial of degree <= deg(g)/2.
 
-    The independence oracle for factor(); guarded so the enumeration stays
-    desk-sized.
+    The independence oracle for factor(): it only divides, on raw lists
+    (int lists over F_p), and is guarded so the enumeration stays desk-sized.
     """
     if g.degree < 1:
         raise OutOfRange("factorization needs degree >= 1")
@@ -756,27 +775,26 @@ def brute_force_factor(g: Poly) -> FactorizationResult:
     if ctx.q ** ((g.degree + 1) // 2) > _BRUTE_FORCE_GUARD:
         raise TooLarge("brute-force factor guard exceeded")
     unit = g.lc()
-    work = g.monic()
+    work = _rmonic(ctx, list(g._c))
     found = []
     for m in range(1, g.degree // 2 + 1):
-        if work.degree < 2 * m:
+        if len(work) - 1 < 2 * m:
             break
         for idx in range(ctx.q**m):
-            cand = poly_from_index(ctx, m, idx)
+            cand = _digits(ctx.q, m, idx) + [1]  # poly_from_index(ctx, m, idx)
             mult = 0
-            while work.degree >= m:
-                quo, rem = divmod(work, cand)
-                if rem.is_zero:
-                    work = quo
-                    mult += 1
-                else:
+            while len(work) - 1 >= m:
+                quo, rem = _rdivmod(ctx, work, cand)
+                if rem:
                     break
+                work = quo
+                mult += 1
             if mult:
-                found.append((cand, mult))
-            if work.degree < 2 * m:
+                found.append((Poly.from_raw(ctx, cand), mult))
+            if len(work) - 1 < 2 * m:
                 break
-    if work.degree >= 1:
-        found.append((work, 1))
+    if len(work) > 1:
+        found.append((Poly.from_raw(ctx, work), 1))
     found.sort(key=lambda fm: fm[0].canonical_key())
     return FactorizationResult(tuple(found), unit)
 
@@ -810,8 +828,11 @@ def resultant(f: Poly, g: Poly) -> FieldElement:
         raise CtxMismatch("resultant over different fields")
     if f.is_zero or g.is_zero:
         raise ZeroInput("resultant of the zero polynomial")
-    ctx = f.ctx
-    a, b = list(f._c), list(g._c)
+    return FieldElement(f.ctx, _rresultant(f.ctx, list(f._c), list(g._c)))
+
+
+def _rresultant(ctx, a, b):
+    """Res(a, b) as a raw, for nonzero raw lists a and b."""
     res = 1
     negate = False
     if len(a) < len(b):
@@ -825,15 +846,13 @@ def resultant(f: Poly, g: Poly) -> FieldElement:
             break
         _, r = _rdivmod(ctx, a, b)
         if not r:
-            return FieldElement(ctx, 0)
+            return 0
         dr = len(r) - 1
         if (da * db) % 2 == 1:
             negate = not negate
         res = ctx.mul(res, ctx.pow_raw(b[-1], da - dr))
         a, b = b, r
-    if negate:
-        res = ctx.neg(res)
-    return FieldElement(ctx, res)
+    return ctx.neg(res) if negate else res
 
 
 def discriminant(g: Poly) -> FieldElement:
@@ -843,13 +862,15 @@ def discriminant(g: Poly) -> FieldElement:
     if not g.is_monic:
         raise OutOfRange("discriminant expects a monic polynomial")
     ctx = g.ctx
-    gp = derivative(g)
-    if gp.is_zero:
-        return FieldElement(ctx, 0)
-    res = resultant(g, gp)
-    if (g.degree * (g.degree - 1) // 2) % 2 == 1:
-        return -res
-    return res
+    gp = _rderiv(ctx, list(g._c))
+    return FieldElement(ctx, _rdisc(ctx, list(g._c), gp) if gp else 0)
+
+
+def _rdisc(ctx, g, gp):
+    """disc(g) = (-1)^(d(d-1)/2) Res(g, gp) as a raw, for monic g and gp = g' != 0."""
+    d = len(g) - 1
+    res = _rresultant(ctx, g, gp)
+    return ctx.neg(res) if (d * (d - 1) // 2) % 2 == 1 else res
 
 
 def disc_in_t(f: Poly) -> Poly:
@@ -872,13 +893,19 @@ def _disc_poly(f: Poly):
 
     D = +-lc(f')^d * prod_{f'(xi) = 0} (t + f(xi)) has degree deg f', so its
     values at the nodes a = 0..deg f' (canonical indices) fix it.  The
-    critical values of f are the negatives of its roots.
+    critical values of f are the negatives of its roots.  f' is the same for
+    every f + a, so it is computed once.
     """
     ctx = f.ctx
-    nodes = list(range(derivative(f).degree + 1))
+    fp = _rderiv(ctx, list(f._c))
+    nodes = range(len(fp))
     if ctx.q < len(nodes):
         return None
-    values = [discriminant(f.shift_const(FieldElement(ctx, a))).raw for a in nodes]
+    values = []
+    for a in nodes:
+        g = list(f._c)
+        g[0] = ctx.add(g[0], a)
+        values.append(_rdisc(ctx, g, fp))
     return _lagrange(ctx, nodes, values)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ffintervals.class_functions import evaluate, make_builtin, partitions_of
 from ffintervals.errors import FieldTooSmall, OutOfRange, TooLarge
-from ffintervals.finite_field import make_extension, make_prime_field
+from ffintervals.finite_field import _digits, make_extension, make_prime_field
 from ffintervals import interval_lab
 from ffintervals.interval_lab import (
     IntervalSpec,
@@ -576,6 +576,72 @@ def test_morse_scan_counts_match_direct_is_morse():
         if not ok:
             direct.append(s)
     assert [e.raw for e in rep.bad_s] == direct
+
+
+def _zero_slope_centers(ctx, d):
+    """Every monic f of degree d over ctx with f(0) = f'(0) = 0."""
+    for idx in range(ctx.q ** (d - 2)):
+        yield Poly.from_raw(ctx, [0, 0] + _digits(ctx.q, d - 2, idx) + [1])
+
+
+@pytest.mark.parametrize(
+    "p,l,d", [(7, 1, 3), (11, 1, 3), (11, 1, 4), (13, 1, 4), (5, 2, 3), (7, 2, 3)]
+)
+def test_morse_scan_e_route_matches_the_loop_on_every_center(p, l, d):
+    # s and the constant term are the two coefficients the scan and D(t) absorb,
+    # so these centers cover every f of degree d up to them
+    ctx = make_extension(make_prime_field(p), l)
+    for f in _zero_slope_centers(ctx, d):
+        by_e = interval_lab._non_morse_slopes_by_e(ctx, f)
+        assert by_e == interval_lab._non_morse_slopes_by_loop(ctx, f), f
+
+
+def test_morse_scan_e_route_matches_the_loop_on_quintics_over_f17():
+    F17 = make_prime_field(17)
+    rng = random.Random("e-route/d5")
+    centers = [parse_poly("x^5", F17), parse_poly("x^5+x^2", F17)]
+    centers += [Poly.from_raw(F17, [0, 0] + [rng.randrange(17) for _ in range(3)] + [1])
+                for _ in range(40)]
+    for f in centers:
+        by_e = interval_lab._non_morse_slopes_by_e(F17, f)
+        assert by_e == interval_lab._non_morse_slopes_by_loop(F17, f), f
+    # x^5 + s*x has a repeated critical value exactly at s = 0
+    assert interval_lab._non_morse_slopes_by_e(F17, centers[0]) == [0]
+
+
+@pytest.mark.parametrize(
+    "p,l,f,route",
+    [
+        (7, 1, "x^4+x^2", "loop"),  # q = 7 <= d(d - 2) + 1 = 9
+        (13, 1, "x^5+x^2", "loop"),  # q = 13 <= 16
+        (3, 1, "x^3+x^2", "loop"),  # p <= d
+        (5, 1, "x^5+x^2", "loop"),
+        (3, 2, "x^3+x^2", "loop"),  # p = d, q = 9 > 4
+        (3, 3, "x^4+x", "loop"),  # p < d, q = 27 > 9
+        (11, 1, "x^4+x^2", "e"),
+        (17, 1, "x^5+x^2", "e"),
+        (5, 2, "x^4+x^2", "e"),
+    ],
+)
+def test_morse_scan_takes_the_e_route_exactly_past_the_boundary(monkeypatch, p, l, f, route):
+    ctx = make_extension(make_prime_field(p), l)
+    calls = []
+
+    def spy(name):
+        original = getattr(interval_lab, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for name in ("_non_morse_slopes_by_e", "_non_morse_slopes_by_loop"):
+        monkeypatch.setattr(interval_lab, name, spy(name))
+    g = parse_poly(f, ctx)
+    rep = morse_density_scan(ctx, g)
+    assert calls == [f"_non_morse_slopes_by_{route}"]
+    assert [s.raw for s in rep.bad_s] == interval_lab._non_morse_slopes_by_loop(ctx, g)
 
 
 # ---------------------------------------------------------------------------

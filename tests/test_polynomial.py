@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -378,6 +379,71 @@ def test_disc_in_t_field_too_small():
 
     with pytest.raises(FieldTooSmall):
         disc_in_t(random_monic(F3, 4, random.Random(0)))
+
+
+# ---------------------------------------------------------------------------
+# the raw helpers over F_p, which run on the int-list layer
+
+
+def _trimmed(c):
+    return isinstance(c, list) and (not c or c[-1] != 0)
+
+
+def _book(p, out):
+    out = [c % p for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _book_mul(p, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _book(p, out)
+
+
+def _book_sub(p, a, b):
+    return _book(p, [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_int_routed_raw_helpers_keep_their_contracts_exhaustive(ctx):
+    # every pair of polynomials of degree <= 3, the zero polynomial included
+    from ffintervals.polynomial import _rdivmod, _reval, _rgcd, _rmul
+
+    p = ctx.p
+    polys = [list(poly_from_index(ctx, 4, i, monic=False).raw_coeffs) for i in range(p**4)]
+    divides = {}  # (g, a) -> g | a, checked once per pair
+
+    def divisor(g, a):
+        key = (tuple(g), tuple(a))
+        if key not in divides:
+            divides[key] = _rdivmod(ctx, a, g)[1] == []
+        return divides[key]
+
+    for a in polys:
+        for x in range(p):
+            horner = 0
+            for c in reversed(a):
+                horner = (horner * x + c) % p
+            assert _reval(ctx, a, x) == horner
+        with pytest.raises(ZeroDivisionError):
+            _rdivmod(ctx, a, [])
+        for b in polys:
+            prod = _rmul(ctx, a, b)
+            assert _trimmed(prod) and prod == _book_mul(p, a, b)
+            g = _rgcd(ctx, a, b)
+            assert _trimmed(g)
+            if not a and not b:
+                assert g == []
+                continue
+            assert g[-1] == 1 and divisor(g, a) and divisor(g, b)
+            if b:
+                quo, rem = _rdivmod(ctx, a, b)
+                assert _trimmed(quo) and _trimmed(rem) and len(rem) < len(b)
+                assert _book_sub(p, a, _rmul(ctx, quo, b)) == rem
 
 
 # ---------------------------------------------------------------------------
