@@ -24,6 +24,7 @@ from .interval_lab import (
     gauss_census,
     large_q_demo,
     morse_density_scan,
+    run_scope,
     squarefree_census,
 )
 from .morse_galois import (
@@ -287,7 +288,8 @@ def run_command(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _run(args)
+        with run_scope():  # one run: one table per interval, at most one pool per worker count
+            return _run(args)
     except (UsageError, PolyParseError, NotPrime, OutOfRange, ToleranceFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

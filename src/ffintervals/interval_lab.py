@@ -7,14 +7,14 @@ I(f), its member with constant term 0, and for p > deg f the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
-the kernels).  Sweeps walk the interval in contiguous index blocks, one per
-worker, and join the blocks in index order, so reports are identical for
-any worker count.
+the kernels).  Work is split into contiguous index ranges, one per worker,
+and joined in index order or by integer sums, so reports are identical for
+any worker count; the outermost run_scope() owns the process pools.
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
 of I(f) in the scope reads it with no kernel call and no pool.  For
-p > deg f <= 5, _table_block fills it from root counts and the square class
+p > deg f <= 5 it comes from root counts, split by x, and the square class
 of D(c), with _member_types as its oracle, and factors no member.  A battery,
 moebius_battery and each large_q_demo step run in a fresh scope, so the
 demo's p-shift Möbius product is a reduction over the table its single sum
@@ -33,9 +33,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 
 from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
 from .errors import (
@@ -80,6 +81,7 @@ _SCAN_GUARD = 10**6
 # sweep kernels and the run scope's interval tables
 
 _tables = None  # the run scope's memo: interval key -> cycle-type table; None outside
+_pools = None  # the outermost run scope's executors: worker count -> pool; None outside
 
 
 @contextmanager
@@ -87,14 +89,22 @@ def run_scope():
     """Let the sweeps inside share one cycle-type table per interval.
 
     Starts with an empty memo and restores the outer one on exit, so a run
-    never reads the tables of the run around it.
+    never reads the tables of the run around it.  The outermost scope owns
+    the process pools, at most one per worker count, and shuts them down on
+    exit, raised or not; nested scopes share them.
     """
-    global _tables
+    global _tables, _pools
     outer, _tables = _tables, {}
+    owner = _pools is None
+    _pools = {} if owner else _pools
     try:
         yield
     finally:
         _tables = outer
+        if owner:
+            pools, _pools = _pools.values(), None
+            for pool in pools:
+                pool.shutdown(cancel_futures=True)
 
 
 def _kernel(ctx):
@@ -158,26 +168,30 @@ def _fiber_types(d):
     return types
 
 
-def _table_block(ctx, center, d_raws, lo, hi):
-    """Cycle types of the members with constant term c in [lo, hi), in order.
+def _ddf_block(ctx, center, d_raws, lo, hi):
+    """Cycle types of the members with constant term c in [lo, hi), in order."""
+    return list(_member_types(ctx, center, d_raws, range(lo, hi)))
 
-    When the center has a D(t) and _fiber_types names each type, one pass
-    over x in F_q counts the roots of every member (x is a root of the one
-    with constant term -center(x)) and D(c) gives the square class, with no
-    factorization; otherwise _member_types, the oracle, factors each member.
+
+def _fiber_block(ctx, center, d_raws, lo, hi):
+    """The fiber pass for x and c in [lo, hi), where _fiber_types names each type.
+
+    Returns -center(x) for each x, the constant term of the member with root
+    x, and the square class of each D(c), None where D(c) = 0.
     """
-    types = None if d_raws is None else _fiber_types(len(center) - 1)
-    if types is None:
-        return list(_member_types(ctx, center, d_raws, range(lo, hi)))
-    roots = [0] * (hi - lo)
-    neg = ctx.neg
-    for x in range(ctx.q):
-        c = neg(_reval(ctx, center, x))
-        if lo <= c < hi:
-            roots[c - lo] += 1
-    is_square = ctx.is_square
+    neg, is_square = ctx.neg, ctx.is_square
+    hits = [neg(_reval(ctx, center, x)) for x in range(lo, hi)]
     discs = (_reval(ctx, d_raws, c) for c in range(lo, hi))
-    return [types[r, is_square(disc)] if disc else None for r, disc in zip(roots, discs)]
+    return hits, [is_square(disc) if disc else None for disc in discs]
+
+
+@contextmanager
+def _pool(workers):
+    """The run scope's executor for workers, opened on first use; outside a scope, one for the call."""
+    with nullcontext() if _pools is not None else run_scope():
+        if workers not in _pools:
+            _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+        yield _pools[workers]
 
 
 def _blocks(block, head, q, workers):
@@ -186,7 +200,7 @@ def _blocks(block, head, q, workers):
         return [block(*head, 0, q)]
     bounds = [q * i // workers for i in range(workers + 1)]
     calls = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         return list(pool.map(block, *zip(*calls)))
 
 
@@ -199,9 +213,20 @@ def _interval_table(ctx, f: Poly, workers: int):
     key = (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
     table = _tables.get(key)
     if table is None:
-        blocks = _blocks(_table_block, (ctx, *_center(ctx, f)), ctx.q, workers)
-        types = {}  # one tuple per cycle type, however many members share it
-        table = _tables[key] = [types.setdefault(t, t) for block in blocks for t in block]
+        head = (ctx, *_center(ctx, f))  # D(t) is None for p <= d
+        types = _fiber_types(f.degree) if ctx.p > f.degree else None
+        if types is None:
+            blocks = _blocks(_ddf_block, head, ctx.q, workers)
+            interned = {}  # one tuple per cycle type, however many members share it
+            table = [interned.setdefault(t, t) for block in blocks for t in block]
+        else:  # root counts are sums over the x-ranges, the same for any split
+            blocks = _blocks(_fiber_block, head, ctx.q, workers)
+            roots = [0] * ctx.q
+            for c in chain.from_iterable(hits for hits, _ in blocks):
+                roots[c] += 1
+            classes = chain.from_iterable(block for _, block in blocks)
+            table = [None if s is None else types[r, s] for r, s in zip(roots, classes)]
+        _tables[key] = table
     return table
 
 
@@ -417,17 +442,10 @@ def chebotarev_empirical(ctx, f, shifts, workers: int = 1) -> ChebotarevReport:
     total = sum(clean.values())
     nonsf = ctx.q - total
     freqs = {k: Fraction(n, total) for k, n in clean.items()}
-    cts = partitions_of(f.degree)
-    predicted = {}
-
-    def rec(prefix, weight):
-        if len(prefix) == len(shifts):
-            predicted[tuple(prefix)] = weight
-            return
-        for ct in cts:
-            rec(prefix + [ct.parts], weight / ct.centralizer_order())
-
-    rec([], Fraction(1))
+    predicted = {  # a class of S_d has density 1 / its centralizer order
+        tuple(ct.parts for ct in cts): Fraction(1, math.prod(ct.centralizer_order() for ct in cts))
+        for cts in product(partitions_of(f.degree), repeat=len(shifts))
+    }
     devs = {
         k: float(abs(freqs.get(k, Fraction(0)) - w)) for k, w in predicted.items()
     }

@@ -372,6 +372,36 @@ def test_large_q_demo_command(capsys):
     assert all(s["multiset_multiplicity_two"] for s in steps)
 
 
+_INTERVALS = {
+    "cubic": ["--p", "101", "--f", "x^3+2*x+1"],
+    "quartic": ["--p", "101", "--f", "x^4+x^2+3*x"],
+    "quintic": ["--p", "101", "--f", "x^5+x^2+1"],
+    "sextic": ["--p", "101", "--f", "x^6+x+1"],  # d >= 6: members are factored
+    "F25": ["--p", "5", "--ext", "2", "--f", "x^3+x+1"],
+    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],
+}
+
+
+@pytest.mark.parametrize("interval", sorted(_INTERVALS))
+def test_interval_commands_agree_at_one_and_two_workers(capsys, monkeypatch, interval):
+    from ffintervals import interval_lab
+
+    monkeypatch.setattr(interval_lab, "_sweep_block", None)  # each command reads a scoped table
+    verbs = (
+        ["sum", "--phi", "mu"],
+        ["correlate", "--shifts", "0,1", "--phi", "mu", "--phi", "prime"],
+        ["chebotarev", "--shifts", "0,2"],
+    )
+    for verb, *args in verbs:
+        blobs = []
+        for workers in ("1", "2"):
+            argv = [verb, *_INTERVALS[interval], *args, "--workers", workers]
+            code, payload = run_json(capsys, argv)
+            assert code == 0, argv
+            blobs.append(reports.to_json(reports.scrub_timings(payload)))
+        assert blobs[0] == blobs[1], verb
+
+
 def test_extension_sum_command(capsys):
     code, payload = run_json(
         capsys, ["sum", "--p", "5", "--ext", "2", "--f", "x^3+x", "--phi", "mu"]

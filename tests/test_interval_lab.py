@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -355,9 +357,13 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _count_table_builds(monkeypatch):
+    """Counts table builds at 1 worker, where each route runs one block per build."""
     builds = []
-    block = interval_lab._table_block
-    monkeypatch.setattr(interval_lab, "_table_block", lambda *args: builds.append(1) or block(*args))
+    for name in ("_fiber_block", "_ddf_block"):
+        block = getattr(interval_lab, name)
+        monkeypatch.setattr(
+            interval_lab, name, lambda *args, _b=block: builds.append(1) or _b(*args)
+        )
     return builds
 
 
@@ -464,6 +470,57 @@ def test_run_scopes_nest_and_restore(monkeypatch):
     assert calls == []  # both by the fiber pass
 
 
+def _count_pools(monkeypatch):
+    opened = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(interval_lab, "ProcessPoolExecutor", CountedPool)
+    return opened
+
+
+def test_a_two_worker_battery_opens_one_pool(monkeypatch):
+    from ffintervals import suite
+
+    opened = _count_pools(monkeypatch)
+    with run_scope():  # the demo's steps nest their scopes in this one
+        large_q_demo(5, (1, 4), 2)
+    assert len(opened) == 1
+    opened.clear()
+    during_demo = []
+    demo = suite.large_q_demo
+
+    def counted_demo(*args):
+        before = len(opened)
+        report = demo(*args)
+        during_demo.append(len(opened) - before)
+        return report
+
+    monkeypatch.setattr(suite, "large_q_demo", counted_demo)
+    suite._Battery(suite.SuiteParams(quick=True), 2).run_all()
+    assert len(opened) == 1
+    assert during_demo == [0]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_two_worker_scope_shuts_its_pool_down_on_exit():
+    F31, big = make_prime_field(31), make_prime_field(10000019)
+    f, mu = parse_poly("x^3+2*x+1", F31), make_builtin("moebius", 3)
+    with run_scope():
+        class_sum(F31, f, mu, 2)
+        assert list(interval_lab._pools) == [2] and multiprocessing.active_children()
+    assert interval_lab._pools is None
+    assert multiprocessing.active_children() == []
+    with pytest.raises(TooLarge), run_scope():
+        class_sum(F31, f.shift_const(F31(1)), mu, 2)
+        class_sum(big, Poly(big, [0, 0, 0, 1]), mu, 2)
+    assert interval_lab._pools is None
+    assert multiprocessing.active_children() == []
+
+
 def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
     from ffintervals import suite
 
@@ -480,7 +537,7 @@ def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
     monkeypatch.setattr(interval_lab, "_blocks", record)
     result = suite.run_paper_suite(suite.SuiteParams(quick=True))
     # three sweeps of one interval per battery; the rerun builds at 2 workers
-    assert builds == [("_table_block", 1), ("_table_block", 2)]
+    assert builds == [("_fiber_block", 1), ("_fiber_block", 2)]
     assert result["pass"] and [c["id"] for c in result["checks"]] == [9, 16]
 
 
@@ -488,24 +545,46 @@ def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
 # the fiber route: root counts and the square class of D(c) name the type
 
 
+def _table_over_split(ctx, f, bounds):
+    """I(f)'s run-scope table with the blocks cut at bounds (0 to q) and run in-process."""
+
+    def blocks(block, head, q, workers):
+        assert (bounds[0], bounds[-1]) == (0, q)
+        return [block(*head, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    with pytest.MonkeyPatch.context() as patch, run_scope():
+        patch.setattr(interval_lab, "_blocks", blocks)
+        return interval_lab._interval_table(ctx, f, len(bounds) - 1)
+
+
+def _seeded_splits(rng, q):
+    """Bounds of splits of [0, q) into 1-4 ranges, one with an empty and a one-element range."""
+    cut = rng.randrange(q)
+    yield from ([0, q], [0, cut, cut, cut + 1, q])
+    for ranges in (2, 3, 4):
+        yield [0, *sorted(rng.randrange(q + 1) for _ in range(ranges - 1)), q]
+
+
 def _assert_fiber_table_matches_ddf(ctx, raws, calls, rng=None):
     """The fiber table of I(raws) against DDF given D(c), the sweeps' kernel path.
 
-    With rng, also against the disc-free kernel and on a random sub-block.
-    (The disc-free kernel is checked against DDF given disc g on every small
-    field of the exhaustive test in test_kernel.py.)
+    With rng, also against the disc-free kernel, and joined from seeded
+    splits of F_q into x-ranges.  (The disc-free kernel is checked against
+    DDF given disc g on every small field of the exhaustive test in
+    test_kernel.py.)
     """
-    center, d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, raws))
-    table = interval_lab._table_block(ctx, center, d_raws, 0, ctx.q)
+    f = Poly.from_raw(ctx, raws)
+    center, d_raws = interval_lab._center(ctx, f)
+    table = _table_over_split(ctx, f, [0, ctx.q])
     assert len(calls) == (0 if d_raws else ctx.q), (ctx, raws)  # p > d: no member factored
     assert table == list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q))), raws
     calls.clear()
     if rng is not None:
         disc_free = [cycle_pattern_or_none(ctx, [c] + list(center[1:])) for c in range(ctx.q)]
         assert table == disc_free, (ctx, raws)
-        lo = rng.randrange(ctx.q)
-        hi = rng.randrange(lo + 1, ctx.q + 1)
-        assert interval_lab._table_block(ctx, center, d_raws, lo, hi) == table[lo:hi]
+        for bounds in _seeded_splits(rng, ctx.q):
+            assert _table_over_split(ctx, f, bounds) == table, (ctx, raws, bounds)
+        assert calls == []
     return table
 
 

@@ -46,6 +46,17 @@ def test_quick_suite_matches_the_golden_report(quick_pair):
     assert got == (Path(__file__).parent / "data" / "paper_suite_quick_seed0.json").read_bytes()
 
 
+def test_quick_suite_at_two_workers_matches_the_golden_reports(capsys):
+    # the golden file pins --workers 1; its reports must not depend on the worker count
+    from ffintervals.cli import run_command
+
+    code = run_command(["paper-suite", "--quick", "--seed", "0", "--workers", "2"])
+    payload = json.loads(capsys.readouterr().out)
+    golden = json.loads((Path(__file__).parent / "data" / "paper_suite_quick_seed0.json").read_text())
+    assert code == 0
+    assert reports.to_json(reports.scrub_timings(payload["reports"])) == reports.to_json(golden["reports"])
+
+
 def test_tolerance_file_override(tmp_path):
     # an impossible tolerance must make a sqrt(p) check fail and flip exit state
     from ffintervals.tolerances import load_tolerances
