@@ -602,13 +602,16 @@ def make_extension(base: FieldCtx, l: int, seed: int = 0) -> FieldCtx:
     return _extension(base, l, seed)
 
 
-_contexts = {}  # (p, l, modulus) -> the context make_extension returned
+_contexts = {}  # (p, l, modulus) -> this process's one context for that field
 
 
 def _context(p: int, l: int, modulus):
-    """Unpickle a FieldCtx: the process's memoized extension if it has one."""
-    ctx = _contexts.get((p, l, modulus))
-    return FieldCtx(p, l, modulus) if ctx is None else ctx
+    """Unpickle a FieldCtx as the process's one context for it, memoizing it if new.
+
+    A pool worker forked before an F_{p^l} existed thus builds that field's
+    tables once, not once per task that receives it.
+    """
+    return _contexts.setdefault((p, l, modulus), FieldCtx(p, l, modulus))
 
 
 @functools.lru_cache(maxsize=None)

@@ -186,7 +186,10 @@ def _flatten(prefix, obj, row):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, row)
     elif isinstance(obj, list):
-        row[prefix] = ";".join(str(v) for v in obj)
+        if any(isinstance(v, (dict, list)) for v in obj):  # a repr would not parse back
+            row[prefix] = json.dumps(obj, separators=(",", ":"))
+        else:
+            row[prefix] = ";".join(str(v) for v in obj)
     else:
         row[prefix] = obj
 

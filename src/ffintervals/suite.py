@@ -4,14 +4,22 @@ Each check reruns one of the paper-scale experiments at desk size and compares
 against its exact law or its calibrated sqrt(q) tolerance.  The determinism
 check reruns the whole battery with a different worker count and requires the
 serialized reports (timings excluded) to match byte for byte.
+
+Each of criteria 1-15 is one ``_Battery.check_*`` method under
+``@_criterion(cid, name, bundle_key)``.  The method only computes: it returns
+``(rows, passed, observed, expected, tolerance)``.  The decorator times the
+call, stores ``rows`` as ``bundle[bundle_key]`` and passes the ``CheckResult``
+to ``_Battery._record``, which appends it and streams it to ``progress``
+before the call returns.  Criterion 16 goes through the same ``_record``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reports
@@ -100,8 +108,7 @@ class CheckResult:
     observed: str
     expected: str
     tolerance: str
-    elapsed: float = 0.0
-    details: dict = field(default_factory=dict)
+    elapsed: float
 
     def to_dict(self):
         return {
@@ -130,6 +137,23 @@ def _within(value, target, bound) -> bool:
     return abs(float(Fraction(value) - Fraction(target))) <= bound
 
 
+def _criterion(cid: int, name: str, bundle_key: str):
+    """Run a ``check_*`` method as criterion ``cid``; see the module docstring."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def run(battery):
+            t0 = time.perf_counter()
+            rows, passed, observed, expected, tolerance = check(battery)
+            battery.bundle[bundle_key] = rows
+            elapsed = time.perf_counter() - t0
+            battery._record(CheckResult(cid, name, passed, observed, expected, tolerance, elapsed))
+
+        return run
+
+    return decorate
+
+
 class _Battery:
     def __init__(self, params: SuiteParams, workers: int, progress=None):
         self.params = params
@@ -140,25 +164,16 @@ class _Battery:
         self.bundle = {}
         self.checks = []
 
-    def _record(self, cid, name, passed, observed, expected, tolerance, t0, details=None):
-        check = CheckResult(
-            cid,
-            name,
-            passed,
-            observed,
-            expected,
-            tolerance,
-            time.perf_counter() - t0,
-            details or {},
-        )
+    def _record(self, check: CheckResult):
+        """Append a finished check and stream it to ``progress``."""
         self.checks.append(check)
         if self.progress:
             self.progress(check)
 
     # -- criterion 1 --------------------------------------------------------
 
+    @_criterion(1, "gauss-exact-count", "gauss")
     def check_gauss(self):
-        t0 = time.perf_counter()
         rows = []
         ok = True
         for p in (2, 3, 5, 7):
@@ -166,21 +181,13 @@ class _Battery:
                 enumerated, formula = gauss_census(p, d)
                 rows.append({"p": p, "d": d, "enumerated": enumerated, "formula": formula})
                 ok = ok and enumerated == formula
-        self.bundle["gauss"] = rows
-        self._record(
-            1,
-            "gauss-exact-count",
-            ok,
-            "; ".join(f"p={r['p']},d={r['d']}:{r['enumerated']}" for r in rows[:4]) + "; ...",
-            "enumerated == formula for p in {2,3,5,7}, d in {2,3,4}",
-            "exact",
-            t0,
-        )
+        observed = "; ".join(f"p={r['p']},d={r['d']}:{r['enumerated']}" for r in rows[:4]) + "; ..."
+        return rows, ok, observed, "enumerated == formula for p in {2,3,5,7}, d in {2,3,4}", "exact"
 
     # -- criterion 2 --------------------------------------------------------
 
+    @_criterion(2, "kummer-exact-densities", "kummer_exact")
     def check_kummer_exact(self):
-        t0 = time.perf_counter()
         prime3 = make_builtin("prime", 3)
         rows = []
         ok = True
@@ -190,21 +197,13 @@ class _Battery:
             want = Fraction(2 * (p - 1), 3) if p % 3 == 1 else 0
             rows.append(reports.experiment_to_dict(rep))
             ok = ok and rep.raw_sum == want
-        self.bundle["kummer_exact"] = rows
-        self._record(
-            2,
-            "kummer-exact-densities",
-            ok,
-            "; ".join(f"p={r['params']['p']}:{r['raw_sum']}" for r in rows),
-            "2(p-1)/3 for p = 1 mod 3; 0 for p = 2 mod 3",
-            "exact",
-            t0,
-        )
+        observed = "; ".join(f"p={r['params']['p']}:{r['raw_sum']}" for r in rows)
+        return rows, ok, observed, "2(p-1)/3 for p = 1 mod 3; 0 for p = 2 mod 3", "exact"
 
     # -- criterion 3 --------------------------------------------------------
 
+    @_criterion(3, "kummer-pair-independence", "kummer_pair")
     def check_kummer_pair(self):
-        t0 = time.perf_counter()
         p = self.params.p_1mod3
         ctx = make_prime_field(p)
         f = parse_poly("x^3", ctx)
@@ -213,26 +212,22 @@ class _Battery:
         rep = correlation_sum(spec, self.workers)
         bound = self.tol["kummer_pair"] * math.sqrt(p)
         target = Fraction(4 * p, 9)
-        ok = _within(rep.raw_sum, target, bound)
-        self.bundle["kummer_pair"] = [reports.experiment_to_dict(rep)]
-        self._record(
-            3,
-            "kummer-pair-independence",
-            ok,
+        return (
+            [reports.experiment_to_dict(rep)],
+            _within(rep.raw_sum, target, bound),
             f"pair sum {rep.raw_sum}, |err| = {abs(float(rep.raw_sum - target)):.1f}",
             f"4p/9 = {float(target):.1f}",
             f"C*sqrt(p) = {bound:.1f}",
-            t0,
         )
 
     # -- criteria 4 and 5 ----------------------------------------------------
 
-    def _morse_tuples(self, kind, targets, tol_keys, describe):
+    def _morse_tuples(self, kind, targets, tol_keys, describe, expected):
         """Single and (0, 1)-pair sums of ``kind`` at the Morse centers d = 3, 4, 5.
 
         ``targets(p, d)`` gives the two targets, ``tol_keys`` the two
-        tolerance-key stems and ``describe(d, single, pair)`` one observed
-        entry.  Returns (p, ok, observed, rows).
+        tolerance-key stems, ``describe(d, single, pair)`` one observed entry
+        and ``expected(p)`` the expected text.  Returns a check's result.
         """
         p = self.params.p_main
         ctx = make_prime_field(p)
@@ -246,48 +241,32 @@ class _Battery:
                 ok = _within(rep.raw_sum, target, self.tol[f"{key}_d{d}"] * math.sqrt(p)) and ok
                 rows.append(reports.experiment_to_dict(rep))
             obs.append(describe(d, single.raw_sum, pair.raw_sum))
-        return p, ok, "; ".join(obs), rows
+        return rows, ok, "; ".join(obs), expected(p), "calibrated C_d * sqrt(p)"
 
+    @_criterion(4, "thm1-morse-prime-tuples", "thm1")
     def check_thm1(self):
-        t0 = time.perf_counter()
-        p, ok, observed, self.bundle["thm1"] = self._morse_tuples(
+        return self._morse_tuples(
             "prime",
             lambda p, d: (Fraction(p, d), Fraction(p, d * d)),
             ("thm1_single", "thm1_pair"),
             lambda d, single, pair: f"d={d}: single {single} pair {pair}",
-        )
-        self._record(
-            4,
-            "thm1-morse-prime-tuples",
-            ok,
-            observed,
-            f"p/d and p/d^2 at p = {p} (d = 3, 4, 5)",
-            "calibrated C_d * sqrt(p)",
-            t0,
+            lambda p: f"p/d and p/d^2 at p = {p} (d = 3, 4, 5)",
         )
 
+    @_criterion(5, "thm2-moebius-chowla-cancellation", "thm2")
     def check_thm2(self):
-        t0 = time.perf_counter()
-        p, ok, observed, self.bundle["thm2"] = self._morse_tuples(
+        return self._morse_tuples(
             "moebius",
             lambda p, d: (0, 0),
             ("thm2_mu", "thm2_chowla"),
             lambda d, single, pair: f"d={d}: |mu| {abs(single)} |chowla| {abs(pair)}",
-        )
-        self._record(
-            5,
-            "thm2-moebius-chowla-cancellation",
-            ok,
-            observed,
-            f"O(sqrt(p)) cancellation at p = {p}",
-            "calibrated C_d * sqrt(p)",
-            t0,
+            lambda p: f"O(sqrt(p)) cancellation at p = {p}",
         )
 
     # -- criterion 6 --------------------------------------------------------
 
+    @_criterion(6, "thm5-no-cancellation-exact", "thm5_exact")
     def check_thm5_exact(self):
-        t0 = time.perf_counter()
         mu3 = make_builtin("moebius", 3)
         rows = []
         ok = True
@@ -311,21 +290,13 @@ class _Battery:
             row = reports.experiment_to_dict(rep)
             row["verdict"] = reports.verdict_to_dict(verdict)
             rows.append(row)
-        self.bundle["thm5_exact"] = rows
-        self._record(
-            6,
-            "thm5-no-cancellation-exact",
-            ok,
-            "; ".join(obs),
-            "-(p-1) for p = 1 mod 3, +(p-1) for p = 2 mod 3, verdict matching",
-            "exact",
-            t0,
-        )
+        expected = "-(p-1) for p = 1 mod 3, +(p-1) for p = 2 mod 3, verdict matching"
+        return rows, ok, "; ".join(obs), expected, "exact"
 
     # -- criterion 7 --------------------------------------------------------
 
+    @_criterion(7, "sec62-independence-breakdown", "sec62")
     def check_sec62(self):
-        t0 = time.perf_counter()
         prime4 = make_builtin("prime", 4)
         rows = []
         obs = []
@@ -363,21 +334,13 @@ class _Battery:
         rows.extend(
             reports.experiment_to_dict(r) for r in (pair01, singles, pair02, pair31, single3)
         )
-        self.bundle["sec62"] = rows
-        self._record(
-            7,
-            "sec62-independence-breakdown",
-            ok,
-            "; ".join(obs),
-            "p/8 and p/16 at p = 1 mod 4; 0 and p/4 at p = 3 mod 4",
-            "calibrated C * sqrt(p)",
-            t0,
-        )
+        expected = "p/8 and p/16 at p = 1 mod 4; 0 and p/4 at p = 3 mod 4"
+        return rows, ok, "; ".join(obs), expected, "calibrated C * sqrt(p)"
 
     # -- criterion 8 --------------------------------------------------------
 
+    @_criterion(8, "bad-set-exact", "bad_set")
     def check_bad_set(self):
-        t0 = time.perf_counter()
         rows = []
         ok = True
         for p in (5, 7, 13, self.params.p_main, self.params.p_1mod4):
@@ -388,21 +351,13 @@ class _Battery:
             b2 = bad_set(parse_poly("x^3", ctx))
             ok = ok and not b2
             rows.append({"p": p, "bad_x4_2x2": got1, "bad_x3": sorted(e.raw for e in b2)})
-        self.bundle["bad_set"] = rows
-        self._record(
-            8,
-            "bad-set-exact",
-            ok,
-            "; ".join(f"p={r['p']}:{r['bad_x4_2x2']}" for r in rows),
-            "B(x^4-2x^2) = {1, p-1}; B(x^3) = {} at five primes",
-            "exact",
-            t0,
-        )
+        observed = "; ".join(f"p={r['p']}:{r['bad_x4_2x2']}" for r in rows)
+        return rows, ok, observed, "B(x^4-2x^2) = {1, p-1}; B(x^3) = {} at five primes", "exact"
 
     # -- criterion 9 --------------------------------------------------------
 
+    @_criterion(9, "divisor-titchmarsh-constants", "divisor")
     def check_divisor(self):
-        t0 = time.perf_counter()
         p = self.params.p_main
         ctx = make_prime_field(p)
         f = first_morse_center(ctx, 4)
@@ -420,23 +375,19 @@ class _Battery:
             IntervalSpec(ctx, f, (ctx(0), ctx(1)), (d2, d2)), self.workers
         )
         ok = ok and _within(pair.raw_sum, Fraction(25 * p), self.tol["divisor_pair"] * math.sqrt(p))
-        rows = [reports.experiment_to_dict(r) for r in (single, titch, pair)]
-        self.bundle["divisor"] = rows
-        self._record(
-            9,
-            "divisor-titchmarsh-constants",
+        return (
+            [reports.experiment_to_dict(r) for r in (single, titch, pair)],
             ok,
             f"d2 {single.raw_sum} (5p = {5 * p}); titchmarsh {titch.raw_sum} "
             f"(5p/4 = {5 * p / 4:.1f}); pair {pair.raw_sum} (25p = {25 * p})",
             "5p, (5/4)p, 25p",
             "calibrated C * sqrt(p)",
-            t0,
         )
 
     # -- criterion 10 -------------------------------------------------------
 
+    @_criterion(10, "mu-sgn-identity", "mu_sgn")
     def check_mu_sgn(self):
-        t0 = time.perf_counter()
         ok = True
         total = 0
         for d in range(1, 9):
@@ -445,21 +396,13 @@ class _Battery:
                 lhs = ct.mu_value
                 rhs = ct.sgn_value if d % 2 == 0 else -ct.sgn_value
                 ok = ok and lhs == rhs
-        self.bundle["mu_sgn"] = [{"partitions_checked": total}]
-        self._record(
-            10,
-            "mu-sgn-identity",
-            ok,
-            f"{total} partitions, d <= 8",
-            "(-1)^(parts) == (-1)^d * sgn for every partition",
-            "exact",
-            t0,
-        )
+        expected = "(-1)^(parts) == (-1)^d * sgn for every partition"
+        return [{"partitions_checked": total}], ok, f"{total} partitions, d <= 8", expected, "exact"
 
     # -- criterion 11 -------------------------------------------------------
 
+    @_criterion(11, "oracle-equivalence", "oracles")
     def check_oracles(self):
-        t0 = time.perf_counter()
         ok = True
         compared = 0
         for p in (2, 3, 5):
@@ -487,24 +430,18 @@ class _Battery:
             mu_fact = -1 if factor(g, self.seed).omega % 2 else 1
             if stickelberger_mu(g) == mu_fact:
                 agree += 1
-        ok = ok and agree == n
-        self.bundle["oracles"] = [
-            {"exhaustive_factorizations": compared, "stickelberger_agreements": agree, "of": n}
-        ]
-        self._record(
-            11,
-            "oracle-equivalence",
-            ok,
+        return (
+            [{"exhaustive_factorizations": compared, "stickelberger_agreements": agree, "of": n}],
+            ok and agree == n,
             f"{compared} exhaustive factor comparisons; {agree}/{n} parity agreements",
             "factor == brute force (deg <= 4, F_2/F_3/F_5); parity == factorization mu",
             "exact",
-            t0,
         )
 
     # -- criterion 12 -------------------------------------------------------
 
+    @_criterion(12, "squarefree-census-bound", "census")
     def check_census(self):
-        t0 = time.perf_counter()
         p = self.params.p_scan
         ctx = make_prime_field(p)
         rng = random.Random(f"{self.seed}/census")
@@ -520,42 +457,35 @@ class _Battery:
             rep = squarefree_census(ctx, f, (ctx(h1), ctx(h2)))
             worst = max(worst, rep.bad_count)
             ok = ok and rep.bad_count <= rep.bad_bound
-        self.bundle["census"] = [{"specs": self.params.n_census, "worst_bad_count": worst}]
-        self._record(
-            12,
-            "squarefree-census-bound",
+        return (
+            [{"specs": self.params.n_census, "worst_bad_count": worst}],
             ok,
             f"worst non-squarefree count {worst} over {self.params.n_census} specs",
             "count <= k(d-1)",
             "exact bound",
-            t0,
         )
 
     # -- criterion 13 -------------------------------------------------------
 
+    @_criterion(13, "chebotarev-empirical", "chebotarev")
     def check_chebotarev(self):
-        t0 = time.perf_counter()
         p = self.params.p_main
         ctx = make_prime_field(p)
         f = first_morse_center(ctx, 4)
         rep = chebotarev_empirical(ctx, f, (ctx(0),), self.workers)
         bound = self.tol["cheb_class_dev"] / math.sqrt(p)
-        ok = rep.max_deviation <= bound and len(rep.predicted) == 5
-        self.bundle["chebotarev"] = [reports.chebotarev_to_dict(rep)]
-        self._record(
-            13,
-            "chebotarev-empirical",
-            ok,
+        return (
+            [reports.chebotarev_to_dict(rep)],
+            rep.max_deviation <= bound and len(rep.predicted) == 5,
             f"max |freq - 1/z| = {rep.max_deviation:.5f} over {len(rep.predicted)} classes",
             "per-class deviation <= C/sqrt(p)",
             f"C/sqrt(p) = {bound:.5f}",
-            t0,
         )
 
     # -- criterion 14 -------------------------------------------------------
 
+    @_criterion(14, "morse-genericity-scan", "morse_scan")
     def check_morse_scan(self):
-        t0 = time.perf_counter()
         ctx13 = make_prime_field(13)
         scan13 = morse_density_scan(ctx13, parse_poly("x^3", ctx13))
         ok = scan13.bad_count == 1 and scan13.bad_s[0].raw == 0
@@ -576,21 +506,13 @@ class _Battery:
             ok = ok and scan.bad_count <= bound
             obs.append(f"d={d}: {scan.bad_count} <= {bound}")
             rows.append(reports.scan_to_dict(scan))
-        self.bundle["morse_scan"] = rows
-        self._record(
-            14,
-            "morse-genericity-scan",
-            ok,
-            "; ".join(obs),
-            "x^3/F_13 fails only at s = 0; random centers below calibrated bound",
-            "calibrated integer bounds",
-            t0,
-        )
+        expected = "x^3/F_13 fails only at s = 0; random centers below calibrated bound"
+        return rows, ok, "; ".join(obs), expected, "calibrated integer bounds"
 
     # -- criterion 15 -------------------------------------------------------
 
+    @_criterion(15, "large-q-demo", "large_q")
     def check_large_q(self):
-        t0 = time.perf_counter()
         demo = large_q_demo(5, self.params.demo_ls, self.workers)
         ok = True
         obs = []
@@ -607,15 +529,12 @@ class _Battery:
                 )
             else:
                 obs.append(f"q={st.q}: multiset multiplicity-two {st.multiset_multiplicity_two}")
-        self.bundle["large_q"] = [reports.demo_to_dict(demo)]
-        self._record(
-            15,
-            "large-q-demo",
+        return (
+            [reports.demo_to_dict(demo)],
             ok,
             "; ".join(obs),
             "single sums cancel, p-shift Chowla product stays >= q/2",
             f"C = {csingle} for singles; q/2 for the product",
-            t0,
         )
 
     def run_all(self):
@@ -646,23 +565,21 @@ def run_paper_suite(params: SuiteParams, progress=None) -> dict:
 
     t16 = time.perf_counter()
     alt_workers = 2 if params.workers == 1 else 1
-    battery2 = _Battery(params, alt_workers)
-    _, bundle2 = battery2.run_all()
+    _, bundle2 = _Battery(params, alt_workers).run_all()
     blob1 = reports.to_json(reports.scrub_timings(bundle))
     blob2 = reports.to_json(reports.scrub_timings(bundle2))
-    det = CheckResult(
-        16,
-        "determinism-across-workers",
-        blob1 == blob2,
-        f"reports with workers={params.workers} vs workers={alt_workers} "
-        + ("identical" if blob1 == blob2 else "DIFFER"),
-        "byte-identical serialized reports (timings excluded)",
-        "exact",
-        time.perf_counter() - t16,
+    battery._record(
+        CheckResult(
+            16,
+            "determinism-across-workers",
+            blob1 == blob2,
+            f"reports with workers={params.workers} vs workers={alt_workers} "
+            + ("identical" if blob1 == blob2 else "DIFFER"),
+            "byte-identical serialized reports (timings excluded)",
+            "exact",
+            time.perf_counter() - t16,
+        )
     )
-    checks.append(det)
-    if progress:
-        progress(det)
 
     return {
         "command": "paper-suite",

@@ -266,6 +266,18 @@ def test_csv_and_json_encode_same_data(capsys):
     assert csv_counts == payload["report"]["cycle_type_counts"]
 
 
+def test_csv_writes_a_list_of_records_as_one_json_array(capsys):
+    import csv as _csv
+    import io
+
+    argv = ["factor", "--p", "7", "--f", "x^4-2*x^2"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    run_command(argv + ["--out", "csv"])
+    (row,) = _csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert json.loads(row["factors"]) == payload["report"]["factors"]
+
+
 def test_correlate_arity_mismatch_exits_2(capsys):
     code = run_command(
         [

@@ -1,3 +1,4 @@
+import functools
 import pickle
 import random
 
@@ -301,6 +302,29 @@ def test_memoized_contexts_unpickle_as_themselves_and_tables_stay_out():
     bare = FieldCtx(5, 4, ctx.modulus)
     assert pickle.dumps(ctx) == pickle.dumps(bare)  # no tables in the pickle
     assert len(pickle.dumps(ctx)) < 200
+
+
+def test_a_context_new_to_the_process_unpickles_once_and_make_extension_finds_it(monkeypatch):
+    blob = pickle.dumps(make_extension(make_prime_field(7), 3, 0))
+    # a pool worker forked before F_{7^3} existed has neither memo
+    monkeypatch.setattr(finite_field, "_contexts", {})
+    fresh_search = functools.lru_cache(maxsize=None)(finite_field._extension.__wrapped__)
+    monkeypatch.setattr(finite_field, "_extension", fresh_search)
+    builds = []
+    logs = FieldCtx._logs
+
+    def counting_logs(ctx):
+        if ctx._log is None:
+            builds.append(ctx)
+        return logs(ctx)
+
+    monkeypatch.setattr(FieldCtx, "_logs", counting_logs)
+    first = pickle.loads(blob)
+    first.mul(2, 3)
+    second = pickle.loads(blob)
+    second.mul(2, 3)
+    assert second is first and builds == [first]
+    assert make_extension(make_prime_field(7), 3, 0) is first
 
 
 def test_tables_stay_out_of_identity_and_pickles():

@@ -88,7 +88,7 @@ def test_progress_streams_as_each_check_finishes(monkeypatch):
     def stub_run_all(battery):
         for cid in (1, 2, 3):
             log.append(("run", cid))
-            battery._record(cid, f"stub-{cid}", True, "", "", "exact", time.perf_counter())
+            battery._record(suite.CheckResult(cid, f"stub-{cid}", True, "", "", "exact", 0.0))
         return battery.checks, battery.bundle
 
     monkeypatch.setattr(suite._Battery, "run_all", stub_run_all)
@@ -97,3 +97,36 @@ def test_progress_streams_as_each_check_finishes(monkeypatch):
     # the determinism rerun reports nothing until check 16 itself is done
     assert log == first + [("run", 1), ("run", 2), ("run", 3), ("progress", 16)]
     assert [c["id"] for c in result["checks"]] == [1, 2, 3, 16]
+
+
+def test_each_check_call_records_one_result_and_one_bundle_key(monkeypatch):
+    # perfbench's tracer wraps every _Battery.check_* attribute and names each
+    # span from battery.checks[-1] after the call, so each call must record
+    # its own result before it returns
+    names = [
+        "gauss-exact-count", "kummer-exact-densities", "kummer-pair-independence",
+        "thm1-morse-prime-tuples", "thm2-moebius-chowla-cancellation",
+        "thm5-no-cancellation-exact", "sec62-independence-breakdown", "bad-set-exact",
+        "divisor-titchmarsh-constants", "mu-sgn-identity", "oracle-equivalence",
+        "squarefree-census-bound", "chebotarev-empirical", "morse-genericity-scan",
+        "large-q-demo",
+    ]
+    seen = []
+
+    def wrap(fn):
+        def check(battery):
+            n_checks, n_keys = len(battery.checks), len(battery.bundle)
+            result = fn(battery)
+            assert len(battery.checks) == n_checks + 1
+            assert len(battery.bundle) == n_keys + 1
+            seen.append((battery.checks[-1].cid, battery.checks[-1].name))
+            return result
+
+        return check
+
+    for attr in [a for a in vars(suite._Battery) if a.startswith("check_")]:
+        monkeypatch.setattr(suite._Battery, attr, wrap(getattr(suite._Battery, attr)))
+    checks, bundle = suite._Battery(SuiteParams(quick=True), 1).run_all()
+    assert seen == list(enumerate(names, start=1))
+    assert [(c.cid, c.name) for c in checks] == seen
+    assert len(bundle) == 15
