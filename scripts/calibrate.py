@@ -8,6 +8,9 @@ the recorded thresholds are reproducible by construction).  The Morse-scan
 bounds are observed maxima of exact integer counts over seeded random
 centers, including the centers the acceptance battery itself uses.
 
+All pilots run in one interval_lab.run_scope(), so an interval that several
+pilots sweep is factored once; the fixtures do not depend on it.
+
 Usage: python scripts/calibrate.py [--out src/ffintervals/data/tolerances.json]
 """
 
@@ -31,6 +34,7 @@ from ffintervals.interval_lab import (  # noqa: E402
     correlation_sum,
     large_q_demo,
     morse_density_scan,
+    run_scope,
 )
 from ffintervals.morse_galois import make_non_morse  # noqa: E402
 from ffintervals.polynomial import derivative, random_monic  # noqa: E402
@@ -59,6 +63,15 @@ def main():
     ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                          / "src/ffintervals/data/tolerances.json"))
     args = ap.parse_args()
+    # the pilots sweep each interval several times; in one scope each builds its table once
+    with run_scope():
+        out = pilot_maxima()
+    Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    print(f"[calibrate] wrote {args.out}")
+
+
+def pilot_maxima():
+    """The tolerance fixtures, keys sorted, from the pilot runs."""
     t_start = time.time()
     out = {}
     meta = {"pilots": {}}
@@ -208,9 +221,8 @@ def main():
     print(f"[calibrate] thm4 done ({time.time()-t_start:.0f}s)", flush=True)
 
     out["_meta"] = meta
-    ordered = {k: out[k] for k in sorted(out)}
-    Path(args.out).write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
-    print(f"[calibrate] wrote {args.out} in {time.time()-t_start:.0f}s")
+    print(f"[calibrate] pilots done in {time.time()-t_start:.0f}s")
+    return {k: out[k] for k in sorted(out)}
 
 
 if __name__ == "__main__":

@@ -32,12 +32,16 @@ pool worker forked after the parent built the tables uses them.
 This leaf module also holds the one int-list polynomial layer over F_p
 (_imul, _ireduce, _imulmod, _idivmod, _igcd_monic).  The schoolbook
 extension arithmetic runs on it, and so does all F_p polynomial arithmetic
-in polynomial.
+in polynomial.  Beside it, polynomials packed into one int (_ipack,
+_iunpack, _islots_mod) carry the batched x^p of the sweeps, and
+_ieval_all evaluates int-list polynomials at every point of F_p.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
+from array import array
 from itertools import zip_longest
 
 from .errors import CtxMismatch, NotPrime, OutOfRange
@@ -186,6 +190,77 @@ def _igcd_monic(p, a, b):
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
     return a
+
+
+# Packed int polynomials (Kronecker substitution): the coefficients of
+# sum c_i y^i, each in [0, 2^64), are the 64-bit slots of one int, lowest
+# first, so a polynomial product is one big-int product as long as no slot
+# sum of it reaches 2^64.  Slots are read and written little-endian by name
+# (struct's "<Q"), whatever the host's byte order.
+
+
+def _ipack(cs):
+    """The ints cs, each in [0, 2^64), as the 64-bit slots of one int."""
+    return int.from_bytes(struct.pack(f"<{len(cs)}Q", *cs), "little")
+
+
+def _iunpack(n, count=None):
+    """The count lowest 64-bit slots of n >= 0 (all of them by default), lowest first.
+
+    n must be below 2^(64 * count).
+    """
+    if count is None:
+        count = -(-n.bit_length() // 64)
+    return struct.unpack(f"<{count}Q", n.to_bytes(8 * count, "little"))
+
+
+def _islots_mod(n, p):
+    """The packed int n with each slot reduced mod p."""
+    return _ipack([c % p for c in _iunpack(n)])
+
+
+def _primitive_root(p):
+    """The least generator of F_p^*."""
+    exps = [(p - 1) // r for r in _small_prime_factors(p - 1)]
+    return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exps))
+
+
+def _ieval_all(p, polys):
+    """Each int-list polynomial over F_p at every c in F_p, as columns col[c].
+
+    A chirp (Bluestein) transform: with g a primitive root and
+    ij = C(i + j, 2) - C(i, 2) - C(j, 2),
+    a(g^j) = g^-C(j,2) * sum_i (a_i g^-C(i,2)) g^C(i+j,2),
+    a correlation with the chirp g^C(k,2), which is one packed product per
+    polynomial.  Each slot of it is a sum of at most n products below p^2,
+    n the longest coefficient list, and n * (p - 1)^2 < 2^64 is required.
+    A column holds one machine word per c.
+    """
+    n = max(1, max(map(len, polys)))
+    m = p - 1  # the points g^0, ..., g^(p - 2)
+    g = _primitive_root(p)
+    ginv = pow(g, p - 2, p)
+    chirp, ichirp, points = array("q"), array("q"), array("q")
+    x = xi = gk = gik = 1  # g^C(k,2), g^-C(k,2), g^k, g^-k
+    for k in range(n + m - 1):
+        chirp.append(x)
+        ichirp.append(xi)
+        points.append(gk)
+        x, xi = x * gk % p, xi * gik % p
+        gk, gik = gk * g % p, gik * ginv % p
+    v = _ipack(chirp)
+    cols = []
+    for a in polys:
+        a = list(a) + [0] * (n - len(a))
+        # u holds a_i g^-C(i,2) reversed, so slot n - 1 + j of u * v is the sum for g^j
+        u = _ipack([c * ichirp[i] % p for i, c in enumerate(a)][::-1])
+        s = _iunpack(u * v, 2 * n + m - 2)[n - 1:n - 1 + m]
+        col = array("q", bytes(8 * p))
+        col[0] = a[0]
+        for c, sj, w in zip(points, s, ichirp):
+            col[c] = sj * w % p
+        cols.append(col)
+    return cols
 
 
 class FieldCtx:

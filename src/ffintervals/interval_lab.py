@@ -7,9 +7,12 @@ I(f), its member with constant term 0, and for p > deg f the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
-the kernels).  Work is split into contiguous index ranges, one per worker,
-and joined in index order or by integer sums, so reports are identical for
-any worker count; the outermost run_scope() owns the process pools.
+the kernels).  Over F_p each call also computes x^e mod every member, e
+the top bits of p, from one bivariate power, and each member's kernel
+starts its x^p there.  Work is split into contiguous index ranges, one per
+worker, and joined in index order or by integer sums, so reports are
+identical for any worker count; the outermost run_scope() owns the process
+pools.
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
@@ -63,6 +66,7 @@ from .morse_galois import (
 )
 from .polynomial import (
     Poly,
+    _frobenius_columns,
     _lagrange,
     _pattern_or_none_generic,
     _pattern_or_none_int,
@@ -129,12 +133,19 @@ def _member_types(ctx, center, d_raws, consts):
 
     center and d_raws come from _center.  Every member a sweep or a table
     factors goes through here; the fiber route of _table_block factors none.
+    Over F_p the kernel of the member with constant term c also gets x^e
+    mod that member, e the top bits of p, read off the columns that one
+    bivariate power gives for the whole interval (_frobenius_columns).
     """
     kernel, field = _kernel(ctx)
+    # given D(c), the kernel names a quadratic's type without x^p
+    batch = ctx.l == 1 and (d_raws is None or len(center) > 3)
+    cols = _frobenius_columns(ctx.p, center) if batch else None
     for c in consts:
         g = list(center)
         g[0] = c
-        yield kernel(field, g, None if d_raws is None else _reval(ctx, d_raws, c))
+        args = (field, g, None if d_raws is None else _reval(ctx, d_raws, c))
+        yield kernel(*args) if cols is None else kernel(*args, [col[c] for col in cols])
 
 
 def _sweep_block(ctx, center, d_raws, offsets, lo, hi):

@@ -13,6 +13,11 @@ blocks alike.  It runs on int lists over F_p (_IntArith, on the int layer of
 finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one for it
 and for the x^q steps of is_irreducible and roots_in_field.  The sweeps pass
 each member's discriminant when p > deg; brute_force_factor is the oracle.
+Over F_p they also pass each member's start of x^p: for an interval
+{f + c : c in F_p}, _frobenius_columns computes R(x, y) = x^e mod (f(x) + y)
+once, e the top bits of p (_batch_shift), on y-polynomials packed into ints,
+and evaluates its coefficients at every y in F_p; the member f + c starts
+from R(x, c) and squares through the low bits of p that remain.
 Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
 factor's squarefree and equal-degree steps, brute_force_factor) runs on the
 same int layer through the raw helpers below.
@@ -37,11 +42,14 @@ from .finite_field import (
     FieldCtx,
     FieldElement,
     _idivmod,
+    _ieval_all,
     _igcd_monic,
     _imul,
     _imulmod,
     _digits,
     _ireduce,
+    _islots_mod,
+    _iunpack,
     _small_prime_factors,
     _undigits,
 )
@@ -165,6 +173,90 @@ def _rpow_poly_mod(ctx, base, e, mod):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# x^e mod every member of an interval over F_p, from one bivariate power
+
+
+_BATCH_Y_BITS = 9  # R's y-polynomials have fewer than 2^9 coefficients
+
+
+def _batch_shift(p, d):
+    """s, the number of low bits of p left to each member's kernel (e = p >> s).
+
+    The one rule: the least s >= 0 with (p // d) >> s < 2^_BATCH_Y_BITS.  Then
+    R(x, y) = x^e mod (f(x) + y), with y-degree at most e // d = (p // d) >> s,
+    has at most d * 2^_BATCH_Y_BITS terms whatever p is.
+    """
+    return max(0, (p // d).bit_length() - _BATCH_Y_BITS)
+
+
+def _batch_rows(p, f):
+    """x^k mod (f(x) + y) for k = d..2d - 1, each as d pairs (a, b) meaning (a + b y) x^i.
+
+    x^d = -y - sum_{i<d} f_i x^i, and below x^(2d) one y at most enters.
+    """
+    d = len(f) - 1
+    cur = [(0, 0)] * (d - 1) + [(1, 0)]  # x^(d - 1)
+    rows = []
+    for _ in range(d):
+        (a, b), cur = cur[-1], [(0, 0)] + cur[:-1]
+        cur = [((ai - a * fi) % p, (bi - b * fi) % p) for (ai, bi), fi in zip(cur, f)]
+        cur[0] = (cur[0][0], (cur[0][1] - a) % p)
+        rows.append(cur)
+    return rows
+
+
+def _bsquare(p, r, rows, shift):
+    """r^2 (times x when shift) mod (f(x) + y), for r of x-degree < d on packed y-polynomials.
+
+    r holds d ints, each a y-polynomial with at most n coefficients in
+    [0, p), packed one per 64-bit slot (finite_field._ipack).  A slot of the
+    square t_k = sum_{i+j=k} r_i r_j sums at most d * n products below p^2;
+    t_d..t_2d-1 are reduced mod p and folded back through rows, which adds
+    at most 2d products below p^2 to a slot.  So every slot sum stays at most
+    d * (n + 2) * (p - 1)^2, below 2^64 for every p < 10^7 (the sweep guard)
+    with d <= 12 and n <= 2^_BATCH_Y_BITS (_batch_shift); outputs are
+    reduced mod p.
+    """
+    d = len(r)
+    t = [0] * (2 * d - 1)
+    for i, ri in enumerate(r):
+        if ri:
+            t[2 * i] += ri * ri
+            ri2 = ri << 1
+            for j in range(i + 1, d):
+                t[i + j] += ri2 * r[j]
+    if shift:
+        t.insert(0, 0)
+    out = t[:d]
+    for tk, row in zip(t[d:], rows):
+        if tk:
+            tk = _islots_mod(tk, p)
+            for i, (a, b) in enumerate(row):
+                out[i] += a * tk + (b * tk << 64)
+    return [_islots_mod(o, p) for o in out]
+
+
+def _frobenius_columns(p, center):
+    """Columns cols[i][c], the x^i coefficient of x^e mod (center + c) for every c in F_p.
+
+    e = p >> _batch_shift(p, d): R(x, y) = x^e mod (center(x) + y) is one
+    square-and-multiply over F_p[y][x] on packed y-polynomials (_bsquare),
+    and each of its d coefficients is evaluated at every y in F_p by one
+    chirp product (finite_field._ieval_all).  The member with constant term
+    c starts its x^p there (_IntArith.xq).
+    """
+    d = len(center) - 1
+    e = p >> _batch_shift(p, d)
+    if d * (e // d + 3) * (p - 1) ** 2 >> 64:
+        raise TooLarge(f"packed slots of the batched x^{e} overflow at p = {p}, d = {d}")
+    rows = _batch_rows(p, center)
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        r = _bsquare(p, r, rows, bit == "1")
+    return _ieval_all(p, [_iunpack(ri) for ri in r])
+
+
 class _IntArith:
     """_ddf's arithmetic on int lists over F_p."""
 
@@ -196,16 +288,22 @@ class _IntArith:
     def is_square(self, c):
         return pow(c, (self.p - 1) // 2, self.p) == 1
 
-    def xq(self, g):
+    def xq(self, g, start=None):
         """x^p mod g (monic) and the power list [1, x^p] for step.
 
         Each bit of p after the first costs one symmetric squaring (each
         cross product taken once, doubled), a shift by x when the bit is
-        set, and one reduction.
+        set, and one reduction.  start, when given, is the coefficient list
+        of x^e mod g for e = p >> s, s = _batch_shift(p, deg g), so only the
+        s low bits of p are left.
         """
         p = self.p
-        h = _ireduce(p, [0, 1], g)
-        for bit in bin(p)[3:]:
+        if start is None:
+            h, bits = _ireduce(p, [0, 1], g), bin(p)[3:]
+        else:
+            h = _trim(list(start))
+            bits = bin(p)[2 + p.bit_length() - _batch_shift(p, len(g) - 1):]
+        for bit in bits:
             t = [0] * (2 * len(h) - 1)
             for i, hi in enumerate(h):
                 if hi:
@@ -291,14 +389,14 @@ def _arith(ctx):
     return _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
 
 
-def _ddf(ar, g, square):
+def _ddf(ar, g, square, start=None):
     """Distinct-degree factorization of a squarefree monic coefficient list g.
 
     ar is the arithmetic: _IntArith over F_p, _RawArith over any F_q.
     Returns (cycle type, blocks): the factor degrees, descending, and pairs
     (block, i) with block the product of the degree-i factors.  Only x^q
-    comes from powering; each later x^(q^i) is an F_q-linear step, kept mod
-    the unsplit part rem.
+    comes from powering, from start when given (see _IntArith.xq); each
+    later x^(q^i) is an F_q-linear step, kept mod the unsplit part rem.
 
     square, when not None, tells whether disc(g) is a square in F_q (odd q).
     Before step i + 1 every factor of rem (degree m) has degree > i; if also
@@ -321,7 +419,7 @@ def _ddf(ar, g, square):
             break
         i += 1
         if h is None:
-            h, powers = ar.xq(g)
+            h, powers = ar.xq(g) if start is None else ar.xq(g, start)
         else:
             h = ar.step(h, powers, g, rem)
         gi = ar.gcd(rem, ar.sub_x(h))
@@ -338,26 +436,30 @@ def _ddf(ar, g, square):
     return tuple(parts), blocks
 
 
-def _pattern(ar, g, disc):
+def _pattern(ar, g, disc, start=None):
     """Cycle type of a monic coefficient list g, None if not squarefree.
 
     disc, when given, is disc(g) for odd q (the sweeps pass it for
     p > deg g): zero means g is not squarefree, and otherwise the gcd(g, g')
-    test is skipped and its square class lets _ddf stop early.
+    test is skipped and its square class lets _ddf stop early.  start is
+    passed on to _ddf.
     """
     if disc is None:
         gp = ar.deriv(g)
         if not gp or len(ar.gcd(g, gp)) > 1:
             return None
-        return _ddf(ar, g, None)[0]
+        return _ddf(ar, g, None, start)[0]
     if disc == 0:
         return None
-    return _ddf(ar, g, ar.is_square(disc))[0]
+    return _ddf(ar, g, ar.is_square(disc), start)[0]
 
 
-def _pattern_or_none_int(p, g, disc=None):
-    """Cycle type of g (monic int list over F_p), None if not squarefree; see _pattern."""
-    return _pattern(_IntArith(p), g, disc)
+def _pattern_or_none_int(p, g, disc=None, start=None):
+    """Cycle type of g (monic int list over F_p), None if not squarefree; see _pattern.
+
+    start, from _frobenius_columns, is x^e mod g for the top bits e of p.
+    """
+    return _pattern(_IntArith(p), g, disc, start)
 
 
 def _pattern_or_none_generic(ctx, g, disc=None):

@@ -342,3 +342,42 @@ def test_is_square_matches_the_set_of_squares(p, l):
     elems = [ctx.raw_from_index(i) for i in range(ctx.q)]
     squares = {ctx.mul(b, b) for b in elems}
     assert [ctx.is_square(a) for a in elems] == [a in squares for a in elems]
+
+
+def test_packed_slots_are_64_bit_little_endian_by_value():
+    # slot i of a packed int is its bits 64i to 64i + 63, whatever the host's byte order
+    cs = [1, 2**64 - 1, 0, 12345]
+    n = finite_field._ipack(cs)
+    assert n == sum(c << (64 * i) for i, c in enumerate(cs))
+    assert finite_field._iunpack(n) == tuple(cs)
+    assert finite_field._iunpack(n, 6) == (*cs, 0, 0)
+    assert finite_field._iunpack(finite_field._islots_mod(n, 7)) == tuple(c % 7 for c in cs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1009])
+def test_chirp_evaluation_matches_horner_at_every_point(p):
+    rng = random.Random(f"chirp/{p}")
+    polys = [[], [rng.randrange(p)], [0, 1]]
+    polys += [[rng.randrange(p) for _ in range(rng.randrange(2, p + 4))] for _ in range(4)]
+    cols = finite_field._ieval_all(p, polys)
+    for a, col in zip(polys, cols):
+        want = []
+        for c in range(p):
+            acc = 0
+            for coeff in reversed(a):
+                acc = (acc * c + coeff) % p
+            want.append(acc)
+        assert list(col) == want, (p, a)
+
+
+def test_chirp_evaluation_with_full_length_coefficient_lists_at_a_large_prime():
+    # 2^9 coefficients p - 1, the longest a batched x^e has; at this p a chirp
+    # operand left unreduced mod p would overflow its 64-bit slots
+    p = next(n for n in range(700000, 800000) if finite_field.is_prime(n))
+    (col,) = finite_field._ieval_all(p, [[p - 1] * 512])
+    rng = random.Random("chirp/large")
+    for c in [0, 1, p - 1] + [rng.randrange(p) for _ in range(100)]:
+        acc = 0
+        for _ in range(512):
+            acc = (acc * c + p - 1) % p
+        assert col[c] == acc, (p, c)

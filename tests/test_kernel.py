@@ -10,25 +10,47 @@ are checked against brute_force_factor as well.  Over extension fields the gener
 factor(), is_irreducible and roots_in_field are checked exhaustively against
 a sieve that multiplies out irreducibles, and the Frobenius steps behind x^q
 against square-and-multiply.  The discriminant-assisted paths of both
-kernels are checked against their disc-free paths.
+kernels are checked against their disc-free paths.  The batched start of
+x^p over F_p (one bivariate power per interval, evaluated at every member)
+is checked against the per-member x^p on every small interval and on seeded
+intervals on both sides of the split of p, and its packed squaring against
+an unpacked reference where the slot sums are largest.
 """
 
 import random
+from itertools import zip_longest
 
 import pytest
 
-from ffintervals.class_functions import partitions_of
-from ffintervals.finite_field import _MAX_P, is_prime, make_extension, make_prime_field
+from ffintervals import interval_lab
+from ffintervals.class_functions import _MAX_D, partitions_of
+from ffintervals.errors import TooLarge
+from ffintervals.finite_field import (
+    _MAX_P,
+    _digits,
+    _imul,
+    _ipack,
+    _iunpack,
+    is_prime,
+    make_extension,
+    make_prime_field,
+)
 from ffintervals.polynomial import (
+    _BATCH_Y_BITS,
     Poly,
     _IntArith,
     _RawArith,
+    _batch_rows,
+    _batch_shift,
+    _bsquare,
+    _frobenius_columns,
     _imulmod,
     _pattern_or_none_generic,
     _pattern_or_none_int,
     _rdivmod,
     _reval,
     _rpow_poly_mod,
+    _trim,
     brute_force_factor,
     cycle_pattern_or_none,
     disc_in_t,
@@ -289,3 +311,109 @@ def test_generic_kernel_with_disc_on_a_cubic_interval():
         nonsquarefree += ctx.is_zero(disc)
         assert _pattern_or_none_generic(ctx, g, disc) == _pattern_or_none_generic(ctx, g)
     assert nonsquarefree <= 2
+
+
+# ---------------------------------------------------------------------------
+# the batched start of x^p: x^e mod every member of an interval from one
+# bivariate power, against the per-member square-and-multiply
+
+
+def _assert_batched_starts(p, center):
+    """x^p from the batched start of each member of I(center) against _IntArith.xq."""
+    ar = _IntArith(p)
+    cols = _frobenius_columns(p, center)
+    assert all(len(col) == p for col in cols)
+    for c in range(p):
+        g = [c] + center[1:]
+        assert ar.xq(g, [col[c] for col in cols]) == ar.xq(g), (p, center, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_batched_start_matches_xq_on_every_small_interval(p):
+    # p = 2, p = d and p < d included; here e = p, so the start is x^p itself
+    for d in range(2, 7):
+        assert _batch_shift(p, d) == 0
+        for idx in range(p ** (d - 1)):
+            _assert_batched_starts(p, [0] + _digits(p, d - 1, idx) + [1])
+
+
+def _seeded_center(p, d):
+    f = random_monic(make_prime_field(p), d, random.Random(f"batched/{p}/{d}"))
+    return [0] + list(f.raw_coeffs[1:])
+
+
+SEEDED_INTERVALS = [(p, d) for p in (1009, 1747) for d in range(3, 9)] + [(10007, 3), (10007, 6)]
+
+
+@pytest.mark.parametrize("p,d", SEEDED_INTERVALS)
+def test_batched_start_and_member_types_on_seeded_intervals(p, d):
+    center = _seeded_center(p, d)
+    _assert_batched_starts(p, center)
+    ctx = make_prime_field(p)
+    d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
+    types = list(interval_lab._member_types(ctx, center, d_raws, range(p)))
+    assert types == [cycle_pattern_or_none(ctx, [c] + center[1:]) for c in range(p)]
+
+
+def test_seeded_intervals_cover_both_sides_of_the_split():
+    shifts = {_batch_shift(p, d) for p, d in SEEDED_INTERVALS}
+    assert 0 in shifts and len(shifts) > 1
+    # the rule keeps R's y-degree e // d below 2^_BATCH_Y_BITS at every p
+    for p in (2, 1009, 1747, 10007, 100003, 9999991):
+        for d in range(2, _MAX_D + 1):
+            s = _batch_shift(p, d)
+            assert (p >> s) // d < 2**_BATCH_Y_BITS
+            assert s == 0 or (p >> (s - 1)) // d >= 2**_BATCH_Y_BITS
+
+
+def _bsquare_unpacked(p, r, rows, shift):
+    """_bsquare on plain lists of y-coefficients: products by _imul, one reduction mod p."""
+    d = len(r)
+    products = {}  # equal lists share one product, which keeps the worst case quick
+    t = [[] for _ in range(2 * d - 1)]
+    for i in range(d):
+        for j in range(d):
+            key = (tuple(r[i]), tuple(r[j]))
+            if key not in products:
+                products[key] = _imul(r[i], r[j])
+            t[i + j] = _padd(t[i + j], products[key])
+    if shift:
+        t.insert(0, [])
+    out = t[:d]
+    for tk, row in zip(t[d:], rows):
+        for i, (a, b) in enumerate(row):
+            out[i] = _padd(out[i], _padd([a * c for c in tk], [0] + [b * c for c in tk]))
+    return [_trim([c % p for c in o]) for o in out]
+
+
+def _padd(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def test_packed_squaring_at_the_worst_case_slot_sums():
+    """Every slot sum of _bsquare stays below 2^64 where it is largest.
+
+    That is the largest prime the sweep guard admits (q <= 10^7), d = 12 and
+    2^_BATCH_Y_BITS y-coefficients, with every coefficient and every fold
+    multiplier p - 1: the bound d * (n + 2) * (p - 1)^2 of _bsquare.
+    """
+    p = next(n for n in range(interval_lab._GAUSS_GUARD, 0, -1) if is_prime(n))
+    d, n = _MAX_D, 2**_BATCH_Y_BITS
+    assert d * (n + 2) * (p - 1) ** 2 < 2**64
+    r = [[p - 1] * n for _ in range(d)]
+    rows = [[(p - 1, p - 1)] * d for _ in range(d)]
+    for shift in (False, True):
+        packed = _bsquare(p, [_ipack(ri) for ri in r], rows, shift)
+        assert [_trim(list(_iunpack(o))) for o in packed] == _bsquare_unpacked(p, r, rows, shift)
+    # with the fold table of a seeded center
+    center = _seeded_center(p, d)
+    r = [[random.Random(f"worst/{i}").randrange(p) for _ in range(8)] for i in range(d)]
+    rows = _batch_rows(p, center)
+    packed = _bsquare(p, [_ipack(ri) for ri in r], rows, True)
+    assert [_trim(list(_iunpack(o))) for o in packed] == _bsquare_unpacked(p, r, rows, True)
+
+
+def test_batch_refuses_slots_that_could_overflow():
+    p = next(n for n in range(_MAX_P - 1, 0, -1) if is_prime(n))
+    with pytest.raises(TooLarge):
+        _frobenius_columns(p, _seeded_center(p, _MAX_D))
