@@ -7,12 +7,14 @@ I(f), its member with constant term 0, and for p > deg f the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
-the kernels).  Over F_p each call also computes x^e mod every member, e
-the top bits of p, from one bivariate power, and each member's kernel
-starts its x^p there.  Work is split into contiguous index ranges, one per
-worker, and joined in index order or by integer sums, so reports are
-identical for any worker count; the outermost run_scope() owns the process
-pools.
+the kernels).  Over F_p the caller of _blocks computes, once per interval
+and at any worker count, x^e mod every member (e the top bits of p) from
+one bivariate power, and for p > deg f >= 6 the fiber pass, which lists the
+roots of every member; each member's kernel starts its x^p there and its
+distinct-degree loop at degree 2, on the cofactor of its linear factors.
+Work is split into contiguous index ranges, one per worker, and joined in
+index order or by integer sums, so reports are identical for any worker
+count; the outermost run_scope() owns the process pools.
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
@@ -35,11 +37,14 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from functools import cache
+from itertools import accumulate, chain, product
 
 from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
 from .errors import (
@@ -128,27 +133,48 @@ def _center(ctx, f: Poly):
     return center, disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
 
 
-def _member_types(ctx, center, d_raws, consts):
+def _ddf_inputs(ctx, center, d_raws):
+    """(cols, roots): _member_types' inputs, computed once per interval by the caller of _blocks.
+
+    cols, over F_p, are _frobenius_columns, skipped for d = 2 given D(t),
+    where D(c) alone names the type.  For p > d >= 6, where _fiber_types
+    names no type, roots = (xs, starts) from the fiber pass: the member with
+    constant term c has the roots xs[starts[c]:starts[c + 1]], ascending.
+    """
+    d = len(center) - 1
+    if ctx.l > 1 or (d_raws is not None and d == 2):
+        return None, None
+    cols = _frobenius_columns(ctx.p, center)
+    if d_raws is None or _fiber_types(d) is not None:
+        return cols, None
+    hits = _fiber_hits(ctx, center, 0, ctx.q)
+    starts = accumulate(map(Counter(hits).__getitem__, range(ctx.q)), initial=0)
+    return cols, (array("q", sorted(range(ctx.q), key=hits.__getitem__)), array("q", starts))
+
+
+def _member_types(ctx, center, d_raws, consts, cols=None, roots=None):
     """Cycle type (None: not squarefree) of each member of I(center), by constant term.
 
-    center and d_raws come from _center.  Every member a sweep or a table
-    factors goes through here; the fiber route of _table_block factors none.
-    Over F_p the kernel of the member with constant term c also gets x^e
-    mod that member, e the top bits of p, read off the columns that one
-    bivariate power gives for the whole interval (_frobenius_columns).
+    center and d_raws come from _center, cols and roots from _ddf_inputs.
+    Every member a sweep or a table factors goes through here; the fiber
+    route of _interval_table factors none.  The kernel of the member with
+    constant term c gets D(c), and over F_p its start of x^p from cols and
+    its roots when given, so its DDF starts at degree 2 on the cofactor.
     """
     kernel, field = _kernel(ctx)
-    # given D(c), the kernel names a quadratic's type without x^p
-    batch = ctx.l == 1 and (d_raws is None or len(center) > 3)
-    cols = _frobenius_columns(ctx.p, center) if batch else None
     for c in consts:
         g = list(center)
         g[0] = c
-        args = (field, g, None if d_raws is None else _reval(ctx, d_raws, c))
-        yield kernel(*args) if cols is None else kernel(*args, [col[c] for col in cols])
+        args = [field, g, None if d_raws is None else _reval(ctx, d_raws, c)]
+        if cols is not None:
+            args.append([col[c] for col in cols])
+        if roots is not None:  # only with cols
+            xs, starts = roots
+            args.append(xs[starts[c]:starts[c + 1]])
+        yield kernel(*args)
 
 
-def _sweep_block(ctx, center, d_raws, offsets, lo, hi):
+def _sweep_block(ctx, center, d_raws, cols, roots, offsets, lo, hi):
     """Joint cycle-type counts of the members at constant terms o + a, a in [lo, hi).
 
     offsets are f_0 + h for the shifts h, so the k-tuple at a is the cycle
@@ -156,13 +182,11 @@ def _sweep_block(ctx, center, d_raws, offsets, lo, hi):
     """
     add = ctx.add
     consts = (add(o, a) for a in range(lo, hi) for o in offsets)
-    types = _member_types(ctx, center, d_raws, consts)
-    counts = {}
-    for key in zip(*[types] * len(offsets)):
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    types = _member_types(ctx, center, d_raws, consts, cols, roots)
+    return Counter(zip(*[types] * len(offsets)))
 
 
+@cache
 def _fiber_types(d):
     """(root count, disc is a square) -> cycle type of S_d, or None if not one-to-one.
 
@@ -179,21 +203,24 @@ def _fiber_types(d):
     return types
 
 
-def _ddf_block(ctx, center, d_raws, lo, hi):
+def _ddf_block(ctx, center, d_raws, cols, roots, lo, hi):
     """Cycle types of the members with constant term c in [lo, hi), in order."""
-    return list(_member_types(ctx, center, d_raws, range(lo, hi)))
+    return list(_member_types(ctx, center, d_raws, range(lo, hi), cols, roots))
+
+
+def _fiber_hits(ctx, center, lo, hi):
+    """-center(x) for x in [lo, hi): the constant term of the member with root x."""
+    neg = ctx.neg
+    return [neg(_reval(ctx, center, x)) for x in range(lo, hi)]
 
 
 def _fiber_block(ctx, center, d_raws, lo, hi):
     """The fiber pass for x and c in [lo, hi), where _fiber_types names each type.
 
-    Returns -center(x) for each x, the constant term of the member with root
-    x, and the square class of each D(c), None where D(c) = 0.
+    Returns _fiber_hits and the square class of each D(c), None where D(c) = 0.
     """
-    neg, is_square = ctx.neg, ctx.is_square
-    hits = [neg(_reval(ctx, center, x)) for x in range(lo, hi)]
     discs = (_reval(ctx, d_raws, c) for c in range(lo, hi))
-    return hits, [is_square(disc) if disc else None for disc in discs]
+    return _fiber_hits(ctx, center, lo, hi), [ctx.is_square(z) if z else None for z in discs]
 
 
 @contextmanager
@@ -224,19 +251,18 @@ def _interval_table(ctx, f: Poly, workers: int):
     key = (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
     table = _tables.get(key)
     if table is None:
-        head = (ctx, *_center(ctx, f))  # D(t) is None for p <= d
+        center, d_raws = _center(ctx, f)  # D(t) is None for p <= d
         types = _fiber_types(f.degree) if ctx.p > f.degree else None
         if types is None:
+            head = (ctx, center, d_raws, *_ddf_inputs(ctx, center, d_raws))
             blocks = _blocks(_ddf_block, head, ctx.q, workers)
             interned = {}  # one tuple per cycle type, however many members share it
             table = [interned.setdefault(t, t) for block in blocks for t in block]
         else:  # root counts are sums over the x-ranges, the same for any split
-            blocks = _blocks(_fiber_block, head, ctx.q, workers)
-            roots = [0] * ctx.q
-            for c in chain.from_iterable(hits for hits, _ in blocks):
-                roots[c] += 1
+            blocks = _blocks(_fiber_block, (ctx, center, d_raws), ctx.q, workers)
+            counts = Counter(chain.from_iterable(hits for hits, _ in blocks))
             classes = chain.from_iterable(block for _, block in blocks)
-            table = [None if s is None else types[r, s] for r, s in zip(roots, classes)]
+            table = [None if s is None else types[counts[c], s] for c, s in enumerate(classes)]
         _tables[key] = table
     return table
 
@@ -255,18 +281,15 @@ def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
         raise TooLarge(f"q * shifts = {q * len(shifts)} members exceed sweep guard")
     add = ctx.add
     offsets = tuple(add(f.raw_coeffs[0], h.raw) for h in shifts)
-    totals = {}
     if _tables is not None:
         table = _interval_table(ctx, f, workers)
-        for a in range(q):
-            key = tuple([table[add(o, a)] for o in offsets])
-            totals[key] = totals.get(key, 0) + 1
-        return totals
-    head = (ctx, *_center(ctx, f), offsets)
+        return dict(Counter(tuple([table[add(o, a)] for o in offsets]) for a in range(q)))
+    center, d_raws = _center(ctx, f)
+    head = (ctx, center, d_raws, *_ddf_inputs(ctx, center, d_raws), offsets)
+    totals = Counter()
     for counts in _blocks(_sweep_block, head, q, workers):
-        for key, n in counts.items():
-            totals[key] = totals.get(key, 0) + n
-    return totals
+        totals.update(counts)
+    return dict(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +531,7 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
         raise OutOfRange("shifts must be distinct")
     dpoly = disc_in_t(f)
     roots = roots_in_field(dpoly) if dpoly.degree >= 1 else []
-    bad = set()
-    for h in shifts:
-        for rho in roots:
-            bad.add(ctx.sub(rho.raw, h.raw))
+    bad = {ctx.sub(rho.raw, h.raw) for h in shifts for rho in roots}
     bad_sorted = tuple(FieldElement(ctx, r) for r in sorted(bad))
     k, d = len(shifts), f.degree
     return CensusReport(
@@ -532,11 +552,7 @@ def gauss_census(p: int, d: int):
     if p**d > _GAUSS_GUARD:
         raise TooLarge(f"p^d = {p**d} exceeds enumeration guard")
     ctx = make_prime_field(p)
-    count = 0
-    for idx in range(p**d):
-        pattern = _pattern_or_none_int(p, _digits(p, d, idx) + [1])
-        if pattern == (d,):
-            count += 1
+    count = sum(_pattern_or_none_int(p, _digits(p, d, idx) + [1]) == (d,) for idx in range(p**d))
     total = 0
     for e in range(1, d + 1):
         if d % e == 0:
@@ -749,11 +765,7 @@ def large_q_demo(p: int = 5, l_list=(1, 4), workers: int = 1) -> LargeQDemoRepor
         for _ in range(p):
             acc = ctx.add(acc, beta)
             shifts.append(FieldElement(ctx, acc))
-        counter = {}
-        for r in value_raws:
-            for h in shifts:
-                key = ctx.add(r, h.raw)
-                counter[key] = counter.get(key, 0) + 1
+        counter = Counter(ctx.add(r, h.raw) for r in value_raws for h in shifts)
         multiset_ok = all(v == 2 for v in counter.values())
         mu = make_builtin("moebius", 3)
         with run_scope():  # the product reads the table the single sum builds

@@ -17,7 +17,9 @@ Over F_p they also pass each member's start of x^p: for an interval
 {f + c : c in F_p}, _frobenius_columns computes R(x, y) = x^e mod (f(x) + y)
 once, e the top bits of p (_batch_shift), on y-polynomials packed into ints,
 and evaluates its coefficients at every y in F_p; the member f + c starts
-from R(x, c) and squares through the low bits of p that remain.
+from R(x, c) and squares through the low bits of p that remain.  For
+p > deg >= 6 they pass its roots in F_p as well: _ddf divides out the linear
+factors and starts at degree 2 on the cofactor.
 Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
 factor's squarefree and equal-degree steps, brute_force_factor) runs on the
 same int layer through the raw helpers below.
@@ -267,10 +269,7 @@ class _IntArith:
 
     def deriv(self, g):
         p = self.p
-        gp = [i * g[i] % p for i in range(1, len(g))]
-        while gp and gp[-1] == 0:
-            gp.pop()
-        return gp
+        return _trim([i * g[i] % p for i in range(1, len(g))])
 
     def gcd(self, a, b):
         return _igcd_monic(self.p, a, b)
@@ -281,28 +280,38 @@ class _IntArith:
     def sub_x(self, h):
         hx = list(h) + [0] * (2 - len(h))
         hx[1] = (hx[1] - 1) % self.p
-        while hx and hx[-1] == 0:
-            hx.pop()
-        return hx
+        return _trim(hx)
+
+    def divide_roots(self, g, roots):
+        """g / prod (x - r) over the given roots r of g, by synthetic division."""
+        p = self.p
+        for r in roots:
+            acc, quo = 0, []
+            for c in reversed(g[1:]):
+                acc = (acc * r + c) % p
+                quo.append(acc)
+            g = quo[::-1]
+        return g
 
     def is_square(self, c):
         return pow(c, (self.p - 1) // 2, self.p) == 1
 
-    def xq(self, g, start=None):
+    def xq(self, g, start=None, d=None):
         """x^p mod g (monic) and the power list [1, x^p] for step.
 
         Each bit of p after the first costs one symmetric squaring (each
         cross product taken once, doubled), a shift by x when the bit is
         set, and one reduction.  start, when given, is the coefficient list
-        of x^e mod g for e = p >> s, s = _batch_shift(p, deg g), so only the
-        s low bits of p are left.
+        of x^e mod a multiple of g of degree d (deg g by default), for
+        e = p >> s and s = _batch_shift(p, d), so only the s low bits of p
+        are left.
         """
         p = self.p
         if start is None:
             h, bits = _ireduce(p, [0, 1], g), bin(p)[3:]
-        else:
-            h = _trim(list(start))
-            bits = bin(p)[2 + p.bit_length() - _batch_shift(p, len(g) - 1):]
+        else:  # start needs reducing only when g is a proper factor of the member
+            h = _trim(list(start)) if len(start) < len(g) else _ireduce(p, list(start), g)
+            bits = bin(p)[2 + p.bit_length() - _batch_shift(p, d or len(g) - 1):]
         for bit in bits:
             t = [0] * (2 * len(h) - 1)
             for i, hi in enumerate(h):
@@ -389,7 +398,7 @@ def _arith(ctx):
     return _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
 
 
-def _ddf(ar, g, square, start=None):
+def _ddf(ar, g, square, start=None, roots=None):
     """Distinct-degree factorization of a squarefree monic coefficient list g.
 
     ar is the arithmetic: _IntArith over F_p, _RawArith over any F_q.
@@ -398,18 +407,23 @@ def _ddf(ar, g, square, start=None):
     comes from powering, from start when given (see _IntArith.xq); each
     later x^(q^i) is an F_q-linear step, kept mod the unsplit part rem.
 
+    roots, when given (over F_p), lists every root of g in F_p: their linear
+    factors are divided out first, and the loop starts at degree 2 on the
+    cofactor, which x^q and its powers are then kept modulo.
+
     square, when not None, tells whether disc(g) is a square in F_q (odd q).
     Before step i + 1 every factor of rem (degree m) has degree > i; if also
     3(i + 1) > m and 2(i + 2) > m, rem is irreducible or has degrees
     (i + 1, m - i - 1), and Stickelberger's theorem (disc g is a square iff
     deg g minus the number of factors is even) tells which.  The blocks then
-    stop short of rem, so factor() passes None.
+    stop short of rem (and hold no linear block when roots are given), so
+    factor() passes neither.
     """
-    rem = g
-    parts = []
-    blocks = []
-    h = None
-    i = 0
+    blocks, h = [], None
+    if roots is None:
+        rem, parts, i = g, [], 0
+    else:  # the linear factors come out first
+        rem, parts, i = ar.divide_roots(g, roots), [1] * len(roots), 1
     while 2 * (i + 1) <= len(rem) - 1:
         m = len(rem) - 1
         if square is not None and 3 * (i + 1) > m and 2 * (i + 2) > m:
@@ -419,9 +433,12 @@ def _ddf(ar, g, square, start=None):
             break
         i += 1
         if h is None:
-            h, powers = ar.xq(g) if start is None else ar.xq(g, start)
+            mod = rem
+            h, powers = ar.xq(mod) if start is None else ar.xq(mod, start, len(g) - 1)
+            if i == 2:  # the linear factors are out: on to x^(q^2)
+                h = ar.step(h, powers, mod, rem)
         else:
-            h = ar.step(h, powers, g, rem)
+            h = ar.step(h, powers, mod, rem)
         gi = ar.gcd(rem, ar.sub_x(h))
         if len(gi) > 1:
             parts += [i] * ((len(gi) - 1) // i)
@@ -436,30 +453,30 @@ def _ddf(ar, g, square, start=None):
     return tuple(parts), blocks
 
 
-def _pattern(ar, g, disc, start=None):
+def _pattern(ar, g, disc, start=None, roots=None):
     """Cycle type of a monic coefficient list g, None if not squarefree.
 
     disc, when given, is disc(g) for odd q (the sweeps pass it for
     p > deg g): zero means g is not squarefree, and otherwise the gcd(g, g')
-    test is skipped and its square class lets _ddf stop early.  start is
-    passed on to _ddf.
+    test is skipped and its square class lets _ddf stop early.  start and
+    roots are passed on to _ddf.
     """
     if disc is None:
         gp = ar.deriv(g)
         if not gp or len(ar.gcd(g, gp)) > 1:
             return None
-        return _ddf(ar, g, None, start)[0]
-    if disc == 0:
+    elif disc == 0:
         return None
-    return _ddf(ar, g, ar.is_square(disc), start)[0]
+    return _ddf(ar, g, None if disc is None else ar.is_square(disc), start, roots)[0]
 
 
-def _pattern_or_none_int(p, g, disc=None, start=None):
+def _pattern_or_none_int(p, g, disc=None, start=None, roots=None):
     """Cycle type of g (monic int list over F_p), None if not squarefree; see _pattern.
 
-    start, from _frobenius_columns, is x^e mod g for the top bits e of p.
+    start, from _frobenius_columns, is x^e mod g for the top bits e of p;
+    roots, from the fiber pass, are all roots of g in F_p.
     """
-    return _pattern(_IntArith(p), g, disc, start)
+    return _pattern(_IntArith(p), g, disc, start, roots)
 
 
 def _pattern_or_none_generic(ctx, g, disc=None):

@@ -389,6 +389,7 @@ _INTERVALS = {
     "quartic": ["--p", "101", "--f", "x^4+x^2+3*x"],
     "quintic": ["--p", "101", "--f", "x^5+x^2+1"],
     "sextic": ["--p", "101", "--f", "x^6+x+1"],  # d >= 6: members are factored
+    "octic": ["--p", "101", "--f", "x^8+3*x^3+x+1"],
     "F25": ["--p", "5", "--ext", "2", "--f", "x^3+x+1"],
     "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],
 }

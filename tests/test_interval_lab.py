@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -280,6 +281,8 @@ def test_sweep_guard_counts_members_before_any_work(monkeypatch):
     f = Poly(ctx, [0, 1, 0, 1])
     swept = []
     monkeypatch.setattr(interval_lab, "_sweep_block", lambda *args: swept.append(args) or {})
+    # the per-interval inputs (the batch takes seconds at this p) are work too
+    monkeypatch.setattr(interval_lab, "_ddf_inputs", lambda *args: swept.append(args) or (None, None))
     with pytest.raises(TooLarge):
         _joint_counts(ctx, f, tuple(ctx(h) for h in range(10)), 2)  # 10,000,030 members
     big = make_prime_field(10000019)
@@ -287,7 +290,7 @@ def test_sweep_guard_counts_members_before_any_work(monkeypatch):
         class_sum(big, Poly(big, [0, 0, 0, 1]), make_builtin("moebius", 3))
     assert swept == []
     assert _joint_counts(ctx, f, tuple(ctx(h) for h in range(9))) == {}  # 9,000,027
-    assert len(swept) == 1
+    assert len(swept) == 2
 
 
 def _member_counts(ctx, f, shifts):
@@ -432,6 +435,38 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
         monkeypatch.setattr(interval_lab, "ProcessPoolExecutor", None)
         again = class_sum(F31, parse_poly("x^3+2*x+5", F31), mu, 2)
     assert again.cycle_type_counts == first.cycle_type_counts
+
+
+def test_frobenius_batch_runs_once_per_interval_in_the_parent(monkeypatch):
+    # a standalone sweep and a d >= 6 table at 1 and 2 workers: the parent
+    # computes the batch (and the root lists) once, and no worker computes it
+    from ffintervals import reports
+
+    F101 = make_prime_field(101)
+    f = parse_poly("x^8+3*x^3+x+1", F101)
+    mu = make_builtin("moebius", 8)
+    pair = IntervalSpec(F101, f, (F101(0), F101(1)), (mu, mu))
+    parent, batch, calls = os.getpid(), interval_lab._frobenius_columns, []
+
+    def counted(p, center):
+        assert os.getpid() == parent, "a worker computed the batch"
+        calls.append(tuple(center))
+        return batch(p, center)
+
+    monkeypatch.setattr(interval_lab, "_frobenius_columns", counted)
+    blobs = []
+    for workers in (1, 2):
+        calls.clear()
+        reps = [class_sum(F101, f, mu, workers), correlation_sum(pair, workers)]
+        assert len(calls) == 2  # one standalone sweep each
+        with run_scope():
+            reps += [class_sum(F101, f, mu, workers), correlation_sum(pair, workers)]
+        assert len(calls) == 3  # one table for both
+        blobs.append([
+            reports.to_json(reports.scrub_timings(reports.experiment_to_dict(rep))) for rep in reps
+        ])
+    assert blobs[0] == blobs[1]
+    assert blobs[0][:2] == blobs[0][2:]
 
 
 def test_run_scope_keys_tables_by_field_and_modulus():

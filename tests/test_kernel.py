@@ -14,11 +14,14 @@ kernels are checked against their disc-free paths.  The batched start of
 x^p over F_p (one bivariate power per interval, evaluated at every member)
 is checked against the per-member x^p on every small interval and on seeded
 intervals on both sides of the split of p, and its packed squaring against
-an unpacked reference where the slot sums are largest.
+an unpacked reference where the slot sums are largest.  The root-fed kernel
+of p > d >= 6 is checked against the unfed one on every interval of degree 6
+over F_7 and on seeded intervals with planted root counts, and against
+brute_force_factor on a seeded sample.
 """
 
 import random
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 
@@ -351,7 +354,9 @@ def test_batched_start_and_member_types_on_seeded_intervals(p, d):
     _assert_batched_starts(p, center)
     ctx = make_prime_field(p)
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
-    types = list(interval_lab._member_types(ctx, center, d_raws, range(p)))
+    cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
+    assert (roots is not None) == (d >= 6)
+    types = list(interval_lab._member_types(ctx, center, d_raws, range(p), cols, roots))
     assert types == [cycle_pattern_or_none(ctx, [c] + center[1:]) for c in range(p)]
 
 
@@ -417,3 +422,94 @@ def test_batch_refuses_slots_that_could_overflow():
     p = next(n for n in range(_MAX_P - 1, 0, -1) if is_prime(n))
     with pytest.raises(TooLarge):
         _frobenius_columns(p, _seeded_center(p, _MAX_D))
+
+
+# ---------------------------------------------------------------------------
+# the root-fed kernel (p > d >= 6): each member is given its roots from the
+# fiber pass, divides out its linear factors and starts its DDF at degree 2
+
+
+def _fed_and_unfed(ctx, center, consts):
+    """(member types with the root lists, the same without them, the root lists) at consts."""
+    d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
+    cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
+    xs, starts = roots
+    fed = list(interval_lab._member_types(ctx, center, d_raws, consts, cols, roots))
+    unfed = list(interval_lab._member_types(ctx, center, d_raws, consts, cols))
+    return fed, unfed, [list(xs[starts[c]:starts[c + 1]]) for c in consts]
+
+
+@pytest.mark.parametrize("top", range(7))
+def test_root_fed_member_types_on_every_degree_six_interval_over_f7(top):
+    # the intervals with x^5 coefficient top; every (root count, D(c) = 0) occurs
+    ctx = make_prime_field(7)
+    seen = set()
+    for middle in product(range(7), repeat=4):
+        center = [0, *middle, top, 1]
+        fed, unfed, roots = _fed_and_unfed(ctx, center, range(7))
+        assert fed == unfed, center
+        seen.update((len(r), t is None) for r, t in zip(roots, fed))
+    assert seen == {(k, False) for k in (0, 1, 2, 3, 4, 6)} | {(k, True) for k in range(6)}
+
+
+def _planted_member(ctx, d, k, rng):
+    """A monic of degree d with exactly k distinct roots in F_p, as an int list.
+
+    k = d - 1 cannot be squarefree, so it is (x - a)^2 times d - 2 other
+    linear factors: D(c) = 0.  Otherwise k distinct linear factors times a
+    monic of degree d - k with no root.
+    """
+    lin = [Poly(ctx, [-a, 1]) for a in rng.sample(range(ctx.p), k)]
+    if k >= d - 1:
+        rest = lin[0] if k == d - 1 else Poly(ctx, [1])
+    else:
+        while True:
+            rest = random_monic(ctx, d - k, rng)
+            if not roots_in_field(rest):
+                break
+    g = rest
+    for h in lin:
+        g = g * h
+    return list(g.raw_coeffs)
+
+
+@pytest.mark.parametrize("p", [11, 13, 1747, 4093, 10007])
+def test_root_fed_member_types_on_seeded_intervals(p):
+    # one interval per planted root count k = 0..d; at sweep-sized p the
+    # planted member, the members with D(c) = 0 and a seeded sample of the
+    # rest.  At p = 4093 the batch shift of d = 8, 9 is 0 and that of their
+    # cofactors of degree 6, 7 is 1, so the start must keep the member's.
+    ctx = make_prime_field(p)
+    rng = random.Random(f"root-fed/{p}")
+    for d in (7, 8, 9):
+        seen = set()
+        for k in range(d + 1):
+            g = _planted_member(ctx, d, k, rng)
+            center = [0] + g[1:]
+            consts = [g[0], *range(p)]  # the planted member first
+            if p > 100:
+                d_poly = disc_in_t(Poly.from_raw(ctx, center))
+                zeros = [r.raw for r in roots_in_field(d_poly)]
+                consts = [g[0], *zeros, *rng.sample(range(p), 24)]
+            fed, unfed, roots = _fed_and_unfed(ctx, center, consts)
+            assert fed == unfed, (p, center)
+            assert len(roots[0]) == k
+            assert all(r == sorted(set(r)) for r in roots)
+            seen.update((len(r), t is None) for r, t in zip(roots, fed))
+        squarefree = {n for n, zero in seen if not zero}
+        assert squarefree >= set(range(d + 1)) - {d - 1} and (d - 1, True) in seen, (p, d)
+
+
+def test_root_fed_types_agree_with_brute_force_factor():
+    rng = random.Random("root-fed/brute")
+    for p, d in ((11, 7), (11, 8), (11, 9), (13, 7), (13, 9)):
+        ctx = make_prime_field(p)
+        for k in rng.sample(range(d + 1), 3):
+            g = _planted_member(ctx, d, k, rng)
+            center = [0] + g[1:]
+            consts = [g[0], rng.randrange(p)]
+            fed, _, _ = _fed_and_unfed(ctx, center, consts)
+            for c, pattern in zip(consts, fed):
+                oracle = brute_force_factor(Poly.from_raw(ctx, [c] + g[1:]))
+                repeated = any(mult > 1 for _, mult in oracle.factors)
+                assert pattern == (None if repeated else oracle.multiset_degrees()), (p, g, c)
