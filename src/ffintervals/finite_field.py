@@ -193,29 +193,38 @@ def _igcd_monic(p, a, b):
 
 
 # Packed int polynomials (Kronecker substitution): the coefficients of
-# sum c_i y^i, each in [0, 2^64), are the 64-bit slots of one int, lowest
+# sum c_i y^i, each in [0, 2^w), are the w-bit slots of one int, lowest
 # first, so a polynomial product is one big-int product as long as no slot
-# sum of it reaches 2^64.  Slots are read and written little-endian by name
-# (struct's "<Q"), whatever the host's byte order.
+# sum of it reaches 2^w.  Slots are w = 64 or 32 bits wide (_islot_width),
+# read and written little-endian by name (struct's "<Q" and "<I"), whatever
+# the host's byte order.
 
 
-def _ipack(cs):
-    """The ints cs, each in [0, 2^64), as the 64-bit slots of one int."""
-    return int.from_bytes(struct.pack(f"<{len(cs)}Q", *cs), "little")
+_SLOT_CODES = {32: "I", 64: "Q"}
 
 
-def _iunpack(n, count=None):
-    """The count lowest 64-bit slots of n >= 0 (all of them by default), lowest first.
+def _islot_width(bound):
+    """The slot width, 32 or 64 bits, for slot sums of at most bound: 32 where bound < 2^32."""
+    return 32 if bound >> 32 == 0 else 64
 
-    n must be below 2^(64 * count).
+
+def _ipack(cs, width=64):
+    """The ints cs, each in [0, 2^width), as the width-bit slots of one int."""
+    return int.from_bytes(struct.pack(f"<{len(cs)}{_SLOT_CODES[width]}", *cs), "little")
+
+
+def _iunpack(n, count=None, width=64):
+    """The count lowest width-bit slots of n >= 0 (all of them by default), lowest first.
+
+    n must be below 2^(width * count).
     """
     if count is None:
-        count = -(-n.bit_length() // 64)
-    return struct.unpack(f"<{count}Q", n.to_bytes(8 * count, "little"))
+        count = -(-n.bit_length() // width)
+    return struct.unpack(f"<{count}{_SLOT_CODES[width]}", n.to_bytes(width // 8 * count, "little"))
 
 
 def _islots_mod(n, p):
-    """The packed int n with each slot reduced mod p."""
+    """The packed int n (64-bit slots) with each slot reduced mod p."""
     return _ipack([c % p for c in _iunpack(n)])
 
 
@@ -233,8 +242,9 @@ def _ieval_all(p, polys):
     a(g^j) = g^-C(j,2) * sum_i (a_i g^-C(i,2)) g^C(i+j,2),
     a correlation with the chirp g^C(k,2), which is one packed product per
     polynomial.  Each slot of it is a sum of at most n products below p^2,
-    n the longest coefficient list, and n * (p - 1)^2 < 2^64 is required.
-    A column holds one machine word per c.
+    n the longest coefficient list: the slots are 32 bits wide where
+    n * (p - 1)^2 < 2^32 (_islot_width), and 64 bits wide otherwise, where
+    n * (p - 1)^2 < 2^64 is required.  A column holds one machine word per c.
     """
     n = max(1, max(map(len, polys)))
     m = p - 1  # the points g^0, ..., g^(p - 2)
@@ -248,13 +258,14 @@ def _ieval_all(p, polys):
         points.append(gk)
         x, xi = x * gk % p, xi * gik % p
         gk, gik = gk * g % p, gik * ginv % p
-    v = _ipack(chirp)
+    width = _islot_width(n * (p - 1) ** 2)
+    v = _ipack(chirp, width)
     cols = []
     for a in polys:
         a = list(a) + [0] * (n - len(a))
         # u holds a_i g^-C(i,2) reversed, so slot n - 1 + j of u * v is the sum for g^j
-        u = _ipack([c * ichirp[i] % p for i, c in enumerate(a)][::-1])
-        s = _iunpack(u * v, 2 * n + m - 2)[n - 1:n - 1 + m]
+        u = _ipack([c * ichirp[i] % p for i, c in enumerate(a)][::-1], width)
+        s = _iunpack(u * v, 2 * n + m - 2, width)[n - 1:n - 1 + m]
         col = array("q", bytes(8 * p))
         col[0] = a[0]
         for c, sj, w in zip(points, s, ichirp):

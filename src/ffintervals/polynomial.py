@@ -19,7 +19,10 @@ once, e the top bits of p (_batch_shift), on y-polynomials packed into ints,
 and evaluates its coefficients at every y in F_p; the member f + c starts
 from R(x, c) and squares through the low bits of p that remain.  For
 p > deg >= 6 they pass its roots in F_p as well: _ddf divides out the linear
-factors and starts at degree 2 on the cofactor.
+factors and starts at degree 2 on the cofactor.  A cofactor of degree
+m >= 6 then builds Berlekamp's matrix Q on packed ints (slot sums at most
+m (p - 1)^2 < 2^64), and tr(Q^2) = n_1 + 2 n_2 mod p names its quadratic
+factors, so the discriminant stop comes one degree later (see _ddf).
 Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
 factor's squarefree and equal-degree steps, brute_force_factor) runs on the
 same int layer through the raw helpers below.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 from .class_functions import CycleType
 from .errors import (
@@ -50,7 +54,9 @@ from .finite_field import (
     _imulmod,
     _digits,
     _ireduce,
+    _islot_width,
     _islots_mod,
+    _ipack,
     _iunpack,
     _small_prime_factors,
     _undigits,
@@ -327,15 +333,56 @@ class _IntArith:
             h = _ireduce(p, t, g)
         return h, [[1], h]
 
+    def grow(self, powers, g, n):
+        """Extend powers = [H^0, H^1, ...] mod g (monic, degree m) to H^0, ..., H^(n-1).
+
+        From m = 6 the columns H x^k mod g of multiplication by H are packed
+        once (finite_field._ipack), and each power costs m scalar products
+        of packed ints.  A slot sums at most m (p - 1)^2: below 2^64 for
+        every p under the sweep guard (10^7) with m <= 12, and 32-bit slots
+        where it is below 2^32 (_islot_width).  Below m = 6, where the
+        matrix costs more than it saves, and past 2^64, each is one _imulmod.
+        """
+        if len(powers) >= n:
+            return
+        p, m = self.p, len(g) - 1
+        bound = m * (p - 1) ** 2
+        if m < 6 or bound >> 64:
+            while len(powers) < n:
+                powers.append(_imulmod(p, powers[-1], powers[1], g))
+            return
+        width = _islot_width(bound)
+        low = [-c % p for c in g[:m]]  # x^m = sum low_k x^k mod g
+        col = powers[1] + [0] * (m - len(powers[1]))
+        cols = [_ipack(col, width)]
+        for _ in range(m - 1):  # x * col mod g
+            top = col[-1]
+            col = [(c + top * b) % p for c, b in zip([0, *col], low)]
+            cols.append(_ipack(col, width))
+        while len(powers) < n:
+            acc = sum(map(mul, powers[-1], cols))
+            powers.append(_trim([c % p for c in _iunpack(acc, m, width)]))
+
+    def quadratic_count(self, powers, g):
+        """n_2, the number of quadratic factors of g (monic, squarefree, no root in F_p, p > deg g).
+
+        powers = [1, x^p, ...] mod g grows to the columns x^(jp) mod g of
+        Berlekamp's matrix Q, the Frobenius map of F_p[x]/(g), and tr(Q^2)
+        is its number of roots in F_{p^2}, n_1 + 2 n_2 = 2 n_2, mod p.
+        """
+        m = len(g) - 1
+        self.grow(powers, g, m)
+        cols = [pw + [0] * (m - len(pw)) for pw in powers]
+        return sum(sum(map(mul, row, col)) for row, col in zip(zip(*cols), cols)) % self.p // 2
+
     def step(self, h, powers, g, m):
         """h^p mod m for m dividing g, as h(H) = sum_k h_k * H^k.
 
         powers holds H^0, H^1, ... mod g, where H = x^p mod g, and grows on
-        demand.  The sum accumulates unreduced and is reduced once, mod m.
+        demand (grow).  The sum accumulates unreduced and is reduced once, mod m.
         """
         p = self.p
-        while len(powers) < len(h):
-            powers.append(_imulmod(p, powers[-1], powers[1], g))
+        self.grow(powers, g, len(h))
         acc = [0] * (len(g) - 1)
         for k, c in enumerate(h):
             if c:
@@ -415,28 +462,41 @@ def _ddf(ar, g, square, start=None, roots=None):
     Before step i + 1 every factor of rem (degree m) has degree > i; if also
     3(i + 1) > m and 2(i + 2) > m, rem is irreducible or has degrees
     (i + 1, m - i - 1), and Stickelberger's theorem (disc g is a square iff
-    deg g minus the number of factors is even) tells which.  The blocks then
-    stop short of rem (and hold no linear block when roots are given), so
-    factor() passes neither.
+    deg g minus the number of factors is even) tells which.  Given roots too,
+    a cofactor of degree m >= 6 first counts its n_2 quadratic factors as
+    tr(Q^2) / 2, Q its Frobenius matrix on packed ints (tr(Q^2) = n_1 + 2 n_2
+    mod p, exact for p > m; _IntArith.grow and quadratic_count); the rest
+    have degree >= 3 and total r = m - 2 n_2, so for r <= 7 the stop at
+    degree 2 names them with no x^(p^2) and no gcd.  Otherwise the loop
+    goes on from x^(p^2), with no gcd at degree 2 when n_2 = 0.  The
+    blocks stop short of what a stop names and hold no linear block when
+    roots are given, so factor() passes neither.
     """
     blocks, h = [], None
     if roots is None:
         rem, parts, i = g, [], 0
     else:  # the linear factors come out first
         rem, parts, i = ar.divide_roots(g, roots), [1] * len(roots), 1
-    while 2 * (i + 1) <= len(rem) - 1:
-        m = len(rem) - 1
+    m = len(rem) - 1  # the degree that parts does not name yet
+    while 2 * (i + 1) <= m:
         if square is not None and 3 * (i + 1) > m and 2 * (i + 2) > m:
             if square == ((len(g) - 1 - len(parts)) % 2 == 0):  # two factors
                 parts += (i + 1, m - i - 1)
-                rem = [1]
+                m = 0
             break
         i += 1
         if h is None:
             mod = rem
             h, powers = ar.xq(mod) if start is None else ar.xq(mod, start, len(g) - 1)
-            if i == 2:  # the linear factors are out: on to x^(q^2)
-                h = ar.step(h, powers, mod, rem)
+            if i == 2:  # the linear factors are out
+                n2 = None if square is None else ar.quadratic_count(powers, mod)
+                if n2 is not None and m - 2 * n2 < 8:  # the stop at degree 2 names the rest
+                    parts += [2] * n2
+                    m -= 2 * n2
+                    continue
+                h = ar.step(h, powers, mod, rem)  # on to x^(q^2)
+                if n2 == 0:  # and past it: gcd(rem, x^(q^2) - x) = 1
+                    continue
         else:
             h = ar.step(h, powers, mod, rem)
         gi = ar.gcd(rem, ar.sub_x(h))
@@ -444,11 +504,12 @@ def _ddf(ar, g, square, start=None, roots=None):
             parts += [i] * ((len(gi) - 1) // i)
             blocks.append((gi, i))
             rem = ar.divmod(rem, gi)[0]
-            if len(rem) > 1:
+            m = len(rem) - 1
+            if m:
                 h = ar.divmod(h, rem)[1]
-    if len(rem) > 1:
-        parts.append(len(rem) - 1)
-        blocks.append((rem, len(rem) - 1))
+    if m:
+        parts.append(m)
+        blocks.append((rem, m))
     parts.sort(reverse=True)
     return tuple(parts), blocks
 

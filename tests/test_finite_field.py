@@ -15,6 +15,7 @@ from ffintervals.finite_field import (
     make_prime_field,
     to_prime_subfield,
 )
+from ffintervals.polynomial import _reval
 
 
 def test_make_prime_field_basic():
@@ -352,6 +353,29 @@ def test_packed_slots_are_64_bit_little_endian_by_value():
     assert finite_field._iunpack(n) == tuple(cs)
     assert finite_field._iunpack(n, 6) == (*cs, 0, 0)
     assert finite_field._iunpack(finite_field._islots_mod(n, 7)) == tuple(c % 7 for c in cs)
+    cs = [1, 2**32 - 1, 0, 12345]
+    n = finite_field._ipack(cs, 32)
+    assert n == sum(c << (32 * i) for i, c in enumerate(cs))
+    assert finite_field._iunpack(n, width=32) == tuple(cs)
+    assert finite_field._iunpack(n, 6, 32) == (*cs, 0, 0)
+
+
+@pytest.mark.parametrize("n", [10, 11, 40])
+def test_chirp_evaluation_on_both_sides_of_the_32_bit_slot_rule(n):
+    # at p = 20011 a slot sum is at most n (p - 1)^2, below 2^32 for n <= 10
+    # only: n = 10 runs on 32-bit slots, n = 11 and 40 on 64-bit ones.  The
+    # first list makes every slot of its chirp operand p - 1; at n = 40 its
+    # slot sums pass 2^32.
+    p = 20011
+    assert finite_field._islot_width(n * (p - 1) ** 2) == (32 if n == 10 else 64)
+    g = finite_field._primitive_root(p)
+    rng = random.Random(f"chirp/width/{n}")
+    polys = [[-pow(g, i * (i - 1) // 2, p) % p for i in range(n)], [p - 1] * n]
+    polys.append([rng.randrange(p) for _ in range(n)])
+    cols = finite_field._ieval_all(p, polys)
+    ctx = make_prime_field(p)
+    for a, col in zip(polys, cols):
+        assert list(col) == [_reval(ctx, a, c) for c in range(p)], a
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1009])

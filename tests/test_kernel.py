@@ -21,7 +21,8 @@ brute_force_factor on a seeded sample.
 """
 
 import random
-from itertools import product, zip_longest
+from itertools import count, product, zip_longest
+from math import isqrt
 
 import pytest
 
@@ -33,6 +34,7 @@ from ffintervals.finite_field import (
     _digits,
     _imul,
     _ipack,
+    _islot_width,
     _iunpack,
     is_prime,
     make_extension,
@@ -48,6 +50,7 @@ from ffintervals.polynomial import (
     _bsquare,
     _frobenius_columns,
     _imulmod,
+    _pattern,
     _pattern_or_none_generic,
     _pattern_or_none_int,
     _rdivmod,
@@ -107,20 +110,51 @@ def test_kernel_matches_factor_random_high_degree(p):
             assert _kernel(g) == _expected_pattern(g), g
 
 
-@pytest.mark.parametrize("p", [1747, 10007])
+class _PathArith(_IntArith):
+    """_IntArith that records which steps _ddf takes: the trace of Q^2 and each gcd."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.path = []
+
+    def quadratic_count(self, powers, g):
+        self.path.append("trace")
+        return super().quadratic_count(powers, g)
+
+    def gcd(self, a, b):
+        self.path.append("gcd")
+        return super().gcd(a, b)
+
+
+# the types of degree 6-9 left with r >= 8 after their linear and quadratic
+# factors: the trace of Q^2 cannot name them, so _ddf goes on to the gcds
+GCD_PATH_TYPES_TO_9 = {
+    (8,), (5, 3), (4, 4), (9,), (6, 3), (5, 4), (3, 3, 3), (8, 1), (5, 3, 1), (4, 4, 1)
+}
+
+
+@pytest.mark.parametrize("p", [11, 13, 1747, 10007])
 def test_kernel_on_planted_products(p):
-    # one product per cycle type of degree 6-9 over a pool of distinct
-    # irreducibles certified by Rabin's test; reusing a factor must give None
+    # one product per cycle type of degree 6-9 (6-12 at p > 12) over a pool of
+    # distinct irreducibles certified by Rabin's test; reusing a factor must
+    # give None.  The sweeps' path gets D(c), the start of x^p and the sorted
+    # roots: a cofactor of degree m <= 5 is named before any power, one with
+    # r = m - 2 n_2 <= 7 by the trace of Q^2, and the rest go on to the gcds.
     ctx = make_prime_field(p)
     rng = random.Random(f"planted/{p}")
     pool = {}
-    for k in range(1, 10):
+    top = min(p - 1, _MAX_D)
+    for k in range(1, top + 1):
         pool[k] = []
-        while len(pool[k]) < 9 // k:
+        while len(pool[k]) < top // k:
             g = random_monic(ctx, k, rng)
             if is_irreducible(g) and g not in pool[k]:
                 pool[k].append(g)
-    for d in range(6, 10):
+    gcd_path = set()
+    for d in range(6, top + 1):
+        e = p >> _batch_shift(p, d)
         for ct in partitions_of(d):
             used = {k: 0 for k in pool}
             g = Poly(ctx, [1])
@@ -129,8 +163,23 @@ def test_kernel_on_planted_products(p):
                 used[k] += 1
             assert _kernel(g) == ct.parts, g
             raws = list(g.raw_coeffs)
-            assert _pattern_or_none_int(p, raws, discriminant(g).raw) == ct.parts, g
+            disc = discriminant(g).raw
+            assert _pattern_or_none_int(p, raws, disc) == ct.parts, g
+            roots = sorted(-h.raw_coeffs[0] % p for h in pool[1][: used[1]])
+            ar = _PathArith(p)
+            start = _rpow_poly_mod(ctx, [0, 1], e, raws)
+            assert _pattern(ar, raws, disc, start, roots) == ct.parts, g
+            m = d - used[1]
+            r = m - 2 * used[2]
+            if m <= 5:
+                assert ar.path == [], (ct.parts, m)
+            elif r <= 7:
+                assert ar.path == ["trace"], (ct.parts, r)
+            else:
+                assert ar.path[0] == "trace" and "gcd" in ar.path, (ct.parts, r)
+                gcd_path.add(ct.parts)
             assert _kernel(g * pool[ct.parts[-1]][0]) is None, g
+    assert {ct for ct in gcd_path if sum(ct) <= 9} == GCD_PATH_TYPES_TO_9
 
 
 @pytest.mark.parametrize("p", [3, 13, 1747])
@@ -142,7 +191,7 @@ def test_frobenius_matrix_step_is_pth_power(p):
         return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
 
     ar = _IntArith(p)
-    for d in (2, 5, 8):
+    for d in (2, 5, 6, 8, 12):  # powers by _imulmod below d = 6, by the packed matrix from it
         for _ in range(5):
             g = list(random_monic(ctx, d, rng).raw_coeffs)
             xp, powers = ar.xq(g)
@@ -187,6 +236,75 @@ def test_imulmod_matches_naive_reference():
         # all coefficients p - 1 make every unreduced sum as large as it gets
         top = [p - 1] * 8
         assert _imulmod(p, top, top, top + [1]) == _naive_mulmod(p, top, top, top + [1])
+
+
+# ---------------------------------------------------------------------------
+# Berlekamp's matrix Q, the columns x^(jp) mod g, and its trace
+
+
+def _squarefree_monic(ctx, d, rng):
+    while True:
+        g = random_monic(ctx, d, rng)
+        if all(mult == 1 for _, mult in factor(g).factors):
+            return g
+
+
+@pytest.mark.parametrize("p", [13, 1747, 10007])
+def test_trace_of_q_squared_counts_the_roots_in_f_p2(p):
+    # tr(Q^2) = n_1 + 2 n_2 mod p, with Q's columns from _IntArith.grow; on
+    # the cofactor left by the roots, quadratic_count reads n_2 off it
+    ctx = make_prime_field(p)
+    rng = random.Random(f"trace/{p}")
+    ar = _IntArith(p)
+    for d in range(2, 13):
+        for _ in range(4):
+            g = _squarefree_monic(ctx, d, rng)
+            degrees = factor(g).multiset_degrees()
+            raws = list(g.raw_coeffs)
+            _, powers = ar.xq(raws)
+            ar.grow(powers, raws, d)
+            assert powers == [_rpow_poly_mod(ctx, [0, 1], j * p, raws) for j in range(d)], g
+            q = [pw + [0] * (d - len(pw)) for pw in powers]
+            trace = sum(q[j][i] * q[i][j] for i in range(d) for j in range(d)) % p
+            assert trace == (degrees.count(1) + 2 * degrees.count(2)) % p, g
+            cofactor = ar.divide_roots(raws, [r.raw for r in roots_in_field(g)])
+            if len(cofactor) > 2:
+                _, powers = ar.xq(cofactor)
+                assert ar.quadratic_count(powers, cofactor) == degrees.count(2), g
+
+
+def _prime_below(n):
+    return next(k for k in range(n - 1, 1, -1) if is_prime(k))
+
+
+def test_packed_frobenius_powers_at_the_worst_case_slot_sums():
+    """_IntArith.grow's slots hold m (p - 1)^2 on each side of its width rule.
+
+    With g = x^m - 1 and H = -(1 + x + ... + x^(m-1)), every column H x^k mod
+    g is all p - 1, so the first packed product sums m products (p - 1)^2 in
+    every slot.  m = 12, and p is the largest prime with 32-bit slots, the
+    prime after it, the largest prime the sweep guard admits, and the least
+    prime past 64 bits, where each power is one _imulmod.
+    """
+    m = _MAX_D
+
+    def first_prime_past(bits):  # the least prime p with m (p - 1)^2 >= 2^bits
+        return next(k for k in count(isqrt(2**bits // m)) if m * (k - 1) ** 2 >> bits and is_prime(k))
+
+    p64, big = first_prime_past(32), first_prime_past(64)
+    p32 = _prime_below(p64)
+    guard = _prime_below(interval_lab._GAUSS_GUARD + 1)
+    assert [_islot_width(m * (p - 1) ** 2) for p in (p32, p64, guard)] == [32, 64, 64]
+    assert m * (guard - 1) ** 2 < 2**64 and big < _MAX_P
+    for p in (p32, p64, guard, big):
+        g = [p - 1] + [0] * (m - 1) + [1]
+        top = [p - 1] * m
+        powers = [[1], top]
+        _IntArith(p).grow(powers, g, m)
+        want = [[1], top]
+        while len(want) < m:
+            want.append(_naive_mulmod(p, want[-1], top, g))
+        assert powers == want, p
 
 
 # ---------------------------------------------------------------------------
