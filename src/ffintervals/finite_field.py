@@ -33,8 +33,9 @@ This leaf module also holds the one int-list polynomial layer over F_p
 (_imul, _ireduce, _imulmod, _idivmod, _igcd_monic).  The schoolbook
 extension arithmetic runs on it, and so does all F_p polynomial arithmetic
 in polynomial.  Beside it, polynomials packed into one int (_ipack,
-_iunpack, _islots_mod) carry the batched x^p of the sweeps, and
-_ieval_all evaluates int-list polynomials at every point of F_p.
+_iunpack, _islots_mod) carry the batched x^p and the Frobenius matrices
+of the sweeps, and _ieval_all evaluates int-list polynomials at every point
+of F_p.
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ from .polynomial import (
     Poly,
     _frobenius_columns,
     _lagrange,
+    _parity_table,
     _pattern_or_none_generic,
     _pattern_or_none_int,
     _reval,
@@ -190,17 +191,15 @@ def _sweep_block(ctx, center, d_raws, cols, roots, offsets, lo, hi):
 def _fiber_types(d):
     """(root count, disc is a square) -> cycle type of S_d, or None if not one-to-one.
 
-    A squarefree g of degree d over odd F_q has as many roots as its type has
-    parts 1, and disc g is a square iff d minus its number of parts is even
-    (Stickelberger).  The pair names the type exactly for d <= 5.
+    A squarefree g of degree d over odd F_q with k roots has k parts 1, and
+    the rest is a partition of d - k into parts > 1 whose number of parts has
+    the parity the square class of disc g fixes (Stickelberger): a view of
+    _parity_table.  The pair names the type exactly for d <= 5.
     """
-    types = {}
-    for ct in partitions_of(d):
-        key = ct.parts.count(1), (d - len(ct.parts)) % 2 == 0
-        if key in types:
-            return None
-        types[key] = ct.parts
-    return types
+    rests = [(k, odd, r) for k in range(d + 1) for odd, r in enumerate(_parity_table(d - k, 1))]
+    if any(len(r) > 1 for _, _, r in rests):
+        return None
+    return {(k, (d - k - odd) % 2 == 0): r[0] + (1,) * k for k, odd, r in rests if r}
 
 
 def _ddf_block(ctx, center, d_raws, cols, roots, lo, hi):
@@ -416,22 +415,14 @@ def correlation_sum(spec: IntervalSpec, workers: int = 1, single_constants=None)
     counts = _joint_counts(ctx, spec.f, spec.shifts, workers)
     morse, _ = is_morse(spec.f)
     notes = {}
-    if morse:
-        predicted = math.prod((mean_constant(phi) for phi in spec.phis), start=Fraction(1))
-        constant_kind = "generic"
-    else:
+    predicted = math.prod((mean_constant(phi) for phi in spec.phis), start=Fraction(1))
+    constant_kind = "generic" if morse else "non-generic"
+    if not morse:
         bad = bad_shift_check(spec.f, spec.shifts) if len(spec.shifts) > 1 else False
         notes["bad_shifts"] = bad
         if not bad and single_constants is not None:
-            predicted = math.prod(
-                (Fraction(c) for c in single_constants), start=Fraction(1)
-            )
+            predicted = math.prod(map(Fraction, single_constants), start=Fraction(1))
             constant_kind = "product-of-singles"
-        else:
-            predicted = math.prod(
-                (mean_constant(phi) for phi in spec.phis), start=Fraction(1)
-            )
-            constant_kind = "non-generic"
     return _finish_report(
         "correlation_sum",
         _params_dict(ctx, spec.f, spec.shifts, spec.phis),
@@ -747,12 +738,8 @@ def large_q_demo(p: int = 5, l_list=(1, 4), workers: int = 1) -> LargeQDemoRepor
         t0 = time.perf_counter()
         ctx = make_extension(base, l, 0)
         three_inv = ctx.inv(3)
-        s_raw = None
-        for cand in range(1, p):  # the constants of F_p^*, as raws of F_q
-            target = ctx.neg(ctx.mul(cand, three_inv))
-            if target and ctx.is_square(target):
-                s_raw = cand
-                break
+        targets = ((s, ctx.neg(ctx.mul(s, three_inv))) for s in range(1, p))  # s in F_p^*, -s/3
+        s_raw = next((s for s, target in targets if target and ctx.is_square(target)), None)
         if s_raw is None:
             raise NoSuitableS(f"no admissible s in F_{p}^* for q = {ctx.q}")
         f_s = Poly.from_raw(ctx, [0, s_raw, 0, 1])
@@ -760,11 +747,7 @@ def large_q_demo(p: int = 5, l_list=(1, 4), workers: int = 1) -> LargeQDemoRepor
         assert cd.ext_ctx == ctx, "critical values must lie in F_q by construction"
         value_raws = sorted(cd.value_set_raws())
         beta = value_raws[0]
-        shifts = []
-        acc = 0
-        for _ in range(p):
-            acc = ctx.add(acc, beta)
-            shifts.append(FieldElement(ctx, acc))
+        shifts = [FieldElement(ctx, ctx.scalar_mul(i, beta)) for i in range(1, p + 1)]
         counter = Counter(ctx.add(r, h.raw) for r in value_raws for h in shifts)
         multiset_ok = all(v == 2 for v in counter.values())
         mu = make_builtin("moebius", 3)

@@ -20,9 +20,11 @@ and evaluates its coefficients at every y in F_p; the member f + c starts
 from R(x, c) and squares through the low bits of p that remain.  For
 p > deg >= 6 they pass its roots in F_p as well: _ddf divides out the linear
 factors and starts at degree 2 on the cofactor.  A cofactor of degree
-m >= 6 then builds Berlekamp's matrix Q on packed ints (slot sums at most
-m (p - 1)^2 < 2^64), and tr(Q^2) = n_1 + 2 n_2 mod p names its quadratic
-factors, so the discriminant stop comes one degree later (see _ddf).
+m >= 6 then builds Berlekamp's matrix Q on packed ints, from columns that
+are reduced mod p only where a product could overflow its 64-bit slots,
+and tr(Q^2) = n_1 + 2 n_2 mod p names its quadratic factors.  Wherever the
+discriminant is passed, one parity table of partitions (_parity_table)
+stops the loop as soon as the square class leaves one cycle type.
 Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
 factor's squarefree and equal-degree steps, brute_force_factor) runs on the
 same int layer through the raw helpers below.
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from operator import mul
 
-from .class_functions import CycleType
+from .class_functions import _MAX_D, CycleType, partitions_of
 from .errors import (
     CtxMismatch,
     FieldTooSmall,
@@ -54,7 +56,6 @@ from .finite_field import (
     _imulmod,
     _digits,
     _ireduce,
-    _islot_width,
     _islots_mod,
     _ipack,
     _iunpack,
@@ -336,32 +337,36 @@ class _IntArith:
     def grow(self, powers, g, n):
         """Extend powers = [H^0, H^1, ...] mod g (monic, degree m) to H^0, ..., H^(n-1).
 
-        From m = 6 the columns H x^k mod g of multiplication by H are packed
-        once (finite_field._ipack), and each power costs m scalar products
-        of packed ints.  A slot sums at most m (p - 1)^2: below 2^64 for
-        every p under the sweep guard (10^7) with m <= 12, and 32-bit slots
-        where it is below 2^32 (_islot_width).  Below m = 6, where the
-        matrix costs more than it saves, and past 2^64, each is one _imulmod.
+        From m = 6 the m columns H x^k mod g of multiplication by H are packed
+        into 64-bit slots (finite_field._ipack), each from the one before by
+        shift-and-add: x * col is col moved up one slot, plus its top slot mod
+        p times the packed -g_0..-g_(m-1).  A slot of column k then holds at
+        most B = (p - 1) + k (p - 1)^2 since its column was last reduced, and
+        a column is reduced mod p only where the m-term product could reach
+        2^64, m (p - 1) B >= 2^64.  Each power costs m scalar products of
+        packed ints.  Below m = 6, where the matrix costs more than it saves,
+        and where m (p - 1)^2 >= 2^64, each is one _imulmod.
         """
         if len(powers) >= n:
             return
         p, m = self.p, len(g) - 1
-        bound = m * (p - 1) ** 2
-        if m < 6 or bound >> 64:
+        if m < 6 or m * (p - 1) ** 2 >> 64:
             while len(powers) < n:
                 powers.append(_imulmod(p, powers[-1], powers[1], g))
             return
-        width = _islot_width(bound)
-        low = [-c % p for c in g[:m]]  # x^m = sum low_k x^k mod g
-        col = powers[1] + [0] * (m - len(powers[1]))
-        cols = [_ipack(col, width)]
+        low = _ipack([-c % p for c in g[:m]])  # x^m = sum low_k x^k mod g
+        top, below = 64 * (m - 1), (1 << 64 * (m - 1)) - 1
+        col, bound = _ipack(powers[1]), p - 1
+        cols = [col]
         for _ in range(m - 1):  # x * col mod g
-            top = col[-1]
-            col = [(c + top * b) % p for c, b in zip([0, *col], low)]
-            cols.append(_ipack(col, width))
+            col = ((col & below) << 64) + (col >> top) % p * low
+            bound += (p - 1) ** 2
+            if m * (p - 1) * bound >> 64:
+                col, bound = _islots_mod(col, p), p - 1
+            cols.append(col)
         while len(powers) < n:
             acc = sum(map(mul, powers[-1], cols))
-            powers.append(_trim([c % p for c in _iunpack(acc, m, width)]))
+            powers.append(_trim([c % p for c in _iunpack(acc, m)]))
 
     def quadratic_count(self, powers, g):
         """n_2, the number of quadratic factors of g (monic, squarefree, no root in F_p, p > deg g).
@@ -445,6 +450,26 @@ def _arith(ctx):
     return _IntArith(ctx.p) if ctx.l == 1 else _RawArith(ctx)
 
 
+@cache
+def _parity_table(m, i):
+    """The partitions of m into parts > i: (those with an even, those with an odd number of parts).
+
+    Each is a tuple of descending part tuples.  m = 0 has one, the empty
+    partition; past _MAX_D both are empty, so _ddf never stops on them.
+    """
+    split = ([], []) if m else ([()], [])
+    for ct in partitions_of(m) if 0 < m <= _MAX_D else ():
+        if ct.parts[-1] > i:
+            split[len(ct.parts) % 2].append(ct.parts)
+    return tuple(split[0]), tuple(split[1])
+
+
+def _sole_rest(m, i, count):
+    """The one partition of m into parts > i with as many parts as count mod 2, or None."""
+    rests = _parity_table(m, i)[count % 2]
+    return rests[0] if len(rests) == 1 else None
+
+
 def _ddf(ar, g, square, start=None, roots=None):
     """Distinct-degree factorization of a squarefree monic coefficient list g.
 
@@ -458,19 +483,21 @@ def _ddf(ar, g, square, start=None, roots=None):
     factors are divided out first, and the loop starts at degree 2 on the
     cofactor, which x^q and its powers are then kept modulo.
 
-    square, when not None, tells whether disc(g) is a square in F_q (odd q).
-    Before step i + 1 every factor of rem (degree m) has degree > i; if also
-    3(i + 1) > m and 2(i + 2) > m, rem is irreducible or has degrees
-    (i + 1, m - i - 1), and Stickelberger's theorem (disc g is a square iff
-    deg g minus the number of factors is even) tells which.  Given roots too,
-    a cofactor of degree m >= 6 first counts its n_2 quadratic factors as
+    square, when not None, tells whether disc(g) is a square in F_q (odd q):
+    by Stickelberger's theorem, whether deg g minus the number of factors is
+    even.  So it fixes the parity of the number of factors of rem, whose
+    degree m parts does not name yet, and the one rule is: before step
+    i + 1, where every factor of rem has degree > i, stop wherever
+    _parity_table(m, i) holds exactly one partition of that parity.  A cubic
+    of nonsquare discriminant is (2, 1) with no x^q.  Given roots too, a
+    cofactor of degree m >= 6 first counts its n_2 quadratic factors as
     tr(Q^2) / 2, Q its Frobenius matrix on packed ints (tr(Q^2) = n_1 + 2 n_2
-    mod p, exact for p > m; _IntArith.grow and quadratic_count); the rest
-    have degree >= 3 and total r = m - 2 n_2, so for r <= 7 the stop at
-    degree 2 names them with no x^(p^2) and no gcd.  Otherwise the loop
-    goes on from x^(p^2), with no gcd at degree 2 when n_2 = 0.  The
-    blocks stop short of what a stop names and hold no linear block when
-    roots are given, so factor() passes neither.
+    mod p, exact for p > m; _IntArith.grow and quadratic_count), and the
+    rule names the rest, in parts > 2, where it can: every rest of degree
+    <= 7, and (8), with no x^(p^2) and no gcd.  Otherwise the loop goes on
+    from x^(p^2), with no gcd at degree 2 when n_2 = 0.  The blocks stop
+    short of what a stop names and hold no linear block when roots are
+    given, so factor() passes neither.
     """
     blocks, h = [], None
     if roots is None:
@@ -478,22 +505,24 @@ def _ddf(ar, g, square, start=None, roots=None):
     else:  # the linear factors come out first
         rem, parts, i = ar.divide_roots(g, roots), [1] * len(roots), 1
     m = len(rem) - 1  # the degree that parts does not name yet
+    total = None if square is None else len(g) - square  # = the number of factors of g, mod 2
     while 2 * (i + 1) <= m:
-        if square is not None and 3 * (i + 1) > m and 2 * (i + 2) > m:
-            if square == ((len(g) - 1 - len(parts)) % 2 == 0):  # two factors
-                parts += (i + 1, m - i - 1)
-                m = 0
+        rest = None if total is None else _sole_rest(m, i, total - len(parts))
+        if rest is not None:
+            parts += rest
+            m = 0
             break
         i += 1
         if h is None:
             mod = rem
             h, powers = ar.xq(mod) if start is None else ar.xq(mod, start, len(g) - 1)
             if i == 2:  # the linear factors are out
-                n2 = None if square is None else ar.quadratic_count(powers, mod)
-                if n2 is not None and m - 2 * n2 < 8:  # the stop at degree 2 names the rest
-                    parts += [2] * n2
-                    m -= 2 * n2
-                    continue
+                n2 = None if total is None else ar.quadratic_count(powers, mod)
+                rest = None if n2 is None else _sole_rest(m - 2 * n2, 2, total - len(parts) - n2)
+                if rest is not None:  # n_2 quadratic factors and the rest
+                    parts += (2,) * n2 + rest
+                    m = 0
+                    break
                 h = ar.step(h, powers, mod, rem)  # on to x^(q^2)
                 if n2 == 0:  # and past it: gcd(rem, x^(q^2) - x) = 1
                     continue
@@ -736,10 +765,7 @@ def derivative(f: Poly) -> Poly:
 def second_hasse_schmidt(f: Poly) -> Poly:
     """Second Hasse-Schmidt derivative: sum C(i,2) a_i x^(i-2)."""
     ctx = f.ctx
-    out = []
-    for i in range(2, len(f._c)):
-        out.append(ctx.scalar_mul(i * (i - 1) // 2, f._c[i]))
-    return Poly.from_raw(ctx, out)
+    return Poly.from_raw(ctx, [ctx.scalar_mul(i * (i - 1) // 2, c) for i, c in enumerate(f._c[2:], 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -769,11 +795,7 @@ def is_squarefree(g: Poly) -> bool:
 
 
 def _pth_root_raws(ctx, a):
-    p = ctx.p
-    out = []
-    for i in range(0, len(a), p):
-        out.append(ctx.pth_root(a[i]))
-    return _trim(out)
+    return _trim([ctx.pth_root(c) for c in a[::ctx.p]])
 
 
 def _sqf_decompose(ctx, g):
@@ -915,9 +937,7 @@ class FactorizationResult:
         return acc
 
     def multiset_degrees(self) -> tuple:
-        degs = []
-        for poly, mult in self.factors:
-            degs.extend([poly.degree] * mult)
+        degs = (poly.degree for poly, mult in self.factors for _ in range(mult))
         return tuple(sorted(degs, reverse=True))
 
 
@@ -991,10 +1011,7 @@ def roots_in_field(g: Poly):
     if len(lin) - 1 < 1:
         return []
     rng = random.Random(f"roots/{ctx.p}/{ctx.l}")
-    roots = []
-    for raws in _edf(ctx, lin, 1, rng):
-        roots.append(ctx.neg(raws[0]))
-    roots.sort()
+    roots = sorted(ctx.neg(raws[0]) for raws in _edf(ctx, lin, 1, rng))
     return [FieldElement(ctx, r) for r in roots]
 
 
@@ -1081,11 +1098,7 @@ def _disc_poly(f: Poly):
     nodes = range(len(fp))
     if ctx.q < len(nodes):
         return None
-    values = []
-    for a in nodes:
-        g = list(f._c)
-        g[0] = ctx.add(g[0], a)
-        values.append(_rdisc(ctx, g, fp))
+    values = [_rdisc(ctx, [ctx.add(f._c[0], a), *f._c[1:]], fp) for a in nodes]
     return _lagrange(ctx, nodes, values)
 
 

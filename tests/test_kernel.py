@@ -17,7 +17,9 @@ intervals on both sides of the split of p, and its packed squaring against
 an unpacked reference where the slot sums are largest.  The root-fed kernel
 of p > d >= 6 is checked against the unfed one on every interval of degree 6
 over F_7 and on seeded intervals with planted root counts, and against
-brute_force_factor on a seeded sample.
+brute_force_factor on a seeded sample.  The parity table behind every
+discriminant stop is checked against a direct filter of the partitions, and
+the cubic stop on every monic cubic over F_11 and F_25.
 """
 
 import random
@@ -26,7 +28,7 @@ from math import isqrt
 
 import pytest
 
-from ffintervals import interval_lab
+from ffintervals import interval_lab, polynomial
 from ffintervals.class_functions import _MAX_D, partitions_of
 from ffintervals.errors import TooLarge
 from ffintervals.finite_field import (
@@ -34,7 +36,7 @@ from ffintervals.finite_field import (
     _digits,
     _imul,
     _ipack,
-    _islot_width,
+    _islots_mod,
     _iunpack,
     is_prime,
     make_extension,
@@ -50,12 +52,14 @@ from ffintervals.polynomial import (
     _bsquare,
     _frobenius_columns,
     _imulmod,
+    _parity_table,
     _pattern,
     _pattern_or_none_generic,
     _pattern_or_none_int,
     _rdivmod,
     _reval,
     _rpow_poly_mod,
+    _sole_rest,
     _trim,
     brute_force_factor,
     cycle_pattern_or_none,
@@ -110,29 +114,44 @@ def test_kernel_matches_factor_random_high_degree(p):
             assert _kernel(g) == _expected_pattern(g), g
 
 
-class _PathArith(_IntArith):
-    """_IntArith that records which steps _ddf takes: the trace of Q^2 and each gcd."""
+class _PathArith:
+    """A kernel arithmetic that records the steps _ddf takes through it.
 
-    __slots__ = ("path",)
+    record names the labels kept: "xq" (the first power), "trace" (the trace
+    of Q^2) and "gcd"; every other call passes through unrecorded.
+    """
 
-    def __init__(self, p):
-        super().__init__(p)
-        self.path = []
+    LABELS = {"xq": "xq", "quadratic_count": "trace", "gcd": "gcd"}
 
-    def quadratic_count(self, powers, g):
-        self.path.append("trace")
-        return super().quadratic_count(powers, g)
+    def __init__(self, ar, record=("trace", "gcd")):
+        self.ar, self.record, self.path = ar, record, []
 
-    def gcd(self, a, b):
-        self.path.append("gcd")
-        return super().gcd(a, b)
+    def __getattr__(self, name):
+        method = getattr(self.ar, name)
+        if self.LABELS.get(name) not in self.record:
+            return method
+
+        def recorded(*args):
+            self.path.append(self.LABELS[name])
+            return method(*args)
+
+        return recorded
 
 
-# the types of degree 6-9 left with r >= 8 after their linear and quadratic
-# factors: the trace of Q^2 cannot name them, so _ddf goes on to the gcds
-GCD_PATH_TYPES_TO_9 = {
-    (8,), (5, 3), (4, 4), (9,), (6, 3), (5, 4), (3, 3, 3), (8, 1), (5, 3, 1), (4, 4, 1)
-}
+# the types of degree 6-9 whose parts of degree >= 3 the square class cannot
+# name from the parity table: _ddf goes on from the trace of Q^2 to the gcds
+GCD_PATH_TYPES_TO_9 = {(5, 3), (4, 4), (9,), (6, 3), (5, 4), (3, 3, 3), (5, 3, 1), (4, 4, 1)}
+
+
+def _alike(r, parts):
+    """The partitions of r into parts >= 3 with as many parts as parts, mod 2 (a direct filter)."""
+    if r == 0:
+        return [()]
+    return [
+        ct.parts
+        for ct in partitions_of(r)
+        if ct.parts[-1] >= 3 and len(ct.parts) % 2 == len(parts) % 2
+    ]
 
 
 @pytest.mark.parametrize("p", [11, 13, 1747, 10007])
@@ -140,8 +159,10 @@ def test_kernel_on_planted_products(p):
     # one product per cycle type of degree 6-9 (6-12 at p > 12) over a pool of
     # distinct irreducibles certified by Rabin's test; reusing a factor must
     # give None.  The sweeps' path gets D(c), the start of x^p and the sorted
-    # roots: a cofactor of degree m <= 5 is named before any power, one with
-    # r = m - 2 n_2 <= 7 by the trace of Q^2, and the rest go on to the gcds.
+    # roots: a cofactor of degree m <= 5 is named before any power; past it
+    # the trace of Q^2 names the quadratic factors, and the square class the
+    # rest wherever one partition into parts >= 3 has its parity of parts.
+    # The rest go on to the gcds.
     ctx = make_prime_field(p)
     rng = random.Random(f"planted/{p}")
     pool = {}
@@ -166,20 +187,99 @@ def test_kernel_on_planted_products(p):
             disc = discriminant(g).raw
             assert _pattern_or_none_int(p, raws, disc) == ct.parts, g
             roots = sorted(-h.raw_coeffs[0] % p for h in pool[1][: used[1]])
-            ar = _PathArith(p)
+            ar = _PathArith(_IntArith(p))
             start = _rpow_poly_mod(ctx, [0, 1], e, raws)
             assert _pattern(ar, raws, disc, start, roots) == ct.parts, g
             m = d - used[1]
-            r = m - 2 * used[2]
+            rest = tuple(k for k in ct.parts if k >= 3)
             if m <= 5:
                 assert ar.path == [], (ct.parts, m)
-            elif r <= 7:
-                assert ar.path == ["trace"], (ct.parts, r)
+            elif len(_alike(sum(rest), rest)) == 1:
+                assert ar.path == ["trace"], ct.parts
             else:
-                assert ar.path[0] == "trace" and "gcd" in ar.path, (ct.parts, r)
+                assert ar.path[0] == "trace" and "gcd" in ar.path, ct.parts
                 gcd_path.add(ct.parts)
             assert _kernel(g * pool[ct.parts[-1]][0]) is None, g
     assert {ct for ct in gcd_path if sum(ct) <= 9} == GCD_PATH_TYPES_TO_9
+
+
+# ---------------------------------------------------------------------------
+# the parity table behind every discriminant stop of _ddf
+
+
+def test_parity_table_is_a_filter_of_the_partitions():
+    for m in range(1, 13):
+        for i in range(6):
+            even, odd = _parity_table(m, i)
+            above = [ct.parts for ct in partitions_of(m) if min(ct.parts) > i]
+            assert list(even) == [ps for ps in above if len(ps) % 2 == 0], (m, i)
+            assert list(odd) == [ps for ps in above if len(ps) % 2 == 1], (m, i)
+    assert _parity_table(0, 0) == (((),), ())
+    assert _parity_table(0, 3) == (((),), ())
+    assert _parity_table(_MAX_D + 1, 0) == ((), ())
+    assert _parity_table(40, 2) == ((), ())
+
+
+def test_parity_table_reproduces_the_fiber_types():
+    # root count k and square class s name the type exactly for d <= 5: the
+    # rest, of degree d - k in parts > 1, is the one entry of its parity.
+    # The reference keys every partition of d directly
+    for d in range(1, 6):
+        direct = {
+            (ct.parts.count(1), (d - len(ct.parts)) % 2 == 0): ct.parts for ct in partitions_of(d)
+        }
+        assert len(direct) == len(partitions_of(d)), d
+        types = {}
+        for k in range(d + 1):
+            for odd, rests in enumerate(_parity_table(d - k, 1)):
+                assert len(rests) <= 1, (d, k)
+                for rest in rests:
+                    types[k, (d - k - odd) % 2 == 0] = rest + (1,) * k
+        assert types == direct == interval_lab._fiber_types(d), d
+
+
+def test_parity_table_covers_the_old_two_factor_window():
+    # the stop before this table: before step i + 1, with 3(i + 1) > m and
+    # 2(i + 2) > m, rem is irreducible or has degrees (m - i - 1, i + 1)
+    fired = 0
+    for m in range(2, 13):
+        for i in range(m // 2):
+            if 3 * (i + 1) > m and 2 * (i + 2) > m:
+                fired += 1
+                even, odd = _parity_table(m, i)
+                assert odd == ((m,),), (m, i)
+                assert even == ((m - i - 1, i + 1),), (m, i)
+                assert _sole_rest(m, i, 1) == (m,) and _sole_rest(m, i, 2) == (m - i - 1, i + 1)
+    assert fired == 10  # i = m // 2 - 1 for every m = 2..12 but 3
+
+
+@pytest.mark.parametrize(
+    "ctx,ar_of",
+    [
+        (make_prime_field(11), lambda ctx: _IntArith(ctx.p)),
+        (make_extension(make_prime_field(5), 2, 0), _RawArith),
+    ],
+    ids=["int-F11", "generic-F25"],
+)
+def test_cubics_of_nonsquare_discriminant_are_named_with_no_power(ctx, ar_of):
+    # nonsquare D: deg 3 - k is odd, so k = 2 factors, and the only such
+    # partition of 3 is (2, 1): no x^q and no gcd.  A square D leaves (3) and
+    # (1, 1, 1), so x^q and the degree-1 gcd decide
+    seen = set()
+    for idx in range(ctx.q**3):
+        g = poly_from_index(ctx, 3, idx)
+        disc = discriminant(g).raw
+        ar = _PathArith(ar_of(ctx), ("xq", "trace", "gcd"))
+        pattern, path = _pattern(ar, list(g.raw_coeffs), disc), ar.path
+        assert pattern == _expected_pattern(g), g
+        if disc == 0:
+            assert pattern is None and path == [], g
+        elif not ctx.is_square(disc):
+            assert pattern == (2, 1) and path == [], g
+        else:
+            assert path == ["xq", "gcd"], g
+        seen.add((pattern, path == []))
+    assert seen == {(None, True), ((2, 1), True), ((3,), False), ((1, 1, 1), False)}
 
 
 @pytest.mark.parametrize("p", [3, 13, 1747])
@@ -277,34 +377,54 @@ def _prime_below(n):
     return next(k for k in range(n - 1, 1, -1) if is_prime(k))
 
 
-def test_packed_frobenius_powers_at_the_worst_case_slot_sums():
-    """_IntArith.grow's slots hold m (p - 1)^2 on each side of its width rule.
+def _grow_against_naive_chain(m, monkeypatch):
+    """The four primes of the test below at degree m, and how many columns grow reduced at each."""
 
-    With g = x^m - 1 and H = -(1 + x + ... + x^(m-1)), every column H x^k mod
-    g is all p - 1, so the first packed product sums m products (p - 1)^2 in
-    every slot.  m = 12, and p is the largest prime with 32-bit slots, the
-    prime after it, the largest prime the sweep guard admits, and the least
-    prime past 64 bits, where each power is one _imulmod.
-    """
-    m = _MAX_D
+    def never_reduced(p):
+        return m * (p - 1) * ((p - 1) + (m - 1) * (p - 1) ** 2) >> 64 == 0
 
-    def first_prime_past(bits):  # the least prime p with m (p - 1)^2 >= 2^bits
-        return next(k for k in count(isqrt(2**bits // m)) if m * (k - 1) ** 2 >> bits and is_prime(k))
-
-    p64, big = first_prime_past(32), first_prime_past(64)
-    p32 = _prime_below(p64)
+    lazy = next(
+        k for k in count(round((2**64 / (m * (m - 1))) ** (1 / 3)) + 2, -1)
+        if never_reduced(k) and is_prime(k)
+    )
+    after = next(k for k in count(lazy + 1) if is_prime(k))
     guard = _prime_below(interval_lab._GAUSS_GUARD + 1)
-    assert [_islot_width(m * (p - 1) ** 2) for p in (p32, p64, guard)] == [32, 64, 64]
-    assert m * (guard - 1) ** 2 < 2**64 and big < _MAX_P
-    for p in (p32, p64, guard, big):
-        g = [p - 1] + [0] * (m - 1) + [1]
-        top = [p - 1] * m
-        powers = [[1], top]
+    big = next(k for k in count(isqrt(2**64 // m)) if m * (k - 1) ** 2 >> 64 and is_prime(k))
+    assert not never_reduced(after) and lazy < guard < big < _MAX_P
+    reductions = []
+    def counted(n, p):
+        reductions[-1] += 1
+        return _islots_mod(n, p)
+
+    monkeypatch.setattr(polynomial, "_islots_mod", counted)
+    for p in (lazy, after, guard, big):
+        reductions.append(0)
+        g = [1] * (m + 1)
+        h = [p - m + k for k in range(m)]
+        powers = [[1], h]
         _IntArith(p).grow(powers, g, m)
-        want = [[1], top]
+        want = [[1], h]
         while len(want) < m:
-            want.append(_naive_mulmod(p, want[-1], top, g))
-        assert powers == want, p
+            want.append(_naive_mulmod(p, want[-1], h, g))
+        assert powers == want, (m, p)
+    return reductions
+
+
+def test_packed_frobenius_powers_at_the_worst_case_slot_sums(monkeypatch):
+    """_IntArith.grow's lazily reduced columns on each side of their rule, at m = 6 and 12.
+
+    g = 1 + x + ... + x^m makes every -g_k p - 1, and H = -(m, m - 1, ..., 1)
+    makes the top slot of every column p - 1 mod p, so each shift-and-add
+    adds (p - 1)^2 to the slots it keeps: column k nears its bound
+    B_k = (p - 1) + k (p - 1)^2.  p is the largest prime whose columns are
+    never reduced (m (p - 1) B_(m-1) < 2^64), the prime after it, where the
+    last column is, the largest prime the sweep guard admits, where every
+    column after the first is, and the least prime past 64 bits
+    (m (p - 1)^2 >= 2^64), where each power is one _imulmod.  Every power
+    is checked against a naive mulmod chain.
+    """
+    for m in (6, _MAX_D):
+        assert _grow_against_naive_chain(m, monkeypatch) == [0, 1, m - 1, 0], m
 
 
 # ---------------------------------------------------------------------------
