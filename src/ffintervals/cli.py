@@ -28,7 +28,7 @@ from .interval_lab import (
     squarefree_census,
 )
 from .morse_galois import (
-    bad_set,
+    _bad_set,
     classify_mu_cancellation,
     critical_data,
     is_morse,
@@ -264,7 +264,7 @@ def _run(args) -> int:
         try:
             cd = critical_data(f)
             report["critical_data"] = reports.critical_to_dict(cd)
-            report["bad_set"] = sorted(repr(e) for e in bad_set(f))
+            report["bad_set"] = sorted(repr(e) for e in _bad_set(cd))
         except FFIntervalsError as exc:
             report["critical_data_error"] = str(exc)
         if ctx.p != 2:

@@ -7,11 +7,12 @@ I(f), its member with constant term 0, and for p > deg f the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
-the kernels).  Over F_p the caller of _blocks computes, once per interval
-and at any worker count, x^e mod every member (e the top bits of p) from
-one bivariate power, and for p > deg f >= 6 the fiber pass, which lists the
-roots of every member; each member's kernel starts its x^p there and its
-distinct-degree loop at degree 2, on the cofactor of its linear factors.
+the kernels).  The caller of _blocks computes, once per interval and at any
+worker count, x^e mod every member (e the top bits of p) from one bivariate
+power, over F_p and over F_{p^l} alike, and over F_p for p > deg f >= 6 the
+fiber pass, which lists the roots of every member; each member's kernel
+starts its x^p there, and a root-fed one its distinct-degree loop at degree
+2, on the cofactor of its linear factors.
 Work is split into contiguous index ranges, one per worker, and joined in
 index order or by integer sums, so reports are identical for any worker
 count; the outermost run_scope() owns the process pools.
@@ -66,11 +67,12 @@ from .finite_field import (
 from .morse_galois import (
     bad_shift_check,
     classify_mu_cancellation,
-    critical_data,
+    critical_data,  # unused here; perfbench's tracer wraps interval_lab.critical_data
     is_morse,
 )
 from .polynomial import (
     Poly,
+    _ext_frobenius_columns,
     _frobenius_columns,
     _lagrange,
     _parity_table,
@@ -137,14 +139,17 @@ def _center(ctx, f: Poly):
 def _ddf_inputs(ctx, center, d_raws):
     """(cols, roots): _member_types' inputs, computed once per interval by the caller of _blocks.
 
-    cols, over F_p, are _frobenius_columns, skipped for d = 2 given D(t),
-    where D(c) alone names the type.  For p > d >= 6, where _fiber_types
-    names no type, roots = (xs, starts) from the fiber pass: the member with
-    constant term c has the roots xs[starts[c]:starts[c + 1]], ascending.
+    cols are _frobenius_columns over F_p and _ext_frobenius_columns over
+    F_{p^l}, skipped for d = 2 given D(t), where D(c) alone names the type.
+    Over F_p, for p > d >= 6, where _fiber_types names no type,
+    roots = (xs, starts) from the fiber pass: the member with constant term c
+    has the roots xs[starts[c]:starts[c + 1]], ascending.
     """
     d = len(center) - 1
-    if ctx.l > 1 or (d_raws is not None and d == 2):
+    if d_raws is not None and d == 2:
         return None, None
+    if ctx.l > 1:
+        return _ext_frobenius_columns(ctx, center), None
     cols = _frobenius_columns(ctx.p, center)
     if d_raws is None or _fiber_types(d) is not None:
         return cols, None
@@ -159,8 +164,8 @@ def _member_types(ctx, center, d_raws, consts, cols=None, roots=None):
     center and d_raws come from _center, cols and roots from _ddf_inputs.
     Every member a sweep or a table factors goes through here; the fiber
     route of _interval_table factors none.  The kernel of the member with
-    constant term c gets D(c), and over F_p its start of x^p from cols and
-    its roots when given, so its DDF starts at degree 2 on the cofactor.
+    constant term c gets D(c), its start of x^p from cols, and over F_p its
+    roots when given, so its DDF starts at degree 2 on the cofactor.
     """
     kernel, field = _kernel(ctx)
     for c in consts:
@@ -743,9 +748,9 @@ def large_q_demo(p: int = 5, l_list=(1, 4), workers: int = 1) -> LargeQDemoRepor
         if s_raw is None:
             raise NoSuitableS(f"no admissible s in F_{p}^* for q = {ctx.q}")
         f_s = Poly.from_raw(ctx, [0, s_raw, 0, 1])
-        cd = critical_data(f_s)
-        assert cd.ext_ctx == ctx, "critical values must lie in F_q by construction"
-        value_raws = sorted(cd.value_set_raws())
+        # the critical values are the negated roots of D(t) = disc(f_s + t)
+        value_raws = sorted(ctx.neg(r.raw) for r in roots_in_field(disc_in_t(f_s)))
+        assert len(value_raws) == 2, "critical values must lie in F_q by construction"
         beta = value_raws[0]
         shifts = [FieldElement(ctx, ctx.scalar_mul(i, beta)) for i in range(1, p + 1)]
         counter = Counter(ctx.add(r, h.raw) for r in value_raws for h in shifts)

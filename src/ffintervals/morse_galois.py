@@ -186,8 +186,12 @@ def _value_differences(cd: CriticalData) -> set:
 
 def bad_set(f: Poly):
     """B(f): nonzero differences of critical values landing in the prime field."""
-    cd = critical_data(f)
-    prime, frob = f.ctx.prime_field(), cd.ext_ctx.frob
+    return _bad_set(critical_data(f))
+
+
+def _bad_set(cd: CriticalData):
+    """bad_set from f's critical data, for a caller that reports cd as well."""
+    prime, frob = cd.ext_ctx.prime_field(), cd.ext_ctx.frob
     # a prime-subfield raw is its F_p raw
     return {FieldElement(prime, delta) for delta in _value_differences(cd) if frob(delta) == delta}
 

@@ -13,13 +13,15 @@ blocks alike.  It runs on int lists over F_p (_IntArith, on the int layer of
 finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one for it
 and for the x^q steps of is_irreducible and roots_in_field.  The sweeps pass
 each member's discriminant when p > deg; brute_force_factor is the oracle.
-Over F_p they also pass each member's start of x^p: for an interval
-{f + c : c in F_p}, _frobenius_columns computes R(x, y) = x^e mod (f(x) + y)
-once, e the top bits of p (_batch_shift), on y-polynomials packed into ints,
-and evaluates its coefficients at every y in F_p; the member f + c starts
-from R(x, c) and squares through the low bits of p that remain.  For
-p > deg >= 6 they pass its roots in F_p as well: _ddf divides out the linear
-factors and starts at degree 2 on the cofactor.  A cofactor of degree
+They also pass each member's start of x^p: for an interval
+{f + c : c in F_q}, R(x, y) = x^e mod (f(x) + y) is computed once, e the top
+bits of p, and its coefficients are evaluated at every y in F_q; the member
+f + c starts from R(x, c) and squares through the low bits of p that
+remain.  Over F_p, _frobenius_columns does so on y-polynomials packed into
+ints (_batch_shift); over F_{p^l}, _ext_frobenius_columns on raws, by
+Horner, with e <= d^2 (_ext_batch_shift).  Over F_p, for p > deg >= 6,
+they pass its roots in F_p as well: _ddf divides out the linear factors
+and starts at degree 2 on the cofactor.  A cofactor of degree
 m >= 6 then builds Berlekamp's matrix Q on packed ints, from columns that
 are reduced mod p only where a product could overflow its 64-bit slots,
 and tr(Q^2) = n_1 + 2 n_2 mod p names its quadratic factors.  Wherever the
@@ -33,6 +35,7 @@ same int layer through the raw helpers below.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import mul
@@ -183,16 +186,16 @@ def _rpow_poly_mod(ctx, base, e, mod):
 
 
 # ---------------------------------------------------------------------------
-# x^e mod every member of an interval over F_p, from one bivariate power
+# x^e mod every member of an interval over F_q, from one bivariate power
 
 
 _BATCH_Y_BITS = 9  # R's y-polynomials have fewer than 2^9 coefficients
 
 
 def _batch_shift(p, d):
-    """s, the number of low bits of p left to each member's kernel (e = p >> s).
+    """s over F_p, the number of low bits of p left to each member's kernel (e = p >> s).
 
-    The one rule: the least s >= 0 with (p // d) >> s < 2^_BATCH_Y_BITS.  Then
+    The least s >= 0 with (p // d) >> s < 2^_BATCH_Y_BITS.  Then
     R(x, y) = x^e mod (f(x) + y), with y-degree at most e // d = (p // d) >> s,
     has at most d * 2^_BATCH_Y_BITS terms whatever p is.
     """
@@ -264,6 +267,42 @@ def _frobenius_columns(p, center):
     for bit in bin(e)[2:]:
         r = _bsquare(p, r, rows, bit == "1")
     return _ieval_all(p, [_iunpack(ri) for ri in r])
+
+
+def _ext_batch_shift(p, d):
+    """s over F_{p^l}, where R is evaluated by Horner: the least s >= 0 with p >> s <= d^2.
+
+    R's d coefficients then have y-degree e // d <= d, so each member's
+    Horner work, about e + d field operations, stays under the 2 d^2 or so
+    of one squaring mod the member that each bit of e saves it.
+    """
+    return (p // (d * d + 1)).bit_length()
+
+
+def _ext_frobenius_columns(ctx, center):
+    """_frobenius_columns over F_q = F_{p^l}: cols[i][c] for every raw c, as raws.
+
+    e = p >> _ext_batch_shift(p, d): R(x, y) = x^e mod (center(x) + y) over
+    F_q[y] comes from e products by x, each folding x^d into
+    -y - sum_{i<d} center_i x^i, and each of its d coefficients is evaluated
+    at every y in F_q by Horner.  The member with constant term c starts its
+    x^p there (_RawArith.xq).
+    """
+    d = len(center) - 1
+    add, mul = ctx.add, ctx.mul
+    r = [[1]] + [[]] * (d - 1)
+    for _ in range(ctx.p >> _ext_batch_shift(ctx.p, d)):
+        top, r = r[-1], [[]] + r[:-1]
+        if top:
+            r = [_rsub(ctx, ri, [mul(t, ci) for t in top]) if ci else ri for ri, ci in zip(r, center)]
+            r[0] = _rsub(ctx, r[0], [0] + top)
+    cols = []
+    for ri in r:
+        col = [ri[-1] if ri else 0] * ctx.q
+        for c in reversed(ri[:-1]):
+            col = [add(mul(v, y), c) for y, v in enumerate(col)]
+        cols.append(array("q", col))
+    return cols
 
 
 class _IntArith:
@@ -411,15 +450,26 @@ class _RawArith:
     def sub_x(self, h):
         return _rsub(self.ctx, h, [0, 1])
 
-    def xq(self, g):
+    def xq(self, g, start=None, d=None):
         """x^q mod g (monic, degree >= 1) and the power list [1, x^q] for step.
 
-        x^p comes from square-and-multiply.  The p-power map is semilinear:
+        x^p comes from square-and-multiply, or from start when given: the
+        raw list of x^e mod g, of degree d (deg g by default; _ddf feeds no
+        roots over F_{p^l}, so g is the whole member), for e = p >> s and
+        s = _ext_batch_shift(p, d), so only the s low bits of p are left,
+        each one squaring, a shift by x when it is set, and a reduction.
+        The p-power map is semilinear:
         (sum h_k x^k)^p = sum frob(h_k) H^k with H = x^p mod g, so l - 1
         such steps carry x^p to x^q.
         """
-        ctx = self.ctx
-        h = _rpow_poly_mod(ctx, [0, 1], ctx.p, g)
+        ctx, p = self.ctx, self.ctx.p
+        if start is None:
+            h = _rpow_poly_mod(ctx, [0, 1], p, g)
+        else:
+            h = _trim(list(start))
+            for bit in bin(p)[2 + p.bit_length() - _ext_batch_shift(p, d or len(g) - 1):]:
+                t = _rmul(ctx, h, h)
+                h = _rdivmod(ctx, [0] + t if bit == "1" else t, g)[1]
         frob_powers = [[1], h]
         for _ in range(ctx.l - 1):
             h = self.step([ctx.frob(c) for c in h], frob_powers, g, g)
@@ -476,7 +526,7 @@ def _ddf(ar, g, square, start=None, roots=None):
     ar is the arithmetic: _IntArith over F_p, _RawArith over any F_q.
     Returns (cycle type, blocks): the factor degrees, descending, and pairs
     (block, i) with block the product of the degree-i factors.  Only x^q
-    comes from powering, from start when given (see _IntArith.xq); each
+    comes from powering, from start when given (see the two xq); each
     later x^(q^i) is an F_q-linear step, kept mod the unsplit part rem.
 
     roots, when given (over F_p), lists every root of g in F_p: their linear
@@ -569,9 +619,12 @@ def _pattern_or_none_int(p, g, disc=None, start=None, roots=None):
     return _pattern(_IntArith(p), g, disc, start, roots)
 
 
-def _pattern_or_none_generic(ctx, g, disc=None):
-    """Cycle type of g (monic raw list over any F_q), None if not squarefree; see _pattern."""
-    return _pattern(_RawArith(ctx), g, disc)
+def _pattern_or_none_generic(ctx, g, disc=None, start=None):
+    """Cycle type of g (monic raw list over any F_q), None if not squarefree; see _pattern.
+
+    start, from _ext_frobenius_columns, is x^e mod g for the top bits e of p.
+    """
+    return _pattern(_RawArith(ctx), g, disc, start)
 
 
 def cycle_pattern_or_none(ctx, coeffs):

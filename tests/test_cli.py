@@ -358,6 +358,23 @@ def test_morse_command(capsys):
     assert payload["report"]["bad_set"] == ["1", "12"]
 
 
+def test_morse_command_builds_the_critical_data_once(capsys, monkeypatch):
+    # the report's critical data and B(f) come from one splitting-field build
+    from ffintervals import cli, morse_galois
+
+    built, critical_data = [], morse_galois.critical_data
+
+    def counted(f):
+        built.append(f)
+        return critical_data(f)
+
+    monkeypatch.setattr(morse_galois, "critical_data", counted)
+    monkeypatch.setattr(cli, "critical_data", counted)
+    code, payload = run_json(capsys, ["morse", "--p", "5", "--ext", "2", "--f", "x^4+x^2+3*x"])
+    assert code == 0 and len(built) == 1
+    assert payload["report"]["critical_data"]["kind"] == "critical_data"
+
+
 def test_scan_morse_command(capsys):
     code, payload = run_json(capsys, ["scan-morse", "--p", "13", "--f", "x^3"])
     assert code == 0

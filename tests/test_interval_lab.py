@@ -438,35 +438,44 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
 
 
 def test_frobenius_batch_runs_once_per_interval_in_the_parent(monkeypatch):
-    # a standalone sweep and a d >= 6 table at 1 and 2 workers: the parent
-    # computes the batch (and the root lists) once, and no worker computes it
+    # a standalone sweep and a table at 1 and 2 workers, of a d >= 6 interval
+    # over F_101 and of a quartic over F_27 (p <= d: no fiber route): the
+    # parent computes the batch (and the root lists) once, and no worker
+    # computes it
     from ffintervals import reports
 
-    F101 = make_prime_field(101)
-    f = parse_poly("x^8+3*x^3+x+1", F101)
-    mu = make_builtin("moebius", 8)
-    pair = IntervalSpec(F101, f, (F101(0), F101(1)), (mu, mu))
-    parent, batch, calls = os.getpid(), interval_lab._frobenius_columns, []
+    F101, F27 = make_prime_field(101), make_extension(make_prime_field(3), 3, 0)
+    cases = []
+    for ctx, text in ((F101, "x^8+3*x^3+x+1"), (F27, "x^4+2*x^3+x+1")):
+        f = parse_poly(text, ctx)
+        mu = make_builtin("moebius", f.degree)
+        cases.append((ctx, f, mu, IntervalSpec(ctx, f, (ctx(0), ctx(1)), (mu, mu))))
+    parent, calls = os.getpid(), []
 
-    def counted(p, center):
-        assert os.getpid() == parent, "a worker computed the batch"
-        calls.append(tuple(center))
-        return batch(p, center)
+    def counted(batch):
+        def run(field, center):
+            assert os.getpid() == parent, "a worker computed the batch"
+            calls.append(tuple(center))
+            return batch(field, center)
+        return run
 
-    monkeypatch.setattr(interval_lab, "_frobenius_columns", counted)
+    for name in ("_frobenius_columns", "_ext_frobenius_columns"):
+        monkeypatch.setattr(interval_lab, name, counted(getattr(interval_lab, name)))
     blobs = []
     for workers in (1, 2):
-        calls.clear()
-        reps = [class_sum(F101, f, mu, workers), correlation_sum(pair, workers)]
-        assert len(calls) == 2  # one standalone sweep each
-        with run_scope():
-            reps += [class_sum(F101, f, mu, workers), correlation_sum(pair, workers)]
-        assert len(calls) == 3  # one table for both
+        reps = []
+        for ctx, f, mu, pair in cases:
+            calls.clear()
+            reps += [class_sum(ctx, f, mu, workers), correlation_sum(pair, workers)]
+            assert len(calls) == 2  # one standalone sweep each
+            with run_scope():
+                reps += [class_sum(ctx, f, mu, workers), correlation_sum(pair, workers)]
+            assert len(calls) == 3  # one table for both
         blobs.append([
             reports.to_json(reports.scrub_timings(reports.experiment_to_dict(rep))) for rep in reps
         ])
     assert blobs[0] == blobs[1]
-    assert blobs[0][:2] == blobs[0][2:]
+    assert blobs[0][:2] == blobs[0][2:4] and blobs[0][4:6] == blobs[0][6:]
 
 
 def test_run_scope_keys_tables_by_field_and_modulus():
@@ -822,6 +831,29 @@ def test_large_q_demo_multiset_structure_and_dichotomy_failure():
     assert abs(q625.product_sum) >= 312  # frozen demo magnitude
     # constant sign: every nonzero product has the same sign
     assert q625.product_plus == 0 or q625.product_minus == 0
+
+
+def test_large_q_demo_reads_its_critical_values_off_d_of_t(monkeypatch):
+    # the demo builds no splitting field; the oracle does: the first s whose
+    # critical points lie in F_q, and beta the least of their critical values
+    from ffintervals import morse_galois
+
+    critical_data = morse_galois.critical_data
+
+    def refused(f):
+        raise AssertionError("the demo built critical data")
+
+    for owner in (morse_galois, interval_lab):
+        monkeypatch.setattr(owner, "critical_data", refused)
+    demos = [large_q_demo(5, (1, 2, 3)), large_q_demo(7, (1, 2))]
+    monkeypatch.undo()
+    for demo in demos:
+        for step in demo.steps:
+            ctx = make_extension(make_prime_field(demo.p), step.l, 0)
+            cds = ((s, critical_data(Poly(ctx, [0, s, 0, 1]))) for s in range(1, demo.p))
+            s, cd = next((s, cd) for s, cd in cds if cd.ext_ctx == ctx)
+            assert step.s == repr(ctx(s))
+            assert step.beta == repr(ctx.elem(min(cd.value_set_raws())))
 
 
 def test_large_q_demo_product_reads_the_single_sums_table(monkeypatch):

@@ -14,7 +14,10 @@ kernels are checked against their disc-free paths.  The batched start of
 x^p over F_p (one bivariate power per interval, evaluated at every member)
 is checked against the per-member x^p on every small interval and on seeded
 intervals on both sides of the split of p, and its packed squaring against
-an unpacked reference where the slot sums are largest.  The root-fed kernel
+an unpacked reference where the slot sums are largest; over F_{p^l} (one
+Horner evaluation per member) against the per-member x^p on every member of
+every cubic and quartic center over F_9 and F_25, and by the member types on
+seeded intervals over five extension fields.  The root-fed kernel
 of p > d >= 6 is checked against the unfed one on every interval of degree 6
 over F_7 and on seeded intervals with planted root counts, and against
 brute_force_factor on a seeded sample.  The parity table behind every
@@ -50,6 +53,8 @@ from ffintervals.polynomial import (
     _batch_rows,
     _batch_shift,
     _bsquare,
+    _ext_batch_shift,
+    _ext_frobenius_columns,
     _frobenius_columns,
     _imulmod,
     _parity_table,
@@ -660,6 +665,73 @@ def test_batch_refuses_slots_that_could_overflow():
     p = next(n for n in range(_MAX_P - 1, 0, -1) if is_prime(n))
     with pytest.raises(TooLarge):
         _frobenius_columns(p, _seeded_center(p, _MAX_D))
+
+
+# ---------------------------------------------------------------------------
+# the batched start over F_{p^l}: R(x, y) over F_q[y], evaluated by Horner
+
+
+def _ext_columns(ctx, center):
+    cols = _ext_frobenius_columns(ctx, center)
+    assert len(cols) == len(center) - 1 and all(len(col) == ctx.q for col in cols)
+    return cols
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ext_batched_start_matches_xq_on_every_small_interval(p):
+    # every monic center of degree 3 and 4 over F_{p^2}, each member: here
+    # s = 0, so the start is x^p mod the member itself.  Over F_9 and for the
+    # cubics over F_25, x^q from the start is compared whole with x^q from
+    # scratch; the quartics over F_25 (390,625 members) compare x^p, the one
+    # part of x^q the start changes, with x^p divided by the member.
+    ctx = make_extension(make_prime_field(p), 2, 0)
+    ar = _RawArith(ctx)
+    for d in (3, 4):
+        assert _ext_batch_shift(p, d) == 0
+        whole = p == 3 or d == 3
+        for idx in range(ctx.q ** (d - 1)):
+            center = [0] + _digits(ctx.q, d - 1, idx) + [1]
+            cols = _ext_columns(ctx, center)
+            for c in range(ctx.q):
+                g = [c] + center[1:]
+                start = [col[c] for col in cols]
+                if whole:
+                    assert ar.xq(g, start) == ar.xq(g), (ctx, g)
+                else:
+                    assert _trim(start) == _rdivmod(ctx, [0] * p + [1], g)[1], (ctx, g)
+
+
+EXT_SEEDED_INTERVALS = [
+    (5, 4, 3), (5, 4, 4), (5, 4, 6),  # p > d and p <= d: with and without D(t)
+    (7, 3, 4), (7, 3, 6),
+    (3, 5, 4),  # p < d: no D(t), the start is x^3 itself
+    (2, 6, 3), (2, 6, 5),  # characteristic 2
+    (101, 2, 3),  # s = 4: each member finishes the low bits of p
+]
+
+
+@pytest.mark.parametrize("p,l,d", EXT_SEEDED_INTERVALS)
+def test_ext_batched_start_and_member_types_on_seeded_intervals(p, l, d):
+    ctx = make_extension(make_prime_field(p), l, 0)
+    f = random_monic(ctx, d, random.Random(f"ext-batched/{p}/{l}/{d}"))
+    center, d_raws = interval_lab._center(ctx, f)
+    assert (d_raws is None) == (p <= d)
+    cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
+    assert roots is None and [list(col) for col in cols] == [list(col) for col in _ext_columns(ctx, center)]
+    types = list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q), cols))
+    assert types == [cycle_pattern_or_none(ctx, [c] + list(center[1:])) for c in range(ctx.q)]
+    ar = _RawArith(ctx)
+    for c in random.Random(f"ext-batched/{p}/{l}/{d}/xq").sample(range(ctx.q), 20):
+        g = [c] + list(center[1:])
+        assert ar.xq(g, [col[c] for col in cols]) == ar.xq(g), (ctx, g)
+
+
+def test_ext_batch_shift_is_the_least_with_e_at_most_d_squared():
+    assert {_ext_batch_shift(p, d) for p, _, d in EXT_SEEDED_INTERVALS} == {0, 4}
+    for p in (2, 3, 5, 7, 11, 101, 1009, 3137, 100003):
+        for d in range(1, _MAX_D + 1):
+            s = _ext_batch_shift(p, d)
+            assert p >> s <= d * d and (s == 0 or p >> (s - 1) > d * d), (p, d)
 
 
 # ---------------------------------------------------------------------------
