@@ -3,7 +3,7 @@
 Every experiment depends on the members only through their cycle types, and
 f + h + a runs over I(f) for every shift h.  One routine, _member_types,
 factors members (distinct-degree factorization).  It takes the center of
-I(f), its member with constant term 0, and for p > deg f the center's
+I(f), its member with constant term 0, and for odd q > deg f' the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
@@ -19,8 +19,8 @@ count; the outermost run_scope() owns the process pools.
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
-of I(f) in the scope reads it with no kernel call and no pool.  For
-p > deg f <= 5 it comes from root counts, split by x, and the square class
+of I(f) in the scope reads it with no kernel call and no pool.  Given D(t),
+for deg f <= 5 it comes from root counts, split by x, and the square class
 of D(c), with _member_types as its oracle, and factors no member.  A battery,
 moebius_battery and each large_q_demo step run in a fresh scope, so the
 demo's p-shift Möbius product is a reduction over the table its single sum
@@ -72,6 +72,7 @@ from .morse_galois import (
 )
 from .polynomial import (
     Poly,
+    _disc_poly,
     _ext_frobenius_columns,
     _frobenius_columns,
     _lagrange,
@@ -127,13 +128,12 @@ def _kernel(ctx):
 def _center(ctx, f: Poly):
     """I(f)'s member with constant term 0, and its D(t) = disc(center + t).
 
-    D is None for p <= deg f; otherwise the member with constant term c takes
-    its discriminant D(c), so f, every f + c and every shift share one D.
+    D is None for p = 2, where every element is a square, and q <= deg f';
+    f, every f + c and every shift share one D, which is 0 when f' = 0.
     """
     center = (0,) + f.raw_coeffs[1:]
-    if ctx.p <= f.degree:
-        return center, None
-    return center, disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
+    dpoly = None if ctx.p == 2 else _disc_poly(Poly.from_raw(ctx, center))
+    return center, None if dpoly is None else dpoly.raw_coeffs
 
 
 def _ddf_inputs(ctx, center, d_raws):
@@ -141,9 +141,9 @@ def _ddf_inputs(ctx, center, d_raws):
 
     cols are _frobenius_columns over F_p and _ext_frobenius_columns over
     F_{p^l}, skipped for d = 2 given D(t), where D(c) alone names the type.
-    Over F_p, for p > d >= 6, where _fiber_types names no type,
-    roots = (xs, starts) from the fiber pass: the member with constant term c
-    has the roots xs[starts[c]:starts[c + 1]], ascending.
+    Over F_p, given D(t), for p > d >= 6 (where _fiber_types names no type,
+    and _ddf's tr(Q^2) is exact), roots = (xs, starts) from the fiber pass:
+    the member with constant term c has the roots xs[starts[c]:starts[c + 1]].
     """
     d = len(center) - 1
     if d_raws is not None and d == 2:
@@ -151,7 +151,7 @@ def _ddf_inputs(ctx, center, d_raws):
     if ctx.l > 1:
         return _ext_frobenius_columns(ctx, center), None
     cols = _frobenius_columns(ctx.p, center)
-    if d_raws is None or _fiber_types(d) is not None:
+    if d_raws is None or _fiber_types(d) is not None or ctx.p <= d:
         return cols, None
     hits = _fiber_hits(ctx, center, 0, ctx.q)
     starts = accumulate(map(Counter(hits).__getitem__, range(ctx.q)), initial=0)
@@ -255,8 +255,8 @@ def _interval_table(ctx, f: Poly, workers: int):
     key = (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
     table = _tables.get(key)
     if table is None:
-        center, d_raws = _center(ctx, f)  # D(t) is None for p <= d
-        types = _fiber_types(f.degree) if ctx.p > f.degree else None
+        center, d_raws = _center(ctx, f)
+        types = None if d_raws is None else _fiber_types(f.degree)
         if types is None:
             head = (ctx, center, d_raws, *_ddf_inputs(ctx, center, d_raws))
             blocks = _blocks(_ddf_block, head, ctx.q, workers)

@@ -12,7 +12,7 @@ _ddf, gives cycle types (the hot path of the interval sweeps) and factor()'s
 blocks alike.  It runs on int lists over F_p (_IntArith, on the int layer of
 finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one for it
 and for the x^q steps of is_irreducible and roots_in_field.  The sweeps pass
-each member's discriminant when p > deg; brute_force_factor is the oracle.
+each member's discriminant for odd q > deg f'; brute_force_factor is the oracle.
 They also pass each member's start of x^p: for an interval
 {f + c : c in F_q}, R(x, y) = x^e mod (f(x) + y) is computed once, e the top
 bits of p, and its coefficients are evaluated at every y in F_q; the member
@@ -597,7 +597,7 @@ def _pattern(ar, g, disc, start=None, roots=None):
     """Cycle type of a monic coefficient list g, None if not squarefree.
 
     disc, when given, is disc(g) for odd q (the sweeps pass it for
-    p > deg g): zero means g is not squarefree, and otherwise the gcd(g, g')
+    q > deg g'): zero means g is not squarefree, and otherwise the gcd(g, g')
     test is skipped and its square class lets _ddf stop early.  start and
     roots are passed on to _ddf.
     """

@@ -375,6 +375,52 @@ def test_morse_command_builds_the_critical_data_once(capsys, monkeypatch):
     assert payload["report"]["critical_data"]["kind"] == "critical_data"
 
 
+@pytest.mark.parametrize(
+    "p,f,error",
+    [
+        ("5", "x^5+1", "f' = 0; no critical point data"),
+        # f' = 12 h_5 h_6 with h_5 and h_6 irreducible: the splitting field is F_(q^30)
+        (
+            "13",
+            "x^12+6*x^11+12*x^10+7*x^9+9*x^8+5*x^7+8*x^6+x^5+12*x^4+10*x^3+2*x^2+11*x",
+            "needs F_(q^30), cap is 24",
+        ),
+    ],
+    ids=["f-prime-zero", "past-the-cap"],
+)
+def test_morse_command_reports_missing_critical_data(capsys, p, f, error):
+    code, payload = run_json(capsys, ["morse", "--p", p, "--f", f])
+    report = payload["report"]
+    assert code == 0
+    assert report["critical_data_error"] == error
+    assert "is_morse" in report and "stickelberger_mu" in report
+    assert "critical_data" not in report and "bad_set" not in report
+
+
+def test_chebotarev_csv_has_one_row_per_class(capsys):
+    import csv as _csv
+    import io
+
+    argv = ["chebotarev", "--p", "11", "--f", "x^3+x+1"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    run_command(argv + ["--out", "csv"])
+    rows = list(_csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    classes = payload["report"]["classes"]
+    assert [row["cycle_type"] for row in rows] == list(classes)
+    per_class = ("frequency", "predicted", "deviation")
+    for row in rows:
+        assert {k: row[k] for k in per_class} == {
+            k: str(v) for k, v in classes[row["cycle_type"]].items()
+        }
+    summaries = [
+        {k: v for k, v in row.items() if k not in per_class + ("cycle_type",)} for row in rows
+    ]
+    assert all(summary == summaries[0] for summary in summaries)
+    for key in ("max_deviation", "tv_distance", "squarefree_total"):
+        assert summaries[0][key] == str(payload["report"][key]), key
+
+
 def test_scan_morse_command(capsys):
     code, payload = run_json(capsys, ["scan-morse", "--p", "13", "--f", "x^3"])
     assert code == 0
@@ -408,7 +454,9 @@ _INTERVALS = {
     "sextic": ["--p", "101", "--f", "x^6+x+1"],  # d >= 6: members are factored
     "octic": ["--p", "101", "--f", "x^8+3*x^3+x+1"],
     "F25": ["--p", "5", "--ext", "2", "--f", "x^3+x+1"],
-    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],
+    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],  # q <= deg f' = 5: no D(t)
+    "F27-quartic": ["--p", "3", "--ext", "3", "--f", "x^4+2*x^3+x+1"],  # p <= d, D(t): fibers
+    "F7-septic": ["--p", "7", "--f", "x^7+3*x^2+x+1"],  # p = d, D(t): the DDF, no root feed
 }
 
 

@@ -6,6 +6,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -27,7 +28,15 @@ from ffintervals.interval_lab import (
     run_scope,
     squarefree_census,
 )
-from ffintervals.polynomial import Poly, cycle_pattern_or_none, is_squarefree, random_monic
+from ffintervals.polynomial import (
+    Poly,
+    _reval,
+    cycle_pattern_or_none,
+    derivative,
+    discriminant,
+    is_squarefree,
+    random_monic,
+)
 from ffintervals.polyparse import parse_poly
 from ffintervals.suite import first_morse_center
 
@@ -390,7 +399,7 @@ def test_run_scope_sweeps_each_interval_once(monkeypatch):
     F101 = make_prime_field(101)
     cases = (
         (F101, first_morse_center(F101, 4), 7, 0),  # p > d, d <= 5: the fiber pass
-        (F5, parse_poly("x^6+x+2", F5), 3, 5),  # p <= d: the disc-free kernel per member
+        (F5, parse_poly("x^6+x+2", F5), 3, 5),  # q <= deg f' = 5: no D(t), the disc-free kernel
         (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11, 0),  # the fiber pass over F_25
     )
     calls = _count_kernel_calls(monkeypatch)
@@ -439,14 +448,14 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
 
 def test_frobenius_batch_runs_once_per_interval_in_the_parent(monkeypatch):
     # a standalone sweep and a table at 1 and 2 workers, of a d >= 6 interval
-    # over F_101 and of a quartic over F_27 (p <= d: no fiber route): the
-    # parent computes the batch (and the root lists) once, and no worker
-    # computes it
+    # over F_101 and of a sextic over F_27 (deg f' = 4, so D(t), and d >= 6:
+    # the DDF route): the parent computes the batch (and the root lists) once,
+    # and no worker computes it
     from ffintervals import reports
 
     F101, F27 = make_prime_field(101), make_extension(make_prime_field(3), 3, 0)
     cases = []
-    for ctx, text in ((F101, "x^8+3*x^3+x+1"), (F27, "x^4+2*x^3+x+1")):
+    for ctx, text in ((F101, "x^8+3*x^3+x+1"), (F27, "x^6+x^5+2*x^3+x+1")):
         f = parse_poly(text, ctx)
         mu = make_builtin("moebius", f.degree)
         cases.append((ctx, f, mu, IntervalSpec(ctx, f, (ctx(0), ctx(1)), (mu, mu))))
@@ -620,7 +629,7 @@ def _assert_fiber_table_matches_ddf(ctx, raws, calls, rng=None):
     f = Poly.from_raw(ctx, raws)
     center, d_raws = interval_lab._center(ctx, f)
     table = _table_over_split(ctx, f, [0, ctx.q])
-    assert len(calls) == (0 if d_raws else ctx.q), (ctx, raws)  # p > d: no member factored
+    assert len(calls) == (0 if d_raws is not None else ctx.q), (ctx, raws)  # D(t): none factored
     assert table == list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q))), raws
     calls.clear()
     if rng is not None:
@@ -665,6 +674,151 @@ def test_fiber_table_matches_ddf_on_seeded_intervals_and_blocks(monkeypatch):
         for workers in (1, 2):
             with run_scope():
                 assert interval_lab._interval_table(ctx, Poly.from_raw(ctx, raws), workers) == table
+
+
+# ---------------------------------------------------------------------------
+# D(t) by its own rule: the sweeps take it for every odd q > deg f', p <= d
+# included, and the disc-free path is left for characteristic 2 and q <= deg f'
+
+
+def test_center_gives_d_exactly_for_odd_q_above_deg_f_prime():
+    F2, F3 = make_prime_field(2), make_prime_field(3)
+    fields = [F3, F5, make_extension(F3, 2, 0), make_extension(F5, 2, 0)]
+    fields += [make_extension(F3, 3, 0), make_extension(F3, 5, 0)]
+    fields += [make_extension(F2, 3, 0), make_extension(F2, 4, 0)]
+    rng = random.Random("center-rule")
+    sides = set()
+    for ctx in fields:
+        for d in range(2, 8):
+            # x^d + a*x^j + b puts deg f' anywhere from -1 (f' = 0) to d - 1
+            centers = [random_monic(ctx, d, rng)] + [
+                Poly.from_raw(ctx, [rng.randrange(ctx.q)] + [0] * (j - 1) + [rng.randrange(ctx.q)]
+                              + [0] * (d - j - 1) + [1])
+                for j in range(1, d)
+            ]
+            for f in centers:
+                center, d_raws = interval_lab._center(ctx, f)
+                has_d = ctx.p != 2 and ctx.q > derivative(f).degree
+                assert (d_raws is not None) == has_d, (ctx, f)
+                sides.add((ctx.p == 2, has_d, ctx.p <= d))
+                if has_d:
+                    for c in range(ctx.q):
+                        member = Poly.from_raw(ctx, [c, *center[1:]])
+                        assert _reval(ctx, d_raws, c) == discriminant(member).raw, (ctx, f, c)
+    # (characteristic 2, D given, p <= d): every side of the rule but p > d with no D
+    assert sides == {
+        (True, False, True), (False, False, True),
+        (False, True, True), (False, True, False)
+    }
+    F9 = fields[2]
+    cube, plus_x = parse_poly("x^3", F9), parse_poly("x^3+x", F9)
+    assert interval_lab._center(F9, cube)[1] == ()  # f' = 0: D = 0
+    assert len(interval_lab._center(F9, plus_x)[1]) == 1  # f' = 1: D is a nonzero constant
+    for f in (cube, plus_x):
+        expected = [cycle_pattern_or_none(F9, [c, *f.raw_coeffs[1:]]) for c in range(9)]
+        assert (expected == [None] * 9) == (f is cube)
+        with run_scope():
+            assert interval_lab._interval_table(F9, f, 1) == expected, f
+        assert _standalone_types(F9, f) == expected, f
+
+
+def _standalone_types(ctx, f):
+    """The member types of I(f) as a standalone sweep's blocks take them, by constant term."""
+    center, d_raws = interval_lab._center(ctx, f)
+    inputs = interval_lab._ddf_inputs(ctx, center, d_raws)
+    return list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q), *inputs))
+
+
+def _factorizations(ctx, d, top):
+    """Each monic g of degree d with x^(d-1) coefficient top -> its irreducible factors, sorted.
+
+    The products of monics of lower degree, with cached factors; a g that no
+    product reaches is irreducible.  No distinct-degree factorization runs.
+    """
+    found = {}
+    for k in range(1, d // 2 + 1):
+        for ta in range(ctx.q):
+            lows = _lower_factorizations(ctx, k, ta).items()
+            highs = _lower_factorizations(ctx, d - k, ctx.sub(top, ta)).items()
+            for a, fa in lows:
+                pa = Poly.from_raw(ctx, a)
+                for b, fb in highs:
+                    found[(pa * Poly.from_raw(ctx, b)).raw_coeffs] = tuple(sorted(fa + fb))
+    for low in itertools.product(range(ctx.q), repeat=d - 1):
+        g = (*low, top, 1)
+        found.setdefault(g, (g,))
+    return found
+
+
+_lower_factorizations = cache(_factorizations)
+
+
+def _sieve_type(factors):
+    if len(set(factors)) < len(factors):
+        return None
+    return tuple(sorted((len(g) - 1 for g in factors), reverse=True))
+
+
+SMALL_INTERVALS = [(3, d, top) for d in (3, 4, 5) for top in range(9)]
+SMALL_INTERVALS += [(5, d, top) for d in (3, 4) for top in range(25)]
+
+
+@pytest.mark.parametrize("p,d,top", SMALL_INTERVALS)
+def test_sweeps_with_d_match_the_sieve_on_every_small_interval(p, d, top):
+    # every interval of degree 3-5 over F_9 (p <= d: D(t) by the new rule)
+    # and of degree 3-4 over F_25 with x^(d-1) coefficient top: the table at
+    # 1 worker and joined from the 2-worker split, and the standalone
+    # sweep's member types, against factors multiplied out
+    ctx = make_extension(make_prime_field(p), 2, 0)
+    factors = _factorizations(ctx, d, top)
+    q = ctx.q
+    for middle in itertools.product(range(q), repeat=d - 2):
+        f = Poly.from_raw(ctx, (0, *middle, top, 1))
+        expected = [_sieve_type(factors[(c, *middle, top, 1)]) for c in range(q)]
+        assert interval_lab._center(ctx, f)[1] is not None
+        assert _standalone_types(ctx, f) == expected, f
+        for bounds in ([0, q], [0, q // 2, q]):
+            assert _table_over_split(ctx, f, bounds) == expected, (f, bounds)
+
+
+OWN_RULE_INTERVALS = [(3, 3, 4), (3, 3, 5), (3, 3, 6), (5, 3, 5), (5, 3, 6)]
+OWN_RULE_INTERVALS += [(3, 5, 4), (3, 5, 5), (5, 4, 6), (7, 1, 7)]
+
+
+@pytest.mark.parametrize("p,l,d", OWN_RULE_INTERVALS)
+def test_sweeps_with_d_for_p_at_most_d_on_seeded_intervals(p, l, d):
+    # p <= d and q > deg f': the fiber route for d <= 5, the DDF route with the
+    # discriminant stop and no root feed for d >= 6; tables and standalone
+    # sweeps at 1 and 2 workers against the disc-free kernel
+    ctx = make_prime_field(p) if l == 1 else make_extension(make_prime_field(p), l, 0)
+    f = random_monic(ctx, d, random.Random(f"own-rule/{p}/{l}/{d}"))
+    center, d_raws = interval_lab._center(ctx, f)
+    assert d_raws is not None and interval_lab._ddf_inputs(ctx, center, d_raws)[1] is None
+    expected = [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in range(ctx.q)]
+    assert _standalone_types(ctx, f) == expected
+    shifts = (ctx(0), ctx(1))
+    pairs = _member_counts(ctx, f, shifts)
+    for workers in (1, 2):
+        assert _joint_counts(ctx, f, shifts, workers) == pairs, workers
+        with run_scope():
+            assert interval_lab._interval_table(ctx, f, workers) == expected, workers
+            assert _joint_counts(ctx, f, shifts, workers) == pairs, workers
+
+
+def test_the_root_feed_waits_for_p_above_d():
+    # tr(Q^2) = n_1 + 2 n_2 mod p names n_2 only for p > m.  These centers have
+    # D(t) (deg f' = 1 and 2) and p <= d, and each has a member whose
+    # 2 n_2 >= p: (4, 2, 2, 2) over F_5 and (4, 2, 2, 1) over F_3
+    for p, text in ((5, "x^10+x^2"), (3, "x^9+x^6+x^3+x^2")):
+        ctx = make_prime_field(p)
+        f = parse_poly(text, ctx)
+        center, d_raws = interval_lab._center(ctx, f)
+        assert d_raws is not None and interval_lab._ddf_inputs(ctx, center, d_raws)[1] is None
+        expected = [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in range(p)]
+        assert any(t and 2 * t.count(2) >= p for t in expected)
+        with run_scope():
+            assert interval_lab._interval_table(ctx, f, 1) == expected, f
+        assert _standalone_types(ctx, f) == expected, f
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from ffintervals.polynomial import (
     _trim,
     brute_force_factor,
     cycle_pattern_or_none,
+    derivative,
     disc_in_t,
     discriminant,
     factor,
@@ -702,9 +703,9 @@ def test_ext_batched_start_matches_xq_on_every_small_interval(p):
 
 
 EXT_SEEDED_INTERVALS = [
-    (5, 4, 3), (5, 4, 4), (5, 4, 6),  # p > d and p <= d: with and without D(t)
+    (5, 4, 3), (5, 4, 4), (5, 4, 6),  # D(t) for p > d and for p <= d (q > deg f')
     (7, 3, 4), (7, 3, 6),
-    (3, 5, 4),  # p < d: no D(t), the start is x^3 itself
+    (3, 5, 4),  # p < d with D(t): the start is x^3 itself
     (2, 6, 3), (2, 6, 5),  # characteristic 2
     (101, 2, 3),  # s = 4: each member finishes the low bits of p
 ]
@@ -715,7 +716,7 @@ def test_ext_batched_start_and_member_types_on_seeded_intervals(p, l, d):
     ctx = make_extension(make_prime_field(p), l, 0)
     f = random_monic(ctx, d, random.Random(f"ext-batched/{p}/{l}/{d}"))
     center, d_raws = interval_lab._center(ctx, f)
-    assert (d_raws is None) == (p <= d)
+    assert (d_raws is None) == (p == 2 or ctx.q <= derivative(f).degree)
     cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
     assert roots is None and [list(col) for col in cols] == [list(col) for col in _ext_columns(ctx, center)]
     types = list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q), cols))
