@@ -13,9 +13,10 @@ power, over F_p and over F_{p^l} alike, and over F_p for p > deg f >= 6 the
 fiber pass, which lists the roots of every member; each member's kernel
 starts its x^p there, and a root-fed one its distinct-degree loop at degree
 2, on the cofactor of its linear factors.
-Work is split into contiguous index ranges, one per worker, and joined in
-index order or by integer sums, so reports are identical for any worker
-count; the outermost run_scope() owns the process pools.
+Work is split into contiguous index ranges, one per worker: the caller
+works the first and a pool of workers - 1 processes the others.  They are
+joined in index order or by integer sums, so reports are identical for any
+worker count; the outermost run_scope() owns the process pools.
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
@@ -103,8 +104,8 @@ def run_scope():
 
     Starts with an empty memo and restores the outer one on exit, so a run
     never reads the tables of the run around it.  The outermost scope owns
-    the process pools, at most one per worker count, and shuts them down on
-    exit, raised or not; nested scopes share them.
+    the process pools, one per worker count w, of w - 1 processes each, and
+    shuts them down on exit, raised or not; nested scopes share them.
     """
     global _tables, _pools
     outer, _tables = _tables, {}
@@ -118,11 +119,6 @@ def run_scope():
             pools, _pools = _pools.values(), None
             for pool in pools:
                 pool.shutdown(cancel_futures=True)
-
-
-def _kernel(ctx):
-    """The sweep kernel for ctx and its field argument (the module's binding)."""
-    return (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
 
 
 def _center(ctx, f: Poly):
@@ -167,7 +163,7 @@ def _member_types(ctx, center, d_raws, consts, cols=None, roots=None):
     constant term c gets D(c), its start of x^p from cols, and over F_p its
     roots when given, so its DDF starts at degree 2 on the cofactor.
     """
-    kernel, field = _kernel(ctx)
+    kernel, field = (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
     for c in consts:
         g = list(center)
         g[0] = c
@@ -229,21 +225,22 @@ def _fiber_block(ctx, center, d_raws, lo, hi):
 
 @contextmanager
 def _pool(workers):
-    """The run scope's executor for workers, opened on first use; outside a scope, one for the call."""
+    """The scope's pool of workers - 1 processes, opened on first use; per call outside a scope."""
     with nullcontext() if _pools is not None else run_scope():
         if workers not in _pools:
-            _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+            _pools[workers] = ProcessPoolExecutor(max_workers=workers - 1)
         yield _pools[workers]
 
 
 def _blocks(block, head, q, workers):
-    """block(*head, lo, hi) for index-ordered blocks of [0, q), one per worker."""
+    """block(*head, lo, hi) for [0, q) cut into one block per worker; the caller works the first."""
     if workers <= 1:
         return [block(*head, 0, q)]
     bounds = [q * i // workers for i in range(workers + 1)]
-    calls = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    first, *rest = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     with _pool(workers) as pool:
-        return list(pool.map(block, *zip(*calls)))
+        futures = [pool.submit(block, *call) for call in rest]
+        return [block(*first)] + [future.result() for future in futures]
 
 
 def _interval_table(ctx, f: Poly, workers: int):
@@ -515,19 +512,21 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
 
     Non-squarefree members correspond to roots of D(t) = disc(f + t) shifted
     by each h_i, so the census needs no sweep; the complement is at most
-    k * (d - 1).
+    k * (d - 1) unless f' = 0, where D = 0 and every a is bad.  D is
+    interpolated wherever q > deg f' (_disc_poly), in any characteristic.
     """
     t0 = time.perf_counter()
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
     if f.degree < 2 or not f.is_monic:
         raise OutOfRange("census needs a monic polynomial of degree >= 2")
-    if ctx.p <= f.degree:
-        raise FieldTooSmall("census assumes p > deg(f)")
     if len({h.raw for h in shifts}) != len(shifts):
         raise OutOfRange("shifts must be distinct")
-    dpoly = disc_in_t(f)
-    roots = roots_in_field(dpoly) if dpoly.degree >= 1 else []
-    bad = {ctx.sub(rho.raw, h.raw) for h in shifts for rho in roots}
+    dpoly = _disc_poly(f)
+    if dpoly is None:
+        raise FieldTooSmall(f"census needs q > deg f', got q = {ctx.q}")
+    every = range(ctx.q) if dpoly.is_zero else ()  # f' = 0: D = 0, no member is squarefree
+    roots = [r.raw for r in roots_in_field(dpoly)] if dpoly.degree >= 1 else every
+    bad = {ctx.sub(rho, h.raw) for h in shifts for rho in roots}
     bad_sorted = tuple(FieldElement(ctx, r) for r in sorted(bad))
     k, d = len(shifts), f.degree
     return CensusReport(

@@ -35,10 +35,12 @@ same int layer through the raw helpers below.
 from __future__ import annotations
 
 import random
+import struct
 from array import array
 from dataclasses import dataclass
 from functools import cache, partial
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 
 from .class_functions import _MAX_D, CycleType, partitions_of
 from .errors import (
@@ -305,6 +307,13 @@ def _ext_frobenius_columns(ctx, center):
     return cols
 
 
+@cache
+def _square_layout(m):
+    """(unpack of m 64-bit slots, transpose of a flat column-major m x m list), cached per m."""
+    transpose = itemgetter(*(i * m + j for j in range(m) for i in range(m)))
+    return struct.Struct(f"<{m}Q").unpack, transpose
+
+
 class _IntArith:
     """_ddf's arithmetic on int lists over F_p."""
 
@@ -384,14 +393,16 @@ class _IntArith:
         a column is reduced mod p only where the m-term product could reach
         2^64, m (p - 1) B >= 2^64.  Each power costs m scalar products of
         packed ints.  Below m = 6, where the matrix costs more than it saves,
-        and where m (p - 1)^2 >= 2^64, each is one _imulmod.
+        and where m (p - 1)^2 >= 2^64, each is one _imulmod.  Each new power
+        is written untrimmed, m coefficients long, as quadratic_count reads it.
         """
         if len(powers) >= n:
             return
         p, m = self.p, len(g) - 1
         if m < 6 or m * (p - 1) ** 2 >> 64:
             while len(powers) < n:
-                powers.append(_imulmod(p, powers[-1], powers[1], g))
+                row = _imulmod(p, powers[-1], powers[1], g)
+                powers.append(row + [0] * (m - len(row)) if len(row) < m else row)
             return
         low = _ipack([-c % p for c in g[:m]])  # x^m = sum low_k x^k mod g
         top, below = 64 * (m - 1), (1 << 64 * (m - 1)) - 1
@@ -403,21 +414,27 @@ class _IntArith:
             if m * (p - 1) * bound >> 64:
                 col, bound = _islots_mod(col, p), p - 1
             cols.append(col)
+        unpack, size = _square_layout(m)[0], 8 * m
         while len(powers) < n:
             acc = sum(map(mul, powers[-1], cols))
-            powers.append(_trim([c % p for c in _iunpack(acc, m)]))
+            powers.append([c % p for c in unpack(acc.to_bytes(size, "little"))])
 
     def quadratic_count(self, powers, g):
         """n_2, the number of quadratic factors of g (monic, squarefree, no root in F_p, p > deg g).
 
         powers = [1, x^p, ...] mod g grows to the columns x^(jp) mod g of
         Berlekamp's matrix Q, the Frobenius map of F_p[x]/(g), and tr(Q^2)
-        is its number of roots in F_{p^2}, n_1 + 2 n_2 = 2 n_2, mod p.
+        is its number of roots in F_{p^2}, n_1 + 2 n_2 = 2 n_2, mod p.  The
+        columns, m long from H^2 on (grow), make one flat column-major list,
+        and tr(Q^2) = sum_ij Q_ij Q_ji is its dot product with its transpose.
+        powers keeps its new rows for the steps past the trace.
         """
         m = len(g) - 1
         self.grow(powers, g, m)
-        cols = [pw + [0] * (m - len(pw)) for pw in powers]
-        return sum(sum(map(mul, row, col)) for row, col in zip(zip(*cols), cols)) % self.p // 2
+        h = powers[1]
+        flat = [1] + [0] * (m - 1) + h + [0] * (m - len(h))
+        flat += chain.from_iterable(powers[2:m])
+        return sum(map(mul, flat, _square_layout(m)[1](flat))) % self.p // 2
 
     def step(self, h, powers, g, m):
         """h^p mod m for m dividing g, as h(H) = sum_k h_k * H^k.

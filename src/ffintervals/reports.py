@@ -125,25 +125,24 @@ def verdict_to_dict(v: CancellationVerdict) -> dict:
 
 
 def demo_to_dict(r: LargeQDemoReport) -> dict:
-    steps = []
-    for st in r.steps:
-        steps.append(
-            {
-                "l": st.l,
-                "q": st.q,
-                "s": st.s,
-                "beta": st.beta,
-                "shifts": list(st.shifts),
-                "multiset_multiplicity_two": st.multiset_multiplicity_two,
-                "single": experiment_to_dict(st.single_report),
-                "product_sum": st.product_sum,
-                "product_zero_count": st.product_zero_count,
-                "product_plus": st.product_plus,
-                "product_minus": st.product_minus,
-                "sqrt_q": st.sqrt_q,
-                "elapsed_ms": round(st.elapsed * 1000.0, 3),
-            }
-        )
+    steps = [
+        {
+            "l": st.l,
+            "q": st.q,
+            "s": st.s,
+            "beta": st.beta,
+            "shifts": list(st.shifts),
+            "multiset_multiplicity_two": st.multiset_multiplicity_two,
+            "single": experiment_to_dict(st.single_report),
+            "product_sum": st.product_sum,
+            "product_zero_count": st.product_zero_count,
+            "product_plus": st.product_plus,
+            "product_minus": st.product_minus,
+            "sqrt_q": st.sqrt_q,
+            "elapsed_ms": round(st.elapsed * 1000.0, 3),
+        }
+        for st in r.steps
+    ]
     return {"kind": "large_q_demo", "p": r.p, "steps": steps}
 
 
@@ -200,11 +199,8 @@ def to_csv(obj: dict) -> str:
     Reports without per-class tables flatten to a single row.  Encodes the
     same data as the JSON form.
     """
-    per_class = None
-    for key in ("cycle_type_counts", "classes"):
-        if isinstance(obj.get(key), dict) and obj[key]:
-            per_class = key
-            break
+    tables = ("cycle_type_counts", "classes")
+    per_class = next((key for key in tables if isinstance(obj.get(key), dict) and obj[key]), None)
     base = {}
     _flatten("", {k: v for k, v in obj.items() if k != per_class}, base)
     rows = []
@@ -215,8 +211,7 @@ def to_csv(obj: dict) -> str:
             row = dict(base)
             row["cycle_type"] = ct
             if isinstance(val, dict):
-                for k, v in val.items():
-                    row[k] = v
+                row.update(val)
             else:
                 row["count"] = val
             rows.append(row)
@@ -224,6 +219,5 @@ def to_csv(obj: dict) -> str:
     fields = sorted({k for row in rows for k in row})
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -433,6 +433,14 @@ def test_census_command(capsys):
     assert payload["pass"] is True
 
 
+def test_census_command_below_the_degree(capsys):
+    # p = 3 <= deg f, and q = 27 > deg f' = 3: the census reads D(t)
+    argv = ["census", "--p", "3", "--ext", "3", "--f", "x^4+2*x^3+x+1", "--shifts", "0,1"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and payload["pass"] is True
+    assert payload["report"]["bad_count"] <= payload["report"]["bad_bound"]
+
+
 def test_chebotarev_command(capsys):
     code, payload = run_json(capsys, ["chebotarev", "--p", "11", "--f", "x^3"])
     assert code == 0

@@ -274,6 +274,28 @@ def test_squarefree_census_field_too_small():
         squarefree_census(F3, parse_poly("x^4+x", F3), (F3(0),))
 
 
+def test_squarefree_census_takes_d_wherever_q_exceeds_deg_f_prime():
+    # p <= deg f with q > deg f' (the F_27 quartic; and characteristic 2,
+    # where disc = +-Res(g, g') still vanishes exactly on non-squarefree g),
+    # against every a by brute force; f' = 0 makes D = 0 and every a bad
+    F3 = make_prime_field(3)
+    F27, F9 = make_extension(F3, 3, 0), make_extension(F3, 2, 0)
+    F8 = make_extension(make_prime_field(2), 3, 0)
+    cases = [(F27, "x^4+2*x^3+x+1", (0, 1)), (F8, "x^3+x+1", (0, 1)), (F9, "x^3", (0, 1, 2))]
+    for ctx, text, shift_ints in cases:
+        f, shifts = parse_poly(text, ctx), tuple(ctx(h) for h in shift_ints)
+        rep = squarefree_census(ctx, f, shifts)
+        bad = [
+            a for a in range(ctx.q)
+            if not all(is_squarefree(f.shift_const(h).shift_const(ctx.elem(a))) for h in shifts)
+        ]
+        assert [x.raw for x in rep.bad_a] == bad, (ctx, text)
+        assert rep.bad_count == len(bad) and rep.all_squarefree_count == ctx.q - len(bad)
+    assert rep.bad_count == 9  # x^3 over F_9
+    with pytest.raises(FieldTooSmall):  # q = 3 <= deg f' = 3: D is not determined
+        squarefree_census(F3, parse_poly("x^4+2*x^3+x+1", F3), (F3(0), F3(1)))
+
+
 def test_gauss_census_values_and_guard():
     assert gauss_census(2, 2) == (1, 1)
     assert gauss_census(3, 3) == (8, 8)
@@ -524,15 +546,80 @@ def test_run_scopes_nest_and_restore(monkeypatch):
 
 
 def _count_pools(monkeypatch):
+    """The max_workers of every pool opened from here on, in order."""
     opened = []
 
     class CountedPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            opened.append(1)
+            opened.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(interval_lab, "ProcessPoolExecutor", CountedPool)
     return opened
+
+
+F1747 = make_prime_field(1747)
+
+
+def _seeded_centers(degrees, label):
+    rng = random.Random(label)
+    return [random_monic(F1747, d, rng) for d in degrees]
+
+
+def test_a_standalone_two_worker_sweep_forks_one_process(monkeypatch):
+    # the caller works the first block, so a 2-worker pool holds one process
+    f, = _seeded_centers((6,), "pool/standalone")
+    mu = make_builtin("moebius", 6)
+    opened = _count_pools(monkeypatch)
+    rep = class_sum(F1747, f, mu, 2)
+    assert opened == [1]
+    assert interval_lab._pools is None and multiprocessing.active_children() == []
+    assert rep.cycle_type_counts == class_sum(F1747, f, mu).cycle_type_counts
+    with run_scope():
+        class_sum(F1747, f.shift_const(F1747(1)), mu, 3)
+        class_sum(F1747, f.shift_const(F1747(2)), mu, 3)  # the scope's table
+        assert opened == [1, 2] and len(multiprocessing.active_children()) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_reports_agree_at_one_two_and_three_workers():
+    # d = 6-8 sweeps (root-fed DDF) standalone and from a scope's table, and
+    # a d = 4 fiber table split by x: the caller's block joins the pool's
+    from ffintervals import reports
+
+    blobs = []
+    for workers in (1, 2, 3):
+        reps = []
+        for f in _seeded_centers((6, 7, 8, 4), "pool/agree"):
+            mu = make_builtin("moebius", f.degree)
+            pair = IntervalSpec(F1747, f, (F1747(0), F1747(1)), (mu, mu))
+            if f.degree >= 6:
+                reps.append(reports.experiment_to_dict(class_sum(F1747, f, mu, workers)))
+            with run_scope():
+                reps.append(reports.experiment_to_dict(correlation_sum(pair, workers)))
+                rep = chebotarev_empirical(F1747, f, (0, 1), workers)
+                reps.append(reports.chebotarev_to_dict(rep))
+        blobs.append([reports.to_json(reports.scrub_timings(rep)) for rep in reps])
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+_SWEEP_BLOCK = interval_lab._sweep_block
+
+
+def _first_block_raises(ctx, center, d_raws, cols, roots, offsets, lo, hi):
+    if lo == 0:
+        raise RuntimeError("the caller's block")
+    return _SWEEP_BLOCK(ctx, center, d_raws, cols, roots, offsets, lo, hi)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_error_in_the_callers_block_leaves_no_process(monkeypatch, workers):
+    f, = _seeded_centers((6,), "pool/raises")
+    monkeypatch.setattr(interval_lab, "_sweep_block", _first_block_raises)
+    with pytest.raises(RuntimeError, match="the caller's block"):
+        class_sum(F1747, f, make_builtin("moebius", 6), workers)
+    assert interval_lab._pools is None
+    assert multiprocessing.active_children() == []
 
 
 def test_a_two_worker_battery_opens_one_pool(monkeypatch):

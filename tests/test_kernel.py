@@ -357,8 +357,9 @@ def _squarefree_monic(ctx, d, rng):
 
 @pytest.mark.parametrize("p", [13, 1747, 10007])
 def test_trace_of_q_squared_counts_the_roots_in_f_p2(p):
-    # tr(Q^2) = n_1 + 2 n_2 mod p, with Q's columns from _IntArith.grow; on
-    # the cofactor left by the roots, quadratic_count reads n_2 off it
+    # tr(Q^2) = n_1 + 2 n_2 mod p, with Q's columns from _IntArith.grow (its
+    # rows are untrimmed, so they are compared trimmed); on the cofactor left
+    # by the roots, quadratic_count reads n_2 off it
     ctx = make_prime_field(p)
     rng = random.Random(f"trace/{p}")
     ar = _IntArith(p)
@@ -369,7 +370,9 @@ def test_trace_of_q_squared_counts_the_roots_in_f_p2(p):
             raws = list(g.raw_coeffs)
             _, powers = ar.xq(raws)
             ar.grow(powers, raws, d)
-            assert powers == [_rpow_poly_mod(ctx, [0, 1], j * p, raws) for j in range(d)], g
+            assert all(len(pw) == d for pw in powers[2:]), g
+            want = [_rpow_poly_mod(ctx, [0, 1], j * p, raws) for j in range(d)]
+            assert [_trim(pw) for pw in powers] == want, g
             q = [pw + [0] * (d - len(pw)) for pw in powers]
             trace = sum(q[j][i] * q[i][j] for i in range(d) for j in range(d)) % p
             assert trace == (degrees.count(1) + 2 * degrees.count(2)) % p, g
@@ -377,6 +380,37 @@ def test_trace_of_q_squared_counts_the_roots_in_f_p2(p):
             if len(cofactor) > 2:
                 _, powers = ar.xq(cofactor)
                 assert ar.quadratic_count(powers, cofactor) == degrees.count(2), g
+
+
+def test_members_past_the_trace_build_no_power_row_twice(monkeypatch):
+    # (5, 3) and (4, 4) at d = 8 go on from tr(Q^2) to x^(p^2) and the gcds;
+    # their steps read the rows H^2..H^7 that quadratic_count grew in place
+    p = 1747
+    ctx = make_prime_field(p)
+    rng = random.Random("rows/1747")
+    built, grow = [], _IntArith.grow
+
+    def recorded(self, powers, g, n):
+        before = len(powers)
+        grow(self, powers, g, n)
+        built.extend((tuple(g), k) for k in range(before, len(powers)))
+
+    monkeypatch.setattr(_IntArith, "grow", recorded)
+    pool = {k: [] for k in (3, 4, 5)}
+    for k, found in pool.items():
+        while len(found) < 2:
+            g = random_monic(ctx, k, rng)
+            if is_irreducible(g) and g not in found:
+                found.append(g)
+    for a, b in ((pool[5][0], pool[3][0]), (pool[4][0], pool[4][1])):
+        g = a * b
+        raws = list(g.raw_coeffs)
+        start = _rpow_poly_mod(ctx, [0, 1], p >> _batch_shift(p, 8), raws)
+        ar = _PathArith(_IntArith(p))
+        built.clear()
+        assert _pattern(ar, raws, discriminant(g).raw, start, []) == (a.degree, b.degree), g
+        assert ar.path[0] == "trace" and "gcd" in ar.path, g
+        assert built == [(tuple(raws), k) for k in range(2, 8)], g
 
 
 def _prime_below(n):
@@ -412,7 +446,7 @@ def _grow_against_naive_chain(m, monkeypatch):
         want = [[1], h]
         while len(want) < m:
             want.append(_naive_mulmod(p, want[-1], h, g))
-        assert powers == want, (m, p)
+        assert [_trim(pw) for pw in powers] == want, (m, p)
     return reductions
 
 
