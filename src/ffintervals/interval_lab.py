@@ -7,12 +7,14 @@ I(f), its member with constant term 0, and for odd q > deg f' the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
-the kernels).  The caller of _blocks computes, once per interval and at any
-worker count, x^e mod every member (e the top bits of p) from one bivariate
-power, over F_p and over F_{p^l} alike, and over F_p for p > deg f >= 6 the
-fiber pass, which lists the roots of every member; each member's kernel
-starts its x^p there, and a root-fed one its distinct-degree loop at degree
-2, on the cofactor of its linear factors.
+the kernels).  The census and the battery's verdict read the same D, from
+disc_in_t, and like the sweeps take p <= deg f wherever q > deg f'.  The
+caller of _blocks computes, once per interval and at any worker count, x^e
+mod every member (e the top bits of p) from one bivariate power, over F_p
+and over F_{p^l} alike, and over F_p for p > deg f >= 6 the fiber pass,
+which lists the roots of every member; each member's kernel starts its x^p
+there, and a root-fed one its distinct-degree loop at degree 2, on the
+cofactor of its linear factors.
 Work is split into contiguous index ranges, one per worker: the caller
 works the first and a pool of workers - 1 processes the others.  They are
 joined in index order or by integer sums, so reports are identical for any
@@ -42,7 +44,7 @@ import time
 from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -73,7 +75,6 @@ from .morse_galois import (
 )
 from .polynomial import (
     Poly,
-    _disc_poly,
     _ext_frobenius_columns,
     _frobenius_columns,
     _lagrange,
@@ -128,8 +129,10 @@ def _center(ctx, f: Poly):
     f, every f + c and every shift share one D, which is 0 when f' = 0.
     """
     center = (0,) + f.raw_coeffs[1:]
-    dpoly = None if ctx.p == 2 else _disc_poly(Poly.from_raw(ctx, center))
-    return center, None if dpoly is None else dpoly.raw_coeffs
+    if ctx.p != 2:
+        with suppress(FieldTooSmall):
+            return center, disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
+    return center, None
 
 
 def _ddf_inputs(ctx, center, d_raws):
@@ -512,8 +515,8 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
 
     Non-squarefree members correspond to roots of D(t) = disc(f + t) shifted
     by each h_i, so the census needs no sweep; the complement is at most
-    k * (d - 1) unless f' = 0, where D = 0 and every a is bad.  D is
-    interpolated wherever q > deg f' (_disc_poly), in any characteristic.
+    k * (d - 1) unless f' = 0, where D = 0 and every a is bad.  disc_in_t
+    builds D wherever q > deg f', in any characteristic.
     """
     t0 = time.perf_counter()
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
@@ -521,9 +524,7 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
         raise OutOfRange("census needs a monic polynomial of degree >= 2")
     if len({h.raw for h in shifts}) != len(shifts):
         raise OutOfRange("shifts must be distinct")
-    dpoly = _disc_poly(f)
-    if dpoly is None:
-        raise FieldTooSmall(f"census needs q > deg f', got q = {ctx.q}")
+    dpoly = disc_in_t(f)
     every = range(ctx.q) if dpoly.is_zero else ()  # f' = 0: D = 0, no member is squarefree
     roots = [r.raw for r in roots_in_field(dpoly)] if dpoly.degree >= 1 else every
     bad = {ctx.sub(rho, h.raw) for h in shifts for rho in roots}
@@ -656,18 +657,18 @@ class MoebiusBatteryResult:
 def moebius_battery(ctx, f, shifts, tolerance_c: float = 4.0, workers: int = 1) -> MoebiusBatteryResult:
     """Möbius sum, Chowla product sum, classifier verdict, dichotomy assertion.
 
-    Raises DichotomyViolation when the two sums disagree about which branch
-    of the cancellation dichotomy they sit in (at tolerance C * sqrt(q)).
+    Any odd q > deg f' will do; the classifier's errors are raised before
+    any sweep.  Raises DichotomyViolation when the two sums disagree about
+    which branch of the cancellation dichotomy they sit in (at tolerance
+    C * sqrt(q)).
     """
-    if ctx.p == 2 or ctx.p <= f.degree:
-        raise FieldTooSmall("battery assumes odd p > deg(f)")
+    verdict = classify_mu_cancellation(f)
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
     mu = make_builtin("moebius", f.degree)
     with run_scope():  # both sums sweep I(f)
         single = class_sum(ctx, f.shift_const(shifts[0]), mu, workers)
         spec = IntervalSpec(ctx, f, shifts, (mu,) * len(shifts))
         chowla = correlation_sum(spec, workers)
-    verdict = classify_mu_cancellation(f)
     q = ctx.q
     rt = tolerance_c * math.sqrt(q)
     s1, sk = abs(single.raw_sum), abs(chowla.raw_sum)

@@ -9,7 +9,9 @@ its modulus.
 The Morse test itself never builds an extension: the critical values of f are
 the negatives of the roots of D(t) = disc(f + t), the polynomial over the base
 field that the sweeps and the classifier read too, and f is Morse exactly when
-deg f' = d - 1 and D is squarefree.  The genericity scan for p > d tests
+deg f' = d - 1 and D is squarefree.  D exists wherever q > deg f' (disc_in_t),
+so the Morse test and the Möbius classifier work in fixed characteristic too,
+at any odd q = p^l > deg f'.  The genericity scan for p > d tests
 squarefreeness of D for every slope at once, through the discriminant of D
 (interval_lab.morse_density_scan), and runs is_morse per slope otherwise.
 """
@@ -24,12 +26,12 @@ from .errors import (
     DerivativeVanishes,
     EvenCharacteristic,
     ExtensionTooLarge,
+    FieldTooSmall,
     OutOfRange,
 )
 from .finite_field import _MAX_EXT_DEGREE, FieldCtx, FieldElement, _digits, make_extension
 from .polynomial import (
     Poly,
-    _disc_poly,
     derivative,
     disc_in_t,
     discriminant,
@@ -158,9 +160,9 @@ def is_morse(f: Poly):
         diag.update(derivative_squarefree=False, distinct_value_count=0)
         return False, diag
     diag["derivative_squarefree"] = fp.degree < 1 or is_squarefree(fp)
-    dpoly = _disc_poly(f)
-    if dpoly is None:
-        # field too small to interpolate D; fall back to explicit critical data
+    try:
+        dpoly = disc_in_t(f)
+    except FieldTooSmall:  # q <= deg f': fall back to explicit critical data
         cd = critical_data(f)
         diag["distinct_value_count"] = cd.distinct_value_count
         ok = (
@@ -221,18 +223,23 @@ def bad_shift_check(f: Poly, shifts) -> bool:
 def classify_mu_cancellation(f: Poly) -> CancellationVerdict:
     """Decide the Möbius cancellation dichotomy for I(f) via D(t) = disc(f + t).
 
-    If every exponent in the squarefree decomposition of D is even, the
-    Möbius value has constant sign (-1)^d * chi(c) on squarefree members of
-    the interval, where c is the leading unit of D and chi the quadratic
-    character; otherwise the interval exhibits square-root cancellation.
+    If every exponent in the squarefree decomposition of D is even (none
+    when D is a nonzero constant), the Möbius value has constant sign
+    (-1)^d * chi(c) on squarefree members of the interval, where c is the
+    leading unit of D and chi the quadratic character; otherwise the interval
+    exhibits square-root cancellation.  By Stickelberger this holds in any odd
+    characteristic; raises FieldTooSmall for q <= deg f' and DerivativeVanishes
+    for f' = 0, where D = 0.
     """
     ctx = f.ctx
     if ctx.p == 2:
         raise EvenCharacteristic("classifier needs odd characteristic")
     dpoly = disc_in_t(f)
-    unit, parts = squarefree_decomposition(dpoly)
+    if dpoly.is_zero:
+        raise DerivativeVanishes("f' = 0: D(t) = disc(f + t) vanishes")
+    unit, parts = (dpoly.lc(), ()) if dpoly.degree == 0 else squarefree_decomposition(dpoly)
     exponents = tuple(e for _, e in parts)
-    if exponents and all(e % 2 == 0 for e in exponents):
+    if all(e % 2 == 0 for e in exponents):
         chi = 1 if ctx.is_square(unit.raw) else -1
         sign = chi if f.degree % 2 == 0 else -chi
         return CancellationVerdict(NO_CANCELLATION, sign, dpoly, exponents)

@@ -1141,33 +1141,23 @@ def _rdisc(ctx, g, gp):
 
 
 def disc_in_t(f: Poly) -> Poly:
-    """The discriminant of f + t as a polynomial in t, for p > deg(f).
+    """D(t) = disc(f + t) as a polynomial in t, for monic f of degree >= 2.
 
-    Then deg f' = deg(f) - 1, so the result has degree at most deg(f) - 1.
+    D = +-lc(f')^d * prod_{f'(xi) = 0} (t + f(xi)) has degree deg f', so its
+    values at the nodes a = 0..deg f' (canonical indices) fix it, in any
+    characteristic; raises FieldTooSmall when q <= deg f', where they do not
+    fit.  D = 0 when f' = 0.  The critical values of f are the negatives of
+    its roots.  f' is the same for every f + a, so it is computed once.
     """
-    d = f.degree
-    if d < 2:
+    if f.degree < 2:
         raise OutOfRange("disc_in_t needs degree >= 2")
     if not f.is_monic:
         raise OutOfRange("disc_in_t expects a monic polynomial")
-    if f.ctx.p <= d:
-        raise FieldTooSmall(f"need p > deg(f) = {d}, got p = {f.ctx.p}")
-    return _disc_poly(f)
-
-
-def _disc_poly(f: Poly):
-    """D(t) = disc(f + t) for monic f by interpolation, or None when q <= deg f'.
-
-    D = +-lc(f')^d * prod_{f'(xi) = 0} (t + f(xi)) has degree deg f', so its
-    values at the nodes a = 0..deg f' (canonical indices) fix it.  The
-    critical values of f are the negatives of its roots.  f' is the same for
-    every f + a, so it is computed once.
-    """
     ctx = f.ctx
     fp = _rderiv(ctx, list(f._c))
-    nodes = range(len(fp))
+    nodes = range(len(fp))  # empty for f' = 0: _lagrange returns 0
     if ctx.q < len(nodes):
-        return None
+        raise FieldTooSmall(f"need q > deg f' = {len(fp) - 1}, got q = {ctx.q}")
     values = [_rdisc(ctx, [ctx.add(f._c[0], a), *f._c[1:]], fp) for a in nodes]
     return _lagrange(ctx, nodes, values)
 

@@ -344,6 +344,32 @@ def test_classify_command(capsys):
     assert payload["report"]["sign"] == -1
 
 
+def test_classify_command_in_characteristic_at_most_d(capsys):
+    # the F_{3^l} quartic with q > deg f' = 3; below that, and for f' = 0,
+    # the typed errors exit 1; a constant D gives a verdict
+    argv = ["classify", "--p", "3", "--ext", "3", "--f", "x^4+2*x^3+x+1"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["report"] == {
+        "kind": "square-root-cancellation",
+        "sign": None,
+        "disc_t": "t^3+2",
+        "squarefree_exponents": [3],
+    }
+    assert run_command(["classify", "--p", "3", "--f", "x^4+2*x^3+x+1"]) == 1
+    assert "need q > deg f' = 3" in capsys.readouterr().err
+    assert run_command(["classify", "--p", "3", "--ext", "2", "--f", "x^3"]) == 1
+    assert "f' = 0" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["classify", "--p", "3", "--ext", "2", "--f", "x^3+x"])
+    assert code == 0
+    assert payload["report"] == {
+        "kind": "no-cancellation",
+        "sign": -1,
+        "disc_t": "2",
+        "squarefree_exponents": [],
+    }
+
+
 def test_gauss_command(capsys):
     code, payload = run_json(capsys, ["gauss", "--p", "3", "--d", "3"])
     assert code == 0

@@ -1030,6 +1030,44 @@ def test_moebius_battery_cancellation_branch():
     assert bat.verdict.kind == "square-root-cancellation"
 
 
+def test_moebius_battery_in_characteristic_at_most_d():
+    # p = 3 <= d, q > deg f'.  The F_27 quartic's D = (t + 2)^3 gives a
+    # square-root verdict and a single sum of 0; the F_9 quintic's
+    # D = 2 (t^2 - 1)^2 gives no cancellation, sign -1 on the 9 - 2
+    # squarefree members.  The evaluate() oracle checks both sums.
+    F3 = make_prime_field(3)
+    F9, F27 = make_extension(F3, 2, 0), make_extension(F3, 3, 0)
+    cases = [
+        (F27, "x^4+2*x^3+x+1", "cancellation", "square-root-cancellation", 0, -1),
+        (F9, "x^5+x^3+2*x", "no-cancellation", "no-cancellation", -7, 6),
+    ]
+    for ctx, text, branch, kind, single, chowla in cases:
+        f, shifts = parse_poly(text, ctx), (ctx(0), ctx(1))
+        bat = moebius_battery(ctx, f, shifts)
+        assert (bat.branch, bat.verdict.kind) == (branch, kind)
+        assert (bat.single.raw_sum, bat.chowla.raw_sum) == (single, chowla)
+        mu = make_builtin("moebius", f.degree)
+        assert _enumerate_sum(ctx, f, mu) == single
+        assert _enumerate_sum(ctx, f, mu, list(shifts)) == chowla
+
+
+def test_moebius_battery_raises_the_classifier_errors_before_any_sweep(monkeypatch):
+    from ffintervals.errors import DerivativeVanishes, EvenCharacteristic
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the battery swept before its verdict")
+
+    monkeypatch.setattr(interval_lab, "_joint_counts", no_sweep)
+    F2, F3 = make_prime_field(2), make_prime_field(3)
+    F9 = make_extension(F3, 2, 0)
+    with pytest.raises(EvenCharacteristic):
+        moebius_battery(F2, parse_poly("x^3+x+1", F2), (F2(0), F2(1)))
+    with pytest.raises(FieldTooSmall):  # q = 3 <= deg f' = 3
+        moebius_battery(F3, parse_poly("x^4+2*x^3+x+1", F3), (F3(0), F3(1)))
+    with pytest.raises(DerivativeVanishes):  # f' = 0
+        moebius_battery(F9, parse_poly("x^3", F9), (F9(0), F9(1)))
+
+
 def test_stickelberger_product_matches_ddf_route():
     # the reduction over the joint counts must agree with the evaluate()-based
     # product and with the kernel-free discriminant-parity product

@@ -1,9 +1,12 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from ffintervals import interval_lab
 from ffintervals.class_functions import make_builtin
-from ffintervals.errors import DerivativeVanishes, EvenCharacteristic, OutOfRange
+from ffintervals.errors import DerivativeVanishes, EvenCharacteristic, FieldTooSmall, OutOfRange
 from ffintervals.finite_field import make_extension, make_prime_field
 from ffintervals.morse_galois import (
     NO_CANCELLATION,
@@ -24,6 +27,7 @@ from ffintervals.polynomial import (
     is_squarefree,
     poly_from_index,
     random_monic,
+    squarefree_decomposition,
 )
 from ffintervals.polyparse import parse_poly
 
@@ -355,6 +359,84 @@ def test_classifier_consistent_with_enumeration_random():
         else:
             # Weil scale: 2(d-1) sqrt(p) is a generous envelope at these sizes
             assert abs(total) <= 2 * d * p**0.5
+
+
+def test_classifier_in_characteristic_at_most_d():
+    # the F_27 quartic: q = 27 > deg f' = 3 although p = 3 <= d = 4;
+    # D = t^3 + 2 = (t + 2)^3
+    F27 = make_extension(F3, 3, 0)
+    verdict = classify_mu_cancellation(parse_poly("x^4+2*x^3+x+1", F27))
+    assert verdict.kind == SQRT_CANCELLATION and verdict.sign is None
+    assert verdict.witness_disc == parse_poly("x^3+2", F27)
+    assert verdict.witness_exponents == (3,)
+    with pytest.raises(FieldTooSmall):  # q = 3 <= deg f' = 3
+        classify_mu_cancellation(parse_poly("x^4+2*x^3+x+1", F3))
+
+
+def test_classifier_constant_and_vanishing_d():
+    # f' a nonzero constant: D = disc(x^3 + x + t) = -4 is a constant, every
+    # member is squarefree and mu has the sign (-1)^3 chi(-4) = -1 on all 9;
+    # f' = 0: D = 0, and every member x^3 + c is a cube
+    F9 = make_extension(F3, 2, 0)
+    mu3 = make_builtin("moebius", 3)
+    f = parse_poly("x^3+x", F9)
+    verdict = classify_mu_cancellation(f)
+    assert verdict.kind == NO_CANCELLATION and verdict.sign == -1
+    assert verdict.witness_disc.degree == 0 and verdict.witness_exponents == ()
+    assert predicted_no_cancellation_sum(verdict, f) == -9
+    assert interval_lab.class_sum(F9, f, mu3).raw_sum == -9
+    with pytest.raises(DerivativeVanishes):
+        classify_mu_cancellation(parse_poly("x^3", F9))
+
+
+def _centers(ctx, d):
+    """Every monic degree-d center (constant term 0) over ctx."""
+    return [poly_from_index(ctx, d, ctx.q * idx) for idx in range(ctx.q ** (d - 1))]
+
+
+def test_classifier_against_table_moebius_sums_in_characteristic_3():
+    # every cubic, quartic and quintic center over F_9, every cubic center and
+    # 2000 seeded quartic centers over F_27 (all 19683 give only square-root
+    # verdicts: deg D = 3 is odd).  The Möbius sum over I(f) is read off the
+    # run scope's cycle-type table; a no-cancellation verdict predicts it
+    # exactly, and a square-root one bounds it by Weil, (r - 1) sqrt(q) for
+    # r distinct roots of D.  f' = 0 makes every member a cube.
+    F9, F27 = make_extension(F3, 2, 0), make_extension(F3, 3, 0)
+    quartics = random.Random("classify/F27/quartic").sample(_centers(F27, 4), 2000)
+    cases = [(F9, 3, _centers(F9, 3)), (F9, 4, _centers(F9, 4)), (F9, 5, _centers(F9, 5))]
+    cases += [(F27, 3, _centers(F27, 3)), (F27, 4, quartics)]
+    kinds = Counter()
+    for ctx, d, centers in cases:
+        with interval_lab.run_scope():
+            for f in centers:
+                counts = interval_lab._joint_counts(ctx, f, (ctx(0),))
+                total = sum((-1) ** len(ct) * n for (ct,), n in counts.items() if ct is not None)
+                try:
+                    verdict = classify_mu_cancellation(f)
+                except DerivativeVanishes:
+                    assert derivative(f).is_zero and total == 0
+                    kinds[ctx.q, d, "f' = 0"] += 1
+                    continue
+                dpoly = verdict.witness_disc
+                if verdict.kind == NO_CANCELLATION:
+                    assert total == predicted_no_cancellation_sum(verdict, f), f
+                else:
+                    _, parts = squarefree_decomposition(dpoly)
+                    r = sum(s.degree for s, _ in parts)
+                    assert abs(total) <= (r - 1) * math.sqrt(ctx.q), f
+                kinds[ctx.q, d, verdict.kind, dpoly.degree > 0] += 1
+    assert kinds == {
+        (9, 3, "f' = 0"): 1,
+        (9, 3, NO_CANCELLATION, False): 8,
+        (9, 3, SQRT_CANCELLATION, True): 72,
+        (9, 4, SQRT_CANCELLATION, True): 729,
+        (9, 5, NO_CANCELLATION, True): 225,
+        (9, 5, SQRT_CANCELLATION, True): 6336,
+        (27, 3, "f' = 0"): 1,
+        (27, 3, NO_CANCELLATION, False): 26,
+        (27, 3, SQRT_CANCELLATION, True): 702,
+        (27, 4, SQRT_CANCELLATION, True): 2000,
+    }
 
 
 # ---------------------------------------------------------------------------

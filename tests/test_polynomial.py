@@ -351,19 +351,30 @@ def test_disc_in_t_matches_pointwise_evaluations():
 
 
 def test_shared_disc_interpolation_matches_pointwise_evaluations_for_p_at_most_d():
-    # the interpolation behind disc_in_t and is_morse, where p <= d < q
-    from ffintervals.polynomial import _disc_poly
+    # disc_in_t, the one D(t) of the sweeps, the census, the classifier and
+    # is_morse, where p <= d < q
+    from ffintervals.errors import FieldTooSmall
 
     rng = random.Random("disc-poly")
     F9 = make_extension(F3, 2)
     for d in (3, 4):
         for _ in range(60):
             f = random_monic(F9, d, rng)
-            dt = _disc_poly(f)
+            dt = disc_in_t(f)
             assert dt.degree <= derivative(f).degree
             for a in map(F9.element_from_index, range(9)):
                 assert dt(a) == discriminant(f.shift_const(a))
-    assert _disc_poly(parse_poly("x^4+x", F3)) is None  # q <= deg f' = 3
+    with pytest.raises(FieldTooSmall):  # q <= deg f' = 3
+        disc_in_t(parse_poly("x^4+x", F3))
+
+
+def test_disc_in_t_in_characteristic_at_most_d():
+    # one rule, q > deg f': D has degree deg f', a constant for a constant f'
+    # and 0 for f' = 0
+    F9, F27 = make_extension(F3, 2, 0), make_extension(F3, 3, 0)
+    assert disc_in_t(parse_poly("x^4+2*x^3+x+1", F27)) == parse_poly("x^3+2", F27)
+    assert disc_in_t(parse_poly("x^3+x", F9)) == parse_poly("2", F9)  # -4
+    assert disc_in_t(parse_poly("x^3", F9)).is_zero
 
 
 def test_disc_in_t_degree_bound_random():
