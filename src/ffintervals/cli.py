@@ -28,13 +28,13 @@ from .interval_lab import (
     squarefree_census,
 )
 from .morse_galois import (
-    _bad_set,
+    bad_set,
     classify_mu_cancellation,
     critical_data,
     is_morse,
     stickelberger_mu,
 )
-from .polynomial import factor
+from .polynomial import derivative, factor
 from .polyparse import format_poly, parse_poly, parse_shifts
 from .suite import SuiteParams, run_paper_suite
 
@@ -262,11 +262,11 @@ def _run(args) -> int:
         ok, diag = is_morse(f)
         report = {"is_morse": ok, "diagnostics": diag, "f": format_poly(f)}
         try:
-            cd = critical_data(f)
-            report["critical_data"] = reports.critical_to_dict(cd)
-            report["bad_set"] = sorted(repr(e) for e in _bad_set(cd))
+            report["critical_data"] = reports.critical_to_dict(critical_data(f))
         except FFIntervalsError as exc:
             report["critical_data_error"] = str(exc)
+        if derivative(f):  # f' = 0: no critical values, no B(f)
+            report["bad_set"] = sorted(repr(e) for e in bad_set(f))
         if ctx.p != 2:
             report["stickelberger_mu"] = stickelberger_mu(f)
         _emit(_envelope(args, report), args.out)

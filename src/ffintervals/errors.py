@@ -29,10 +29,6 @@ class ZeroInput(FFIntervalsError):
     """Operation is undefined for the zero polynomial."""
 
 
-class FieldTooSmall(FFIntervalsError):
-    """The field has too few elements for the requested construction."""
-
-
 class EvenCharacteristic(FFIntervalsError):
     """Operation requires odd characteristic."""
 

@@ -3,12 +3,12 @@
 Every experiment depends on the members only through their cycle types, and
 f + h + a runs over I(f) for every shift h.  One routine, _member_types,
 factors members (distinct-degree factorization).  It takes the center of
-I(f), its member with constant term 0, and for odd q > deg f' the center's
+I(f), its member with constant term 0, and for odd q the center's
 D(t) = disc(center + t), and hands the member with constant term c its
 discriminant D(c): a zero marks it non-squarefree without a gcd, and its
 square class ends the distinct-degree loop early (Stickelberger parity; see
 the kernels).  The census and the battery's verdict read the same D, from
-disc_in_t, and like the sweeps take p <= deg f wherever q > deg f'.  The
+disc_in_t, which builds it in every field, p <= deg f included.  The
 caller of _blocks computes, once per interval and at any worker count, x^e
 mod every member (e the top bits of p) from one bivariate power, over F_p
 and over F_{p^l} alike, and over F_p for p > deg f >= 6 the fiber pass,
@@ -44,7 +44,7 @@ import time
 from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -54,7 +54,6 @@ from .class_functions import ClassFunction, CycleType, make_builtin, mean_consta
 from .errors import (
     DegreeMismatch,
     DichotomyViolation,
-    FieldTooSmall,
     NoSuitableS,
     OutOfRange,
     TooLarge,
@@ -68,10 +67,12 @@ from .finite_field import (
     make_prime_field,
 )
 from .morse_galois import (
+    NO_CANCELLATION,
     bad_shift_check,
     classify_mu_cancellation,
     critical_data,  # unused here; perfbench's tracer wraps interval_lab.critical_data
     is_morse,
+    predicted_no_cancellation_sum,
 )
 from .polynomial import (
     Poly,
@@ -125,14 +126,11 @@ def run_scope():
 def _center(ctx, f: Poly):
     """I(f)'s member with constant term 0, and its D(t) = disc(center + t).
 
-    D is None for p = 2, where every element is a square, and q <= deg f';
-    f, every f + c and every shift share one D, which is 0 when f' = 0.
+    D is None for p = 2, where every element is a square; f, every f + c
+    and every shift share one D, which is 0 when f' = 0.
     """
     center = (0,) + f.raw_coeffs[1:]
-    if ctx.p != 2:
-        with suppress(FieldTooSmall):
-            return center, disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
-    return center, None
+    return center, None if ctx.p == 2 else disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
 
 
 def _ddf_inputs(ctx, center, d_raws):
@@ -516,7 +514,7 @@ def squarefree_census(ctx, f, shifts) -> CensusReport:
     Non-squarefree members correspond to roots of D(t) = disc(f + t) shifted
     by each h_i, so the census needs no sweep; the complement is at most
     k * (d - 1) unless f' = 0, where D = 0 and every a is bad.  disc_in_t
-    builds D wherever q > deg f', in any characteristic.
+    builds D in every field.
     """
     t0 = time.perf_counter()
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
@@ -657,10 +655,11 @@ class MoebiusBatteryResult:
 def moebius_battery(ctx, f, shifts, tolerance_c: float = 4.0, workers: int = 1) -> MoebiusBatteryResult:
     """Möbius sum, Chowla product sum, classifier verdict, dichotomy assertion.
 
-    Any odd q > deg f' will do; the classifier's errors are raised before
-    any sweep.  Raises DichotomyViolation when the two sums disagree about
-    which branch of the cancellation dichotomy they sit in (at tolerance
-    C * sqrt(q)).
+    Any odd q will do; the classifier's errors are raised before any sweep.
+    The branch is the verdict's.  Raises DichotomyViolation when the two
+    sums disagree about which branch of the cancellation dichotomy they sit
+    in (at tolerance C * sqrt(q)), and on a no-cancellation verdict unless
+    the single sum is exactly the one it predicts.
     """
     verdict = classify_mu_cancellation(f)
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
@@ -678,9 +677,11 @@ def moebius_battery(ctx, f, shifts, tolerance_c: float = 4.0, workers: int = 1) 
         raise DichotomyViolation(
             f"|single| = {s1}, |chowla| = {sk}, q = {q}, C = {tolerance_c}"
         )
-    # the two bands can overlap at tiny q; label by the midpoint then
-    branch = "no-cancellation" if 2 * s1 >= q else "cancellation"
-    return MoebiusBatteryResult(single, chowla, verdict, branch)
+    if verdict.kind != NO_CANCELLATION:
+        return MoebiusBatteryResult(single, chowla, verdict, "cancellation")
+    if single.raw_sum != predicted_no_cancellation_sum(verdict, f):
+        raise DichotomyViolation(f"single = {single.raw_sum}, not the no-cancellation verdict's sum")
+    return MoebiusBatteryResult(single, chowla, verdict, "no-cancellation")
 
 
 def _stickelberger_product_sum(ctx, f, shifts):

@@ -1,19 +1,18 @@
 """Critical values, the Morse test, bad shift sets, and Möbius parity tools.
 
-Critical points of f live in a common extension F_{q^M} where M is the lcm of
-the degrees of the irreducible factors of f'.  All roots are extracted
-directly inside that one extension, so no cross-tower embeddings are needed;
-when the base field is itself an extension, it is embedded once via a root of
-its modulus.
-
-The Morse test itself never builds an extension: the critical values of f are
-the negatives of the roots of D(t) = disc(f + t), the polynomial over the base
-field that the sweeps and the classifier read too, and f is Morse exactly when
-deg f' = d - 1 and D is squarefree.  D exists wherever q > deg f' (disc_in_t),
-so the Morse test and the Möbius classifier work in fixed characteristic too,
-at any odd q = p^l > deg f'.  The genericity scan for p > d tests
-squarefreeness of D for every slope at once, through the discriminant of D
+The Morse test, bad shifts and B(f) read f through one polynomial over the
+base field, D(t) = disc(f + t) (disc_in_t, in every field), whose roots are
+the negated critical values: f is Morse exactly when deg f' = d - 1 and D is
+squarefree, and the differences of critical values are those of the roots
+of D.  So none of them builds an extension, at any q = p^l.  The genericity
+scan for p > d tests squarefreeness of D for every slope at once
 (interval_lab.morse_density_scan), and runs is_morse per slope otherwise.
+
+critical_data (the CLI morse report, and the tests' oracle) extracts the
+critical points in a common extension F_{q^M}, M the lcm of the degrees of
+the irreducible factors of f'.  All roots are extracted directly inside that
+one extension, so no cross-tower embeddings are needed; when the base field
+is itself an extension, it is embedded once via a root of its modulus.
 """
 
 from __future__ import annotations
@@ -26,16 +25,18 @@ from .errors import (
     DerivativeVanishes,
     EvenCharacteristic,
     ExtensionTooLarge,
-    FieldTooSmall,
     OutOfRange,
 )
 from .finite_field import _MAX_EXT_DEGREE, FieldCtx, FieldElement, _digits, make_extension
 from .polynomial import (
     Poly,
+    _charpoly,
+    _rmonic,
     derivative,
     disc_in_t,
     discriminant,
     factor,
+    gcd,
     is_squarefree,
     roots_in_field,
     second_hasse_schmidt,
@@ -160,50 +161,45 @@ def is_morse(f: Poly):
         diag.update(derivative_squarefree=False, distinct_value_count=0)
         return False, diag
     diag["derivative_squarefree"] = fp.degree < 1 or is_squarefree(fp)
-    try:
-        dpoly = disc_in_t(f)
-    except FieldTooSmall:  # q <= deg f': fall back to explicit critical data
-        cd = critical_data(f)
-        diag["distinct_value_count"] = cd.distinct_value_count
-        ok = (
-            fp.degree == d - 1
-            and diag["derivative_squarefree"]
-            and cd.distinct_value_count == d - 1
-        )
-        return ok, diag
-    distinct = _distinct_root_count(dpoly)
-    diag["distinct_value_count"] = distinct
-    ok = fp.degree == d - 1 and distinct == d - 1
-    return ok, diag
+    diag["distinct_value_count"] = _distinct_root_count(disc_in_t(f))
+    return fp.degree == d - 1 and diag["distinct_value_count"] == d - 1, diag
 
 
-def _value_differences(cd: CriticalData) -> set:
-    """The nonzero differences of distinct critical values, as raws of cd.ext_ctx.
-
-    Built from ordered pairs, so the set is closed under negation.
-    """
-    raws = cd.value_set_raws()
-    return {cd.ext_ctx.sub(r1, r2) for r1 in raws for r2 in raws if r1 != r2}
+def _disc_or_raise(f: Poly) -> Poly:
+    """disc_in_t(f), or DerivativeVanishes where f' = 0 and f has no critical point data."""
+    dpoly = disc_in_t(f)
+    if dpoly.is_zero:
+        raise DerivativeVanishes("f' = 0; no critical point data")
+    return dpoly
 
 
 def bad_set(f: Poly):
-    """B(f): nonzero differences of critical values landing in the prime field."""
-    return _bad_set(critical_data(f))
+    """B(f): the nonzero differences of critical values that lie in the prime field F_p.
 
-
-def _bad_set(cd: CriticalData):
-    """bad_set from f's critical data, for a caller that reports cd as well."""
-    prime, frob = cd.ext_ctx.prime_field(), cd.ext_ctx.frob
-    # a prime-subfield raw is its F_p raw
-    return {FieldElement(prime, delta) for delta in _value_differences(cd) if frob(delta) == delta}
+    The k roots of D are the eigenvalues of the companion matrix C of D / lc,
+    so det(hI - (C (x) 1 - 1 (x) C)) = h^k R(h) has the differences of
+    pairs of them as roots, h^k from the k pairs of equal indices; B(f) is
+    the set of roots of R in F_p^*, closed under negation.
+    """
+    ctx = f.ctx
+    c = _rmonic(ctx, list(_disc_or_raise(f).raw_coeffs))
+    k = len(c) - 1
+    comp = [[ctx.neg(c[i]) if j == k - 1 else int(i == j + 1) for j in range(k)] for i in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    kron = [[ctx.sub(comp[i][a] * (j == b), comp[j][b] * (i == a)) for a, b in pairs] for i, j in pairs]
+    r = Poly.from_raw(ctx, _charpoly(ctx, kron)[k:])
+    roots = roots_in_field(r) if r.degree >= 1 else ()
+    # the prime subfield's raws are 0..p - 1, each its F_p raw
+    return {FieldElement(ctx.prime_field(), h.raw) for h in roots if 0 < h.raw < ctx.p}
 
 
 def bad_shift_check(f: Poly, shifts) -> bool:
     """True iff some nonzero difference of shifts is a critical value difference.
 
-    Shifts live in f's coefficient field (the demo uses extension elements);
-    comparison happens inside the critical-data extension, so this realizes
-    B(f) intersected with (H - H) \\ {0} without leaving that extension.
+    Shifts live in f's coefficient field (the demo uses extension elements).
+    The D of f + h is D(t + h), so h_i - h_j is a difference of critical
+    values exactly when the D of f + h_i and of f + h_j have a gcd other
+    than 1: B(f) intersected with (H - H) \\ {0}, in the base field.
     """
     ctx = f.ctx
     hs = [h if isinstance(h, FieldElement) else ctx(h) for h in shifts]
@@ -211,13 +207,8 @@ def bad_shift_check(f: Poly, shifts) -> bool:
         raise OutOfRange("shifts must be distinct")
     if len(hs) < 2:
         return False
-    cd = critical_data(f)
-    diffs = _value_differences(cd)
-    return any(
-        _embed_raw(cd.ext_ctx, ctx, cd.gen_image, ctx.sub(h1.raw, h2.raw)) in diffs
-        for i, h1 in enumerate(hs)
-        for h2 in hs[:i]
-    )
+    ds = [_disc_or_raise(f.shift_const(h)) for h in hs]
+    return any(gcd(d1, d2).degree > 0 for i, d1 in enumerate(ds) for d2 in ds[:i])
 
 
 def classify_mu_cancellation(f: Poly) -> CancellationVerdict:
@@ -228,8 +219,8 @@ def classify_mu_cancellation(f: Poly) -> CancellationVerdict:
     (-1)^d * chi(c) on squarefree members of the interval, where c is the
     leading unit of D and chi the quadratic character; otherwise the interval
     exhibits square-root cancellation.  By Stickelberger this holds in any odd
-    characteristic; raises FieldTooSmall for q <= deg f' and DerivativeVanishes
-    for f' = 0, where D = 0.
+    characteristic and at every odd q; raises DerivativeVanishes for f' = 0,
+    where D = 0.
     """
     ctx = f.ctx
     if ctx.p == 2:

@@ -6,13 +6,13 @@ has an empty coefficient tuple and degree -1.
 
 Besides ring arithmetic this module provides gcds, squarefree/distinct-degree/
 equal-degree factorization, Rabin's irreducibility test, resultants and
-discriminants, the one-variable discriminant interpolation disc_in_t, and a
+discriminants, D(t) = disc(f + t) in any field (disc_in_t), and a
 trial-division oracle used by the test suite.  One distinct-degree loop,
 _ddf, gives cycle types (the hot path of the interval sweeps) and factor()'s
 blocks alike.  It runs on int lists over F_p (_IntArith, on the int layer of
 finite_field) and on raws over F_{p^l} (_RawArith); _arith picks one for it
 and for the x^q steps of is_irreducible and roots_in_field.  The sweeps pass
-each member's discriminant for odd q > deg f'; brute_force_factor is the oracle.
+each member's discriminant for odd q; brute_force_factor is the oracle.
 They also pass each member's start of x^p: for an interval
 {f + c : c in F_q}, R(x, y) = x^e mod (f(x) + y) is computed once, e the top
 bits of p, and its coefficients are evaluated at every y in F_q; the member
@@ -45,7 +45,6 @@ from operator import itemgetter, mul
 from .class_functions import _MAX_D, CycleType, partitions_of
 from .errors import (
     CtxMismatch,
-    FieldTooSmall,
     NotSquarefree,
     OutOfRange,
     TooLarge,
@@ -613,10 +612,10 @@ def _ddf(ar, g, square, start=None, roots=None):
 def _pattern(ar, g, disc, start=None, roots=None):
     """Cycle type of a monic coefficient list g, None if not squarefree.
 
-    disc, when given, is disc(g) for odd q (the sweeps pass it for
-    q > deg g'): zero means g is not squarefree, and otherwise the gcd(g, g')
-    test is skipped and its square class lets _ddf stop early.  start and
-    roots are passed on to _ddf.
+    disc, when given, is disc(g) for odd q (the sweeps pass it): zero
+    means g is not squarefree, and otherwise the gcd(g, g') test is skipped
+    and its square class lets _ddf stop early.  start and roots are passed
+    on to _ddf.
     """
     if disc is None:
         gp = ar.deriv(g)
@@ -1128,38 +1127,68 @@ def discriminant(g: Poly) -> FieldElement:
         raise OutOfRange("discriminant needs degree >= 1")
     if not g.is_monic:
         raise OutOfRange("discriminant expects a monic polynomial")
-    ctx = g.ctx
+    ctx, d = g.ctx, g.degree
     gp = _rderiv(ctx, list(g._c))
-    return FieldElement(ctx, _rdisc(ctx, list(g._c), gp) if gp else 0)
+    res = _rresultant(ctx, list(g._c), gp) if gp else 0
+    return FieldElement(ctx, ctx.neg(res) if (d * (d - 1) // 2) % 2 == 1 else res)
 
 
-def _rdisc(ctx, g, gp):
-    """disc(g) = (-1)^(d(d-1)/2) Res(g, gp) as a raw, for monic g and gp = g' != 0."""
-    d = len(g) - 1
-    res = _rresultant(ctx, g, gp)
-    return ctx.neg(res) if (d * (d - 1) // 2) % 2 == 1 else res
+def _charpoly(ctx, h):
+    """det(tI - H) as a raw list, for a square matrix H of raws given by rows.
+
+    Similarities with pivoting bring H to upper Hessenberg form, whose
+    leading blocks' characteristic polynomials follow one from the ones
+    before (Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
+    """
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    h, n = [list(row) for row in h], len(h)
+    for m in range(1, n - 1):  # clear column m - 1 below row m
+        i = next((i for i in range(m, n) if h[i][m - 1]), m)
+        h[i], h[m] = h[m], h[i]
+        for row in h:
+            row[i], row[m] = row[m], row[i]
+        for i in range(m + 1, n):
+            if h[i][m - 1]:
+                u = ctx.div(h[i][m - 1], h[m][m - 1])
+                h[i] = [sub(a, mul(u, b)) for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = add(row[m], mul(u, row[i]))
+    polys = [[1]]
+    for m in range(n):
+        acc, t = _rmul(ctx, [ctx.neg(h[m][m]), 1], polys[m]), 1
+        for i in range(1, m + 1):
+            t = mul(t, h[m - i + 1][m - i])
+            acc = _rsub(ctx, acc, [mul(mul(t, h[m - i][m]), c) for c in polys[m - i]])
+        polys.append(acc)
+    return polys[n]
 
 
 def disc_in_t(f: Poly) -> Poly:
-    """D(t) = disc(f + t) as a polynomial in t, for monic f of degree >= 2.
+    """D(t) = disc(f + t) as a polynomial in t, for monic f of degree >= 2, in any F_q.
 
-    D = +-lc(f')^d * prod_{f'(xi) = 0} (t + f(xi)) has degree deg f', so its
-    values at the nodes a = 0..deg f' (canonical indices) fix it, in any
-    characteristic; raises FieldTooSmall when q <= deg f', where they do not
-    fit.  D = 0 when f' = 0.  The critical values of f are the negatives of
-    its roots.  f' is the same for every f + a, so it is computed once.
+    With e = deg f' and the critical points xi the roots of f' (with
+    multiplicity), Res(f + t, f') = (-1)^(d e) lc(f')^d prod (t + f(xi)),
+    and the product is det(tI - M), M multiplication by -f on
+    F_q[x]/(f' / lc f').  So D = (-1)^(d(d-1)/2 + d e) lc(f')^d det(tI - M)
+    has degree e in every field: a nonzero constant when f' is one, and 0
+    when f' = 0.  The critical values of f are the negatives of its roots.
     """
     if f.degree < 2:
         raise OutOfRange("disc_in_t needs degree >= 2")
     if not f.is_monic:
         raise OutOfRange("disc_in_t expects a monic polynomial")
-    ctx = f.ctx
+    ctx, d = f.ctx, f.degree
     fp = _rderiv(ctx, list(f._c))
-    nodes = range(len(fp))  # empty for f' = 0: _lagrange returns 0
-    if ctx.q < len(nodes):
-        raise FieldTooSmall(f"need q > deg f' = {len(fp) - 1}, got q = {ctx.q}")
-    values = [_rdisc(ctx, [ctx.add(f._c[0], a), *f._c[1:]], fp) for a in nodes]
-    return _lagrange(ctx, nodes, values)
+    if not fp:
+        return Poly.from_raw(ctx, [])
+    m = _rmonic(ctx, fp)
+    e = len(m) - 1
+    cols, col = [], _rdivmod(ctx, [ctx.neg(c) for c in f._c], m)[1]  # -f x^j mod m
+    for _ in range(e):
+        cols.append(col + [0] * (e - len(col)))
+        col = _rdivmod(ctx, _rmul(ctx, col, [0, 1]), m)[1]
+    scale = ctx.scalar_mul((-1) ** (d * (d - 1) // 2 + d * e), ctx.pow_raw(fp[-1], d))
+    return Poly.from_raw(ctx, [ctx.mul(scale, c) for c in _charpoly(ctx, list(zip(*cols)))])
 
 
 def _lagrange(ctx, nodes, values) -> Poly:

@@ -345,19 +345,19 @@ def test_classify_command(capsys):
 
 
 def test_classify_command_in_characteristic_at_most_d(capsys):
-    # the F_{3^l} quartic with q > deg f' = 3; below that, and for f' = 0,
-    # the typed errors exit 1; a constant D gives a verdict
-    argv = ["classify", "--p", "3", "--ext", "3", "--f", "x^4+2*x^3+x+1"]
-    code, payload = run_json(capsys, argv)
-    assert code == 0
-    assert payload["report"] == {
-        "kind": "square-root-cancellation",
-        "sign": None,
-        "disc_t": "t^3+2",
-        "squarefree_exponents": [3],
-    }
-    assert run_command(["classify", "--p", "3", "--f", "x^4+2*x^3+x+1"]) == 1
-    assert "need q > deg f' = 3" in capsys.readouterr().err
+    # the quartic over F_27 and over F_3, where q = 3 <= deg f' = 3, has
+    # D = t^3 + 2; f' = 0 exits 1 with a typed error; a constant D gives a
+    # verdict
+    for ext in ("3", "1"):
+        argv = ["classify", "--p", "3", "--ext", ext, "--f", "x^4+2*x^3+x+1"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["report"] == {
+            "kind": "square-root-cancellation",
+            "sign": None,
+            "disc_t": "t^3+2",
+            "squarefree_exponents": [3],
+        }
     assert run_command(["classify", "--p", "3", "--ext", "2", "--f", "x^3"]) == 1
     assert "f' = 0" in capsys.readouterr().err
     code, payload = run_json(capsys, ["classify", "--p", "3", "--ext", "2", "--f", "x^3+x"])
@@ -402,25 +402,58 @@ def test_morse_command_builds_the_critical_data_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p,f,error",
+    "p,f,error,bad",
     [
-        ("5", "x^5+1", "f' = 0; no critical point data"),
-        # f' = 12 h_5 h_6 with h_5 and h_6 irreducible: the splitting field is F_(q^30)
+        ("5", "x^5+1", "f' = 0; no critical point data", None),
+        # f' = 12 h_5 h_6 with h_5 and h_6 irreducible: the splitting field is
+        # F_(q^30), but B(f) comes from D(t), and this Morse f has none
         (
             "13",
             "x^12+6*x^11+12*x^10+7*x^9+9*x^8+5*x^7+8*x^6+x^5+12*x^4+10*x^3+2*x^2+11*x",
             "needs F_(q^30), cap is 24",
+            [],
         ),
     ],
     ids=["f-prime-zero", "past-the-cap"],
 )
-def test_morse_command_reports_missing_critical_data(capsys, p, f, error):
+def test_morse_command_reports_missing_critical_data(capsys, p, f, error, bad):
     code, payload = run_json(capsys, ["morse", "--p", p, "--f", f])
     report = payload["report"]
     assert code == 0
     assert report["critical_data_error"] == error
     assert "is_morse" in report and "stickelberger_mu" in report
-    assert "critical_data" not in report and "bad_set" not in report
+    assert "critical_data" not in report and report.get("bad_set") == bad
+    assert report["is_morse"] == (bad is not None)
+
+
+def test_only_the_morse_report_builds_critical_data(capsys, monkeypatch):
+    # every other verb reads D(t) alone, on a non-Morse f over F_3 with
+    # q <= deg f' = 3 (D = t^3) and at p > d
+    from ffintervals import cli, interval_lab, morse_galois
+
+    built, critical_data = [], morse_galois.critical_data
+
+    def counted(f):
+        built.append(f)
+        return critical_data(f)
+
+    for owner in (morse_galois, interval_lab, cli):
+        monkeypatch.setattr(owner, "critical_data", counted)
+    verbs = (
+        ["sum", "--phi", "mu"],
+        ["correlate", "--shifts", "0,1", "--phi", "mu", "--phi", "prime"],
+        ["chebotarev", "--shifts", "0,1"],
+        ["census", "--shifts", "0,1"],
+        ["classify"],
+        ["scan-morse"],
+    )
+    for interval in (["--p", "3", "--f", "x^4+x"], ["--p", "13", "--f", "x^4-2*x^2"]):
+        for verb, *args in verbs:
+            code, _ = run_json(capsys, [verb, *interval, *args])
+            assert code == 0 and built == [], (verb, interval)
+        code, payload = run_json(capsys, ["morse", *interval])
+        assert code == 0 and len(built) == 1 and payload["report"]["is_morse"] is False
+        built.clear()
 
 
 def test_chebotarev_csv_has_one_row_per_class(capsys):
@@ -488,7 +521,7 @@ _INTERVALS = {
     "sextic": ["--p", "101", "--f", "x^6+x+1"],  # d >= 6: members are factored
     "octic": ["--p", "101", "--f", "x^8+3*x^3+x+1"],
     "F25": ["--p", "5", "--ext", "2", "--f", "x^3+x+1"],
-    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],  # q <= deg f' = 5: no D(t)
+    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],  # q <= deg f' = 5: D(t) and the DDF
     "F27-quartic": ["--p", "3", "--ext", "3", "--f", "x^4+2*x^3+x+1"],  # p <= d, D(t): fibers
     "F7-septic": ["--p", "7", "--f", "x^7+3*x^2+x+1"],  # p = d, D(t): the DDF, no root feed
 }

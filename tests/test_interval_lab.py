@@ -11,7 +11,7 @@ from functools import cache
 import pytest
 
 from ffintervals.class_functions import evaluate, make_builtin, partitions_of
-from ffintervals.errors import FieldTooSmall, OutOfRange, TooLarge
+from ffintervals.errors import OutOfRange, TooLarge
 from ffintervals.finite_field import _digits, make_extension, make_prime_field
 from ffintervals import interval_lab
 from ffintervals.interval_lab import (
@@ -268,20 +268,23 @@ def test_squarefree_census_matches_direct_sweep():
         assert rep.bad_count <= rep.bad_bound
 
 
-def test_squarefree_census_field_too_small():
+def test_squarefree_census_when_q_is_at_most_deg_f_prime():
+    # D = t^3 over F_3: x^4 + x + a is squarefree exactly for a != 0
     F3 = make_prime_field(3)
-    with pytest.raises(FieldTooSmall):
-        squarefree_census(F3, parse_poly("x^4+x", F3), (F3(0),))
+    rep = squarefree_census(F3, parse_poly("x^4+x", F3), (F3(0),))
+    assert [a.raw for a in rep.bad_a] == [0] and rep.all_squarefree_count == 2
 
 
 def test_squarefree_census_takes_d_wherever_q_exceeds_deg_f_prime():
-    # p <= deg f with q > deg f' (the F_27 quartic; and characteristic 2,
-    # where disc = +-Res(g, g') still vanishes exactly on non-squarefree g),
-    # against every a by brute force; f' = 0 makes D = 0 and every a bad
+    # p <= deg f (the quartic over F_27, and over F_3 where q = 3 <= deg f';
+    # and characteristic 2, where disc = +-Res(g, g') still vanishes exactly
+    # on non-squarefree g), against every a by brute force; f' = 0 makes
+    # D = 0 and every a bad
     F3 = make_prime_field(3)
     F27, F9 = make_extension(F3, 3, 0), make_extension(F3, 2, 0)
     F8 = make_extension(make_prime_field(2), 3, 0)
-    cases = [(F27, "x^4+2*x^3+x+1", (0, 1)), (F8, "x^3+x+1", (0, 1)), (F9, "x^3", (0, 1, 2))]
+    cases = [(F27, "x^4+2*x^3+x+1", (0, 1)), (F3, "x^4+2*x^3+x+1", (0, 1))]
+    cases += [(F8, "x^3+x+1", (0, 1)), (F9, "x^3", (0, 1, 2))]
     for ctx, text, shift_ints in cases:
         f, shifts = parse_poly(text, ctx), tuple(ctx(h) for h in shift_ints)
         rep = squarefree_census(ctx, f, shifts)
@@ -292,8 +295,6 @@ def test_squarefree_census_takes_d_wherever_q_exceeds_deg_f_prime():
         assert [x.raw for x in rep.bad_a] == bad, (ctx, text)
         assert rep.bad_count == len(bad) and rep.all_squarefree_count == ctx.q - len(bad)
     assert rep.bad_count == 9  # x^3 over F_9
-    with pytest.raises(FieldTooSmall):  # q = 3 <= deg f' = 3: D is not determined
-        squarefree_census(F3, parse_poly("x^4+2*x^3+x+1", F3), (F3(0), F3(1)))
 
 
 def test_gauss_census_values_and_guard():
@@ -421,7 +422,7 @@ def test_run_scope_sweeps_each_interval_once(monkeypatch):
     F101 = make_prime_field(101)
     cases = (
         (F101, first_morse_center(F101, 4), 7, 0),  # p > d, d <= 5: the fiber pass
-        (F5, parse_poly("x^6+x+2", F5), 3, 5),  # q <= deg f' = 5: no D(t), the disc-free kernel
+        (F5, parse_poly("x^6+x+2", F5), 3, 5),  # q <= deg f' = 5: D(t) and the DDF kernel
         (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11, 0),  # the fiber pass over F_25
     )
     calls = _count_kernel_calls(monkeypatch)
@@ -764,11 +765,11 @@ def test_fiber_table_matches_ddf_on_seeded_intervals_and_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# D(t) by its own rule: the sweeps take it for every odd q > deg f', p <= d
-# included, and the disc-free path is left for characteristic 2 and q <= deg f'
+# D(t) in every odd field: the sweeps take it wherever q is odd, p <= d and
+# q <= deg f' included, and the disc-free path is left for characteristic 2
 
 
-def test_center_gives_d_exactly_for_odd_q_above_deg_f_prime():
+def test_center_gives_d_exactly_for_odd_q():
     F2, F3 = make_prime_field(2), make_prime_field(3)
     fields = [F3, F5, make_extension(F3, 2, 0), make_extension(F5, 2, 0)]
     fields += [make_extension(F3, 3, 0), make_extension(F3, 5, 0)]
@@ -785,18 +786,15 @@ def test_center_gives_d_exactly_for_odd_q_above_deg_f_prime():
             ]
             for f in centers:
                 center, d_raws = interval_lab._center(ctx, f)
-                has_d = ctx.p != 2 and ctx.q > derivative(f).degree
+                has_d = ctx.p != 2
                 assert (d_raws is not None) == has_d, (ctx, f)
-                sides.add((ctx.p == 2, has_d, ctx.p <= d))
+                sides.add((has_d, ctx.q <= derivative(f).degree, ctx.p <= d))
                 if has_d:
                     for c in range(ctx.q):
                         member = Poly.from_raw(ctx, [c, *center[1:]])
                         assert _reval(ctx, d_raws, c) == discriminant(member).raw, (ctx, f, c)
-    # (characteristic 2, D given, p <= d): every side of the rule but p > d with no D
-    assert sides == {
-        (True, False, True), (False, False, True),
-        (False, True, True), (False, True, False)
-    }
+    # (D given, q <= deg f', p <= d): D wherever q is odd, q <= deg f' included
+    assert sides == {(False, False, True), (True, False, False), (True, False, True), (True, True, True)}
     F9 = fields[2]
     cube, plus_x = parse_poly("x^3", F9), parse_poly("x^3+x", F9)
     assert interval_lab._center(F9, cube)[1] == ()  # f' = 0: D = 0
@@ -890,6 +888,24 @@ def test_sweeps_with_d_for_p_at_most_d_on_seeded_intervals(p, l, d):
         with run_scope():
             assert interval_lab._interval_table(ctx, f, workers) == expected, workers
             assert _joint_counts(ctx, f, shifts, workers) == pairs, workers
+
+
+def test_sweeps_with_d_where_q_is_at_most_deg_f_prime():
+    # every center of degree 4-6 over F_3, most with q <= deg f': the fiber
+    # route for d <= 5 and the DDF route for d = 6, the table and the
+    # standalone sweep against the disc-free kernel
+    F3 = make_prime_field(3)
+    small = 0
+    for d in (4, 5, 6):
+        for idx in range(3 ** (d - 1)):
+            f = Poly.from_raw(F3, [0] + _digits(3, d - 1, idx) + [1])
+            small += 3 <= derivative(f).degree
+            expected = [cycle_pattern_or_none(F3, [c, *f.raw_coeffs[1:]]) for c in range(3)]
+            assert interval_lab._center(F3, f)[1] is not None
+            assert _standalone_types(F3, f) == expected, f
+            with run_scope():
+                assert interval_lab._interval_table(F3, f, 1) == expected, f
+    assert small == 324
 
 
 def test_the_root_feed_waits_for_p_above_d():
@@ -1031,15 +1047,19 @@ def test_moebius_battery_cancellation_branch():
 
 
 def test_moebius_battery_in_characteristic_at_most_d():
-    # p = 3 <= d, q > deg f'.  The F_27 quartic's D = (t + 2)^3 gives a
-    # square-root verdict and a single sum of 0; the F_9 quintic's
-    # D = 2 (t^2 - 1)^2 gives no cancellation, sign -1 on the 9 - 2
-    # squarefree members.  The evaluate() oracle checks both sums.
+    # p <= d.  The quartic's D = (t + 2)^3 gives a square-root verdict and a
+    # single sum of 0 over F_27, and over F_3, where q <= deg f' = 3; the F_9
+    # quintic's D = 2 (t^2 - 1)^2 gives no cancellation, sign -1 on the
+    # 9 - 2 squarefree members.  The F_5 quartic's |single| = 3 sits in both
+    # bands of width 4 sqrt(5), and its branch is its square-root verdict's.
+    # The evaluate() oracle checks every sum.
     F3 = make_prime_field(3)
     F9, F27 = make_extension(F3, 2, 0), make_extension(F3, 3, 0)
     cases = [
         (F27, "x^4+2*x^3+x+1", "cancellation", "square-root-cancellation", 0, -1),
+        (F3, "x^4+2*x^3+x+1", "cancellation", "square-root-cancellation", 0, -1),
         (F9, "x^5+x^3+2*x", "no-cancellation", "no-cancellation", -7, 6),
+        (F5, "x^4+4*x^2+4*x", "cancellation", "square-root-cancellation", -3, 1),
     ]
     for ctx, text, branch, kind, single, chowla in cases:
         f, shifts = parse_poly(text, ctx), (ctx(0), ctx(1))
@@ -1062,10 +1082,40 @@ def test_moebius_battery_raises_the_classifier_errors_before_any_sweep(monkeypat
     F9 = make_extension(F3, 2, 0)
     with pytest.raises(EvenCharacteristic):
         moebius_battery(F2, parse_poly("x^3+x+1", F2), (F2(0), F2(1)))
-    with pytest.raises(FieldTooSmall):  # q = 3 <= deg f' = 3
-        moebius_battery(F3, parse_poly("x^4+2*x^3+x+1", F3), (F3(0), F3(1)))
     with pytest.raises(DerivativeVanishes):  # f' = 0
         moebius_battery(F9, parse_poly("x^3", F9), (F9(0), F9(1)))
+
+
+def test_moebius_battery_holds_a_no_cancellation_verdict_to_its_exact_sum(monkeypatch):
+    from ffintervals.errors import DichotomyViolation
+
+    f, shifts = parse_poly("x^3", F13), (F13(0), F13(1))
+    predicted = interval_lab.predicted_no_cancellation_sum
+    monkeypatch.setattr(interval_lab, "predicted_no_cancellation_sum", lambda v, g: predicted(v, g) + 1)
+    with pytest.raises(DichotomyViolation, match="no-cancellation verdict"):
+        moebius_battery(F13, f, shifts, tolerance_c=3.0)
+
+
+def test_verbs_on_non_morse_centers_build_no_critical_data(monkeypatch):
+    # class_sum, correlation_sum (with its bad-shift check), the census and
+    # the battery read D(t) alone, at p > d and where q <= deg f' = 3
+    from ffintervals import morse_galois
+
+    def refused(f):
+        raise AssertionError("critical data was built")
+
+    for owner in (morse_galois, interval_lab):
+        monkeypatch.setattr(owner, "critical_data", refused)
+    F3 = make_prime_field(3)
+    for ctx, text in ((F13, "x^4-2*x^2"), (F3, "x^4+x")):
+        f, shifts = parse_poly(text, ctx), (ctx(0), ctx(1))
+        mu = make_builtin("moebius", 4)
+        assert not interval_lab.is_morse(f)[0]
+        assert class_sum(ctx, f, mu).constant_kind == "non-generic"
+        rep = correlation_sum(IntervalSpec(ctx, f, shifts, (mu, mu)))
+        assert rep.notes["bad_shifts"] == (text == "x^4-2*x^2")  # B(x^4 - 2x^2) = {1, 12}
+        squarefree_census(ctx, f, shifts)
+        assert moebius_battery(ctx, f, shifts).branch == "cancellation"
 
 
 def test_stickelberger_product_matches_ddf_route():

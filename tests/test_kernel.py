@@ -68,7 +68,6 @@ from ffintervals.polynomial import (
     _trim,
     brute_force_factor,
     cycle_pattern_or_none,
-    derivative,
     disc_in_t,
     discriminant,
     factor,
@@ -750,7 +749,7 @@ def test_ext_batched_start_and_member_types_on_seeded_intervals(p, l, d):
     ctx = make_extension(make_prime_field(p), l, 0)
     f = random_monic(ctx, d, random.Random(f"ext-batched/{p}/{l}/{d}"))
     center, d_raws = interval_lab._center(ctx, f)
-    assert (d_raws is None) == (p == 2 or ctx.q <= derivative(f).degree)
+    assert (d_raws is None) == (p == 2)
     cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
     assert roots is None and [list(col) for col in cols] == [list(col) for col in _ext_columns(ctx, center)]
     types = list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q), cols))

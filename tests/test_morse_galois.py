@@ -6,7 +6,7 @@ import pytest
 
 from ffintervals import interval_lab
 from ffintervals.class_functions import make_builtin
-from ffintervals.errors import DerivativeVanishes, EvenCharacteristic, FieldTooSmall, OutOfRange
+from ffintervals.errors import DerivativeVanishes, EvenCharacteristic, OutOfRange
 from ffintervals.finite_field import make_extension, make_prime_field
 from ffintervals.morse_galois import (
     NO_CANCELLATION,
@@ -171,9 +171,9 @@ def _monics(ctx, degrees):
 
 
 def test_is_morse_agrees_with_critical_data_route():
-    # dual route: distinct roots of the interpolated D(t) = disc(f + t) versus
-    # explicit root extraction in the splitting extension.  The exhaustive
-    # fields reach p <= d, p | d, the q <= deg f' fallback and F_{p^l}.
+    # dual route: distinct roots of D(t) = disc(f + t) versus explicit root
+    # extraction in the splitting extension.  The exhaustive fields reach
+    # p <= d, p | d, q <= deg f' and F_{p^l}.
     rng = random.Random("morse-dual")
     sampled = []
     for _ in range(120):
@@ -291,6 +291,75 @@ def test_quartic_with_three_critical_values_and_doubling_shifts():
     assert bad_shift_check(f, tuple(F7(h) for h in shifts))
 
 
+def _bad_sets_from_critical_data(f, shift_pairs):
+    """(B(f) as raws, [is h1 - h2 a critical value difference]) from the splitting extension."""
+    from ffintervals.morse_galois import _embed_raw
+
+    ctx, cd = f.ctx, critical_data(f)
+    ext, raws = cd.ext_ctx, cd.value_set_raws()
+    diffs = {ext.sub(a, b) for a in raws for b in raws if a != b}
+    bad = {delta for delta in diffs if ext.frob(delta) == delta}  # a prime-subfield raw is its F_p raw
+    return bad, [_embed_raw(ext, ctx, cd.gen_image, ctx.sub(h1, h2)) in diffs for h1, h2 in shift_pairs]
+
+
+def test_bad_sets_against_the_critical_values():
+    # every quartic center over F_7 and F_9 with the shifts (0, h), h != 0,
+    # and seeded non-Morse centers (a doubled critical point) over F_13,
+    # F_1009, F_25 and F_125 with three seeded shifts, against the nonzero
+    # differences of the critical values in the splitting extension
+    F9 = make_extension(F3, 2, 0)
+    cases = [
+        (f, [(0, h) for h in range(1, ctx.q)])
+        for ctx in (F7, F9) for f in (poly_from_index(ctx, 4, ctx.q * i) for i in range(ctx.q**3))
+    ]
+    rng = random.Random("bad-sets")
+    fields = (F13, make_prime_field(1009), make_extension(F5, 2, 0), make_extension(F5, 3, 0))
+    for ctx in fields:
+        for d in range(3, min(ctx.p, 9)):
+            for _ in range(6):
+                h1, h2, h3 = rng.sample(range(ctx.q), 3)
+                cases.append((make_non_morse(ctx, d, rng), [(h1, h2), (h1, h3), (h2, h3)]))
+    nonempty = bad_pairs = 0
+    for f, pairs in cases:
+        ctx = f.ctx
+        bad, flags = _bad_sets_from_critical_data(f, pairs)
+        got = bad_set(f)
+        assert {e.raw for e in got} == bad and all(e.ctx == ctx.prime_field() for e in got), f
+        for (h1, h2), flag in zip(pairs, flags):
+            assert bad_shift_check(f, (ctx.elem(h1), ctx.elem(h2))) == flag, (f, h1, h2)
+        nonempty += bool(bad)
+        bad_pairs += sum(flags)
+    assert (len(cases), nonempty, bad_pairs) == (1168, 177, 842)
+
+
+def test_bad_sets_past_the_splitting_field_cap():
+    # f' = 12 (x - tau)^2 h_9 over F_(13^3), h_9 irreducible of degree 9:
+    # the critical points need F_(13^27), past the cap, and D(t) does not
+    from ffintervals.errors import ExtensionTooLarge
+    from ffintervals.polynomial import is_irreducible
+
+    ctx = make_extension(F13, 3, 0)
+    rng = random.Random("past-the-cap")
+    h9 = next(h for h in iter(lambda: random_monic(ctx, 9, rng), None) if is_irreducible(h))
+    tau = Poly(ctx, [ctx.element_from_index(rng.randrange(ctx.q))])
+    fp = Poly(ctx, [12]) * (Poly.x(ctx) - tau) ** 2 * h9
+    f = Poly(ctx, [0] + [c / ctx(i + 1) for i, c in enumerate(fp.coeffs)])
+    assert derivative(f) == fp and f.is_monic and f.degree == 12
+    with pytest.raises(ExtensionTooLarge):
+        critical_data(f)
+    assert not is_morse(f)[0]
+    bad = bad_set(f)
+    flags = [bad_shift_check(f, (ctx(0), ctx(h))) for h in range(1, 13)]
+    assert flags == [ctx(h) in bad for h in range(1, 13)]
+
+
+def test_bad_sets_raise_where_f_prime_vanishes():
+    f = parse_poly("x^5+1", F5)
+    for call in (lambda: bad_set(f), lambda: bad_shift_check(f, (F5(0), F5(1)))):
+        with pytest.raises(DerivativeVanishes, match="f' = 0; no critical point data"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # cancellation classifier
 
@@ -362,15 +431,13 @@ def test_classifier_consistent_with_enumeration_random():
 
 
 def test_classifier_in_characteristic_at_most_d():
-    # the F_27 quartic: q = 27 > deg f' = 3 although p = 3 <= d = 4;
-    # D = t^3 + 2 = (t + 2)^3
-    F27 = make_extension(F3, 3, 0)
-    verdict = classify_mu_cancellation(parse_poly("x^4+2*x^3+x+1", F27))
-    assert verdict.kind == SQRT_CANCELLATION and verdict.sign is None
-    assert verdict.witness_disc == parse_poly("x^3+2", F27)
-    assert verdict.witness_exponents == (3,)
-    with pytest.raises(FieldTooSmall):  # q = 3 <= deg f' = 3
-        classify_mu_cancellation(parse_poly("x^4+2*x^3+x+1", F3))
+    # the quartic over F_27 and over F_3, where q = 3 <= deg f' = 3:
+    # p = 3 <= d = 4 and D = t^3 + 2 = (t + 2)^3 in both
+    for ctx in (make_extension(F3, 3, 0), F3):
+        verdict = classify_mu_cancellation(parse_poly("x^4+2*x^3+x+1", ctx))
+        assert verdict.kind == SQRT_CANCELLATION and verdict.sign is None
+        assert verdict.witness_disc == parse_poly("x^3+2", ctx)
+        assert verdict.witness_exponents == (3,)
 
 
 def test_classifier_constant_and_vanishing_d():

@@ -352,9 +352,8 @@ def test_disc_in_t_matches_pointwise_evaluations():
 
 def test_shared_disc_interpolation_matches_pointwise_evaluations_for_p_at_most_d():
     # disc_in_t, the one D(t) of the sweeps, the census, the classifier and
-    # is_morse, where p <= d < q
-    from ffintervals.errors import FieldTooSmall
-
+    # is_morse, where p <= d < q; and where q <= deg f' = 3, with
+    # f' = (x + 1)^3 and f(-1) = 0, D = t^3
     rng = random.Random("disc-poly")
     F9 = make_extension(F3, 2)
     for d in (3, 4):
@@ -364,15 +363,15 @@ def test_shared_disc_interpolation_matches_pointwise_evaluations_for_p_at_most_d
             assert dt.degree <= derivative(f).degree
             for a in map(F9.element_from_index, range(9)):
                 assert dt(a) == discriminant(f.shift_const(a))
-    with pytest.raises(FieldTooSmall):  # q <= deg f' = 3
-        disc_in_t(parse_poly("x^4+x", F3))
+    assert disc_in_t(parse_poly("x^4+x", F3)) == parse_poly("x^3", F3)
 
 
 def test_disc_in_t_in_characteristic_at_most_d():
-    # one rule, q > deg f': D has degree deg f', a constant for a constant f'
-    # and 0 for f' = 0
+    # D has degree deg f' in every field, a constant for a constant f' and 0
+    # for f' = 0
     F9, F27 = make_extension(F3, 2, 0), make_extension(F3, 3, 0)
     assert disc_in_t(parse_poly("x^4+2*x^3+x+1", F27)) == parse_poly("x^3+2", F27)
+    assert disc_in_t(parse_poly("x^4+2*x^3+x+1", F3)) == parse_poly("x^3+2", F3)
     assert disc_in_t(parse_poly("x^3+x", F9)) == parse_poly("2", F9)  # -4
     assert disc_in_t(parse_poly("x^3", F9)).is_zero
 
@@ -385,11 +384,51 @@ def test_disc_in_t_degree_bound_random():
         assert disc_in_t(f).degree <= f.degree - 1
 
 
-def test_disc_in_t_field_too_small():
-    from ffintervals.errors import FieldTooSmall
+def test_disc_in_t_when_q_is_at_most_deg_f_prime():
+    # x^4 + x^3 + 2x^2 + x + 1 over F_3: f' = x^3 + x + 1 is irreducible, so
+    # the critical values lie in F_27, and D = t^3 + t^2 + 2t has roots
+    # 0 and two conjugates over F_9
+    f = random_monic(F3, 4, random.Random(0))
+    assert f == parse_poly("x^4+x^3+2*x^2+x+1", F3)
+    assert disc_in_t(f) == parse_poly("x^3+x^2+2*x", F3)
 
-    with pytest.raises(FieldTooSmall):
-        disc_in_t(random_monic(F3, 4, random.Random(0)))
+
+def _disc_from_critical_data(f):
+    """(-1)^(d(d-1)/2 + d e) lc(f')^d prod (t + f(xi)) over the critical points xi of f.
+
+    The product is taken in the splitting extension of critical_data and
+    its coefficients, which lie in the base field, are mapped back to it.
+    """
+    from ffintervals.morse_galois import _embed_raw, critical_data
+
+    ctx, d, fp = f.ctx, f.degree, derivative(f)
+    cd = critical_data(f)
+    ext = cd.ext_ctx
+    prod = Poly.from_raw(ext, [1])
+    for (_, mult), value in zip(cd.points, cd.values):
+        prod = prod * Poly.from_raw(ext, [value.raw, 1]) ** mult
+    back = {_embed_raw(ext, ctx, cd.gen_image, r): r for r in range(ctx.q)}
+    sign = ctx((-1) ** (d * (d - 1) // 2 + d * fp.degree))
+    return Poly.from_raw(ctx, [back[c] for c in prod.raw_coeffs]) * (sign * fp.lc() ** d)
+
+
+def test_disc_in_t_against_the_critical_values_where_q_is_at_most_deg_f_prime():
+    # every monic quartic, quintic and sextic over F_3, and seeded
+    # polynomials over F_4, F_5 and F_7 with q <= deg f', against the product
+    # over the critical points in the splitting extension
+    F4 = make_extension(F2, 2, 0)
+    polys = [poly_from_index(F3, d, idx) for d in (4, 5, 6) for idx in range(3**d)]
+    rng = random.Random("disc-critical")
+    for ctx, d in ((F4, 5), (F4, 6), (F5, 6), (F5, 7), (F7, 8), (F7, 9)):
+        polys += [random_monic(ctx, d, rng) for _ in range(25)]
+    small = 0
+    for f in polys:
+        if not derivative(f):
+            assert disc_in_t(f).is_zero
+            continue
+        small += f.ctx.q <= derivative(f).degree
+        assert disc_in_t(f) == _disc_from_critical_data(f), f
+    assert small == 1116
 
 
 # ---------------------------------------------------------------------------
