@@ -288,7 +288,7 @@ def run_command(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        with run_scope():  # one run: one table per interval, at most one pool per worker count
+        with run_scope():  # one run: one table per interval
             return _run(args)
     except (UsageError, PolyParseError, NotPrime, OutOfRange, ToleranceFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,3 +70,7 @@ class PolyParseError(FFIntervalsError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+class WorkerFailed(FFIntervalsError):
+    """A forked sweep child exited without sending back its block's result."""

@@ -26,8 +26,8 @@ Above the cap a raw outside [0, q) raises as well, in sums, products,
 inverses and powers.
 The tables are a cache: they take no part in equality, hashing or pickling.
 make_extension memoizes its contexts, so within a process each field builds
-its tables once, and a memoized context unpickles as the process's own: a
-pool worker forked after the parent built the tables uses them.
+its tables once, and a memoized context unpickles as the process's own,
+with the tables that process built.
 
 This leaf module also holds the one int-list polynomial layer over F_p
 (_imul, _ireduce, _imulmod, _idivmod, _igcd_monic).  The schoolbook
@@ -695,8 +695,8 @@ _contexts = {}  # (p, l, modulus) -> this process's one context for that field
 def _context(p: int, l: int, modulus):
     """Unpickle a FieldCtx as the process's one context for it, memoizing it if new.
 
-    A pool worker forked before an F_{p^l} existed thus builds that field's
-    tables once, not once per task that receives it.
+    A process that unpickles many copies of a context new to it thus
+    builds that field's tables once, not once per copy.
     """
     return _contexts.setdefault((p, l, modulus), FieldCtx(p, l, modulus))
 

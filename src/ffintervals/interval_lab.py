@@ -16,13 +16,15 @@ which lists the roots of every member; each member's kernel starts its x^p
 there, and a root-fed one its distinct-degree loop at degree 2, on the
 cofactor of its linear factors.
 Work is split into contiguous index ranges, one per worker: the caller
-works the first and a pool of workers - 1 processes the others.  They are
-joined in index order or by integer sums, so reports are identical for any
-worker count; the outermost run_scope() owns the process pools.
+works the first, and a child it forks works each other on the inputs it
+inherits and sends its result back through a pipe; every child is reaped
+before the sweep returns (see _blocks).  Blocks are joined in index order
+or by integer sums, so reports are identical for any worker count.  The
+Morse label of a sum is read off the sweep's own D(t).
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, and every later sweep
-of I(f) in the scope reads it with no kernel call and no pool.  Given D(t),
+of I(f) in the scope reads it with no kernel call and no fork.  Given D(t),
 for deg f <= 5 it comes from root counts, split by x, and the square class
 of D(c), with _member_types as its oracle, and factors no member.  A battery,
 moebius_battery and each large_q_demo step run in a fresh scope, so the
@@ -40,11 +42,13 @@ each slope only where E does not apply (see morse_density_scan).
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
 from array import array
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -57,6 +61,7 @@ from .errors import (
     NoSuitableS,
     OutOfRange,
     TooLarge,
+    WorkerFailed,
 )
 from .finite_field import (
     FieldCtx,
@@ -86,6 +91,7 @@ from .polynomial import (
     derivative,
     disc_in_t,
     discriminant,
+    is_squarefree,
     roots_in_field,
 )
 
@@ -97,40 +103,51 @@ _SCAN_GUARD = 10**6
 # sweep kernels and the run scope's interval tables
 
 _tables = None  # the run scope's memo: interval key -> cycle-type table; None outside
-_pools = None  # the outermost run scope's executors: worker count -> pool; None outside
+_morse = {}  # interval key -> f is Morse, read off a sweep's D(t); outside a scope the last sweep's
 
 
 @contextmanager
 def run_scope():
     """Let the sweeps inside share one cycle-type table per interval.
 
-    Starts with an empty memo and restores the outer one on exit, so a run
-    never reads the tables of the run around it.  The outermost scope owns
-    the process pools, one per worker count w, of w - 1 processes each, and
-    shuts them down on exit, raised or not; nested scopes share them.
+    Starts with empty memos, of tables and of Morse labels, and restores the
+    outer ones on exit, so a run never reads the tables of the run around it.
     """
-    global _tables, _pools
-    outer, _tables = _tables, {}
-    owner = _pools is None
-    _pools = {} if owner else _pools
+    global _tables, _morse
+    outer = _tables, _morse
+    _tables, _morse = {}, {}
     try:
         yield
     finally:
-        _tables = outer
-        if owner:
-            pools, _pools = _pools.values(), None
-            for pool in pools:
-                pool.shutdown(cancel_futures=True)
+        _tables, _morse = outer
+
+
+def _key(ctx, f: Poly):
+    """The memo key of I(f): the field and every coefficient of f but the constant."""
+    return (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
 
 
 def _center(ctx, f: Poly):
     """I(f)'s member with constant term 0, and its D(t) = disc(center + t).
 
     D is None for p = 2, where every element is a square; f, every f + c
-    and every shift share one D, which is 0 when f' = 0.
+    and every shift share one D, which is 0 when f' = 0.  f is Morse exactly
+    when deg D = d - 1 and D is squarefree; _center records that label.
     """
     center = (0,) + f.raw_coeffs[1:]
-    return center, None if ctx.p == 2 else disc_in_t(Poly.from_raw(ctx, center)).raw_coeffs
+    if ctx.p == 2:
+        return center, None
+    dpoly = disc_in_t(Poly.from_raw(ctx, center))
+    if _tables is None:
+        _morse.clear()
+    _morse[_key(ctx, f)] = dpoly.degree == f.degree - 1 and is_squarefree(dpoly)
+    return center, dpoly.raw_coeffs
+
+
+def _is_morse(ctx, f: Poly) -> bool:
+    """is_morse(f)[0], read off the D(t) that the last sweep of I(f) built (is_morse for p = 2)."""
+    morse = _morse.get(_key(ctx, f))
+    return is_morse(f)[0] if morse is None else morse
 
 
 def _ddf_inputs(ctx, center, d_raws):
@@ -224,24 +241,62 @@ def _fiber_block(ctx, center, d_raws, lo, hi):
     return _fiber_hits(ctx, center, lo, hi), [ctx.is_square(z) if z else None for z in discs]
 
 
-@contextmanager
-def _pool(workers):
-    """The scope's pool of workers - 1 processes, opened on first use; per call outside a scope."""
-    with nullcontext() if _pools is not None else run_scope():
-        if workers not in _pools:
-            _pools[workers] = ProcessPoolExecutor(max_workers=workers - 1)
-        yield _pools[workers]
-
-
 def _blocks(block, head, q, workers):
-    """block(*head, lo, hi) for [0, q) cut into one block per worker; the caller works the first."""
-    if workers <= 1:
-        return [block(*head, 0, q)]
+    """block(*head, lo, hi) for [0, q) cut into one block per worker, in order.
+
+    The caller works the first; a child forked for each other block works it
+    on the head it inherits and pipes back its result or exception, pickled.
+    Every child is reaped before this returns or raises, and killed first if
+    the caller raised.  Without os.fork the caller works every block.
+    """
     bounds = [q * i // workers for i in range(workers + 1)]
     first, *rest = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    with _pool(workers) as pool:
-        futures = [pool.submit(block, *call) for call in rest]
-        return [block(*first)] + [future.result() for future in futures]
+    if not hasattr(os, "fork"):
+        return [block(*args) for args in (first, *rest)]
+    children = []  # (pid, read end of its pipe) of every child not yet reaped, in block order
+    try:
+        for args in rest:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(block, args, r, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [block(*first)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code or not data:
+                raise WorkerFailed(f"sweep child {pid} exited with code {code} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+
+
+def _child(block, args, r, w):
+    """A forked child's whole life: work one block, pipe back (ok, result or exception), exit."""
+    code = 1  # 0 only after a complete write
+    try:
+        os.close(r)  # so that the write fails once the caller is gone
+        try:
+            payload = True, block(*args)
+        except BaseException as exc:
+            payload = False, exc
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)  # never back into the caller's frames
 
 
 def _interval_table(ctx, f: Poly, workers: int):
@@ -250,7 +305,7 @@ def _interval_table(ctx, f: Poly, workers: int):
     Entry c is the cycle type of the member with constant term c, or None;
     f and each f + c key and build the same table.
     """
-    key = (ctx.p, ctx.l, ctx.modulus, f.raw_coeffs[1:])
+    key = _key(ctx, f)
     table = _tables.get(key)
     if table is None:
         center, d_raws = _center(ctx, f)
@@ -391,7 +446,7 @@ def class_sum(ctx: FieldCtx, f: Poly, phi: ClassFunction, workers: int = 1) -> E
     t0 = time.perf_counter()
     spec = IntervalSpec(ctx, f, (ctx(0),), (phi,))
     counts = _joint_counts(ctx, f, spec.shifts, workers)
-    morse, _ = is_morse(f)
+    morse = _is_morse(ctx, f)
     return _finish_report(
         "class_sum",
         _params_dict(ctx, f, phis=(phi,)),
@@ -416,7 +471,7 @@ def correlation_sum(spec: IntervalSpec, workers: int = 1, single_constants=None)
     t0 = time.perf_counter()
     ctx = spec.ctx
     counts = _joint_counts(ctx, spec.f, spec.shifts, workers)
-    morse, _ = is_morse(spec.f)
+    morse = _is_morse(ctx, spec.f)
     notes = {}
     predicted = math.prod((mean_constant(phi) for phi in spec.phis), start=Fraction(1))
     constant_kind = "generic" if morse else "non-generic"

@@ -214,6 +214,28 @@ def test_sum_over_the_sweep_guard_exits_1(capsys):
     assert "sweep guard" in capsys.readouterr().err
 
 
+def test_a_sweep_child_that_exits_without_a_result_exits_1(capsys, monkeypatch):
+    import os
+
+    from ffintervals import cli, interval_lab
+
+    fiber_block = interval_lab._fiber_block
+
+    def later_blocks_exit(*args):
+        if args[-2] > 0:
+            os._exit(3)
+        return fiber_block(*args)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(interval_lab, "_fiber_block", later_blocks_exit)
+    argv = ["sum", "--p", "31", "--f", "x^3+2*x+1", "--phi", "mu", "--workers", "2"]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep child ") and err.endswith(" exited with code 3 and no result\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_workers_below_one_exits_2(capsys, workers):
     argv = ["sum", "--p", "7", "--f", "x^3", "--phi", "prime", "--workers", workers]

@@ -299,7 +299,7 @@ def test_memoized_contexts_unpickle_as_themselves_and_tables_stay_out():
     ctx = make_extension(make_prime_field(5), 4, 0)
     ctx.mul(ctx.one_raw, ctx.one_raw)
     assert ctx._log is not None
-    assert pickle.loads(pickle.dumps(ctx)) is ctx  # a pool worker reuses its tables
+    assert pickle.loads(pickle.dumps(ctx)) is ctx  # an unpickled context reuses its tables
     bare = FieldCtx(5, 4, ctx.modulus)
     assert pickle.dumps(ctx) == pickle.dumps(bare)  # no tables in the pickle
     assert len(pickle.dumps(ctx)) < 200
@@ -307,7 +307,7 @@ def test_memoized_contexts_unpickle_as_themselves_and_tables_stay_out():
 
 def test_a_context_new_to_the_process_unpickles_once_and_make_extension_finds_it(monkeypatch):
     blob = pickle.dumps(make_extension(make_prime_field(7), 3, 0))
-    # a pool worker forked before F_{7^3} existed has neither memo
+    # a process that never built F_{7^3} has neither memo
     monkeypatch.setattr(finite_field, "_contexts", {})
     fresh_search = functools.lru_cache(maxsize=None)(finite_field._extension.__wrapped__)
     monkeypatch.setattr(finite_field, "_extension", fresh_search)

@@ -1,19 +1,20 @@
 import dataclasses
 import itertools
 import math
-import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
 from ffintervals.class_functions import evaluate, make_builtin, partitions_of
-from ffintervals.errors import OutOfRange, TooLarge
+from ffintervals.errors import OutOfRange, TooLarge, WorkerFailed
 from ffintervals.finite_field import _digits, make_extension, make_prime_field
-from ffintervals import interval_lab
+from ffintervals import interval_lab, morse_galois
 from ffintervals.interval_lab import (
     IntervalSpec,
     _joint_counts,
@@ -28,6 +29,7 @@ from ffintervals.interval_lab import (
     run_scope,
     squarefree_census,
 )
+from ffintervals.morse_galois import is_morse
 from ffintervals.polynomial import (
     Poly,
     _reval,
@@ -126,6 +128,52 @@ def test_class_sum_constant_kind_labels():
     rep2 = class_sum(F13, parse_poly("x^3", F13), make_builtin("prime", 3))
     assert rep2.constant_kind == "non-generic"
     assert rep2.empirical_constant == rep2.raw_sum / Fraction(13)
+
+
+F9 = make_extension(make_prime_field(3), 2, 0)
+
+
+def _count_disc_in_t(monkeypatch):
+    calls = []
+    for module in (interval_lab, morse_galois):
+        disc = module.disc_in_t
+        monkeypatch.setattr(module, "disc_in_t", lambda f, _d=disc: calls.append(f) or _d(f))
+    return calls
+
+
+def test_the_morse_label_reads_the_sweeps_d_of_t(monkeypatch):
+    # one D(t) per interval: the sweep's, standalone and in a scope, where a
+    # table hit builds none; p = 2 has no D and keeps is_morse, one D per label
+    quintic, non_morse = parse_poly("x^5+x^2+x", F9), parse_poly("x^5+x^3+2*x", F9)
+    F8 = make_extension(make_prime_field(2), 3, 0)
+    cases = ((F9, quintic, "generic", 1), (F9, non_morse, "non-generic", 1),
+             (F8, Poly(F8, [1, 1, 0, 1]), "non-generic", 6))  # f' = (x + 1)^2
+    for ctx, f, kind, in_scope in cases:
+        assert is_morse(f)[0] == (kind == "generic")
+        mu = make_builtin("moebius", f.degree)
+        single = IntervalSpec(ctx, f, (ctx(0),), (mu,))
+        calls = _count_disc_in_t(monkeypatch)
+        assert class_sum(ctx, f, mu).constant_kind == kind
+        assert len(calls) == 1
+        assert correlation_sum(single).constant_kind == kind
+        assert len(calls) == 2
+        calls.clear()
+        with run_scope():
+            for c in range(3):
+                assert class_sum(ctx, f.shift_const(ctx(c)), mu, 2).constant_kind == kind
+                assert correlation_sum(single).constant_kind == kind
+        assert len(calls) == in_scope  # odd q: the table's build, and each hit reads its label
+        monkeypatch.undo()
+
+
+def test_the_morse_label_is_is_morse_on_every_small_center():
+    rng = random.Random("morse/labels")
+    for d in (3, 4, 5):
+        for top in range(F9.q ** (d - 1)):
+            center = Poly.from_raw(F9, [0] + _digits(F9.q, d - 1, top) + [1])
+            interval_lab._center(F9, center)
+            f = center.shift_const(F9.element_from_index(rng.randrange(F9.q)))
+            assert interval_lab._is_morse(F9, f) == is_morse(f)[0], f
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +509,15 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
             cycle_pattern_or_none(ctx, [c] + list(f.raw_coeffs[1:])) for c in range(ctx.q)
         ]
         assert table == expected
-    # a tabled interval opens no pool
+    # a tabled interval forks no child
+    forked = _count_forks(monkeypatch)
     with run_scope():
         first = class_sum(F31, parse_poly("x^3+2*x+1", F31), mu, 2)
-        monkeypatch.setattr(interval_lab, "ProcessPoolExecutor", None)
+        assert len(forked) == 1
         again = class_sum(F31, parse_poly("x^3+2*x+5", F31), mu, 2)
+    assert len(forked) == 1
     assert again.cycle_type_counts == first.cycle_type_counts
+    _assert_no_child_left()
 
 
 def test_frobenius_batch_runs_once_per_interval_in_the_parent(monkeypatch):
@@ -546,19 +597,27 @@ def test_run_scopes_nest_and_restore(monkeypatch):
     assert calls == []  # both by the fiber pass
 
 
-def _count_pools(monkeypatch):
-    """The max_workers of every pool opened from here on, in order."""
-    opened = []
+def _count_forks(monkeypatch):
+    """The pid of every child forked from here on, in order."""
+    forked = []
+    fork = os.fork
 
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(interval_lab, "ProcessPoolExecutor", CountedPool)
-    return opened
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+F31 = make_prime_field(31)
 F1747 = make_prime_field(1747)
 
 
@@ -568,24 +627,28 @@ def _seeded_centers(degrees, label):
 
 
 def test_a_standalone_two_worker_sweep_forks_one_process(monkeypatch):
-    # the caller works the first block, so a 2-worker pool holds one process
+    # the caller works the first block, so a w-worker sweep forks w - 1 children
     f, = _seeded_centers((6,), "pool/standalone")
     mu = make_builtin("moebius", 6)
-    opened = _count_pools(monkeypatch)
+    forked = _count_forks(monkeypatch)
     rep = class_sum(F1747, f, mu, 2)
-    assert opened == [1]
-    assert interval_lab._pools is None and multiprocessing.active_children() == []
+    assert len(forked) == 1
+    _assert_no_child_left()
     assert rep.cycle_type_counts == class_sum(F1747, f, mu).cycle_type_counts
+    assert len(forked) == 1  # one worker forks none
     with run_scope():
         class_sum(F1747, f.shift_const(F1747(1)), mu, 3)
+        assert len(forked) == 3
+        _assert_no_child_left()
         class_sum(F1747, f.shift_const(F1747(2)), mu, 3)  # the scope's table
-        assert opened == [1, 2] and len(multiprocessing.active_children()) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 3
+    assert threading.active_count() == 1
+    _assert_no_child_left()
 
 
 def test_reports_agree_at_one_two_and_three_workers():
     # d = 6-8 sweeps (root-fed DDF) standalone and from a scope's table, and
-    # a d = 4 fiber table split by x: the caller's block joins the pool's
+    # a d = 4 fiber table split by x: the caller's block joins the children's
     from ffintervals import reports
 
     blobs = []
@@ -601,7 +664,9 @@ def test_reports_agree_at_one_two_and_three_workers():
                 rep = chebotarev_empirical(F1747, f, (0, 1), workers)
                 reps.append(reports.chebotarev_to_dict(rep))
         blobs.append([reports.to_json(reports.scrub_timings(rep)) for rep in reps])
+        _assert_no_child_left()
     assert blobs[0] == blobs[1] == blobs[2]
+    assert threading.active_count() == 1
 
 
 _SWEEP_BLOCK = interval_lab._sweep_block
@@ -617,49 +682,125 @@ def _first_block_raises(ctx, center, d_raws, cols, roots, offsets, lo, hi):
 def test_an_error_in_the_callers_block_leaves_no_process(monkeypatch, workers):
     f, = _seeded_centers((6,), "pool/raises")
     monkeypatch.setattr(interval_lab, "_sweep_block", _first_block_raises)
+    forked = _count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="the caller's block"):
         class_sum(F1747, f, make_builtin("moebius", 6), workers)
-    assert interval_lab._pools is None
-    assert multiprocessing.active_children() == []
+    assert len(forked) == workers - 1
+    _assert_no_child_left()
 
 
-def test_a_two_worker_battery_opens_one_pool(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_typed_error_in_a_childs_block_reaches_the_caller(monkeypatch, workers):
+    f, = _seeded_centers((6,), "pool/raises")
+
+    def later_blocks_raise(*args):
+        lo = args[-2]
+        if lo > 0:
+            raise TooLarge(f"the block from {lo}")
+        return _SWEEP_BLOCK(*args)
+
+    monkeypatch.setattr(interval_lab, "_sweep_block", later_blocks_raise)
+    forked = _count_forks(monkeypatch)
+    # every child raises; the first block's error, in index order, is the one re-raised
+    with pytest.raises(TooLarge, match=f"^the block from {1747 // workers}$"):
+        class_sum(F1747, f, make_builtin("moebius", 6), workers)
+    assert len(forked) == workers - 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_child_that_exits_without_a_result_raises_worker_failed(monkeypatch, workers):
+    f = parse_poly("x^3+2*x+1", F31)
+    fiber_block = interval_lab._fiber_block
+
+    def last_block_exits(*args):
+        if args[-1] == F31.q:
+            os._exit(3)
+        return fiber_block(*args)
+
+    monkeypatch.setattr(interval_lab, "_fiber_block", last_block_exits)
+    forked = _count_forks(monkeypatch)
+    with pytest.raises(WorkerFailed) as failed, run_scope():
+        class_sum(F31, f, make_builtin("moebius", 3), workers)
+    assert len(forked) == workers - 1
+    assert str(failed.value) == f"sweep child {forked[-1]} exited with code 3 and no result"
+    _assert_no_child_left()
+
+
+def test_without_fork_the_caller_works_every_block(monkeypatch):
+    # a d = 6 standalone sweep, and a d = 6 DDF table and a d = 4 fiber table
+    from ffintervals import reports
+
+    def blobs(workers):
+        reps = []
+        for f in _seeded_centers((6, 4), "pool/no-fork"):
+            mu = make_builtin("moebius", f.degree)
+            pair = IntervalSpec(F1747, f, (F1747(0), F1747(1)), (mu, mu))
+            if f.degree >= 6:
+                reps.append(reports.experiment_to_dict(class_sum(F1747, f, mu, workers)))
+            with run_scope():
+                reps.append(reports.experiment_to_dict(class_sum(F1747, f, mu, workers)))
+                reps.append(reports.experiment_to_dict(correlation_sum(pair, workers)))
+                rep = chebotarev_empirical(F1747, f, (0, 1), workers)
+                reps.append(reports.chebotarev_to_dict(rep))
+        return [reports.to_json(reports.scrub_timings(rep)) for rep in reps]
+
+    one = blobs(1)
+    monkeypatch.delattr(os, "fork")
+    assert blobs(3) == one
+    _assert_no_child_left()
+
+
+def test_importing_the_cli_loads_no_process_pool_machinery():
+    src = os.path.dirname(os.path.dirname(interval_lab.__file__))
+    code = (
+        "import sys, ffintervals.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_a_two_worker_battery_forks_one_child_per_table_build(monkeypatch):
     from ffintervals import suite
 
-    opened = _count_pools(monkeypatch)
+    forked = _count_forks(monkeypatch)
     with run_scope():  # the demo's steps nest their scopes in this one
         large_q_demo(5, (1, 4), 2)
-    assert len(opened) == 1
-    opened.clear()
+    assert len(forked) == 2  # one table per step
+    forked.clear()
+    builds = _count_table_builds(monkeypatch)  # counts the caller's block of each build
     during_demo = []
     demo = suite.large_q_demo
 
     def counted_demo(*args):
-        before = len(opened)
+        before = len(forked)
         report = demo(*args)
-        during_demo.append(len(opened) - before)
+        during_demo.append(len(forked) - before)
         return report
 
     monkeypatch.setattr(suite, "large_q_demo", counted_demo)
     suite._Battery(suite.SuiteParams(quick=True), 2).run_all()
-    assert len(opened) == 1
-    assert during_demo == [0]
-    assert multiprocessing.active_children() == []
+    assert len(forked) == len(builds) == 13  # every sweep of the battery builds a table
+    assert during_demo == [2]
+    assert threading.active_count() == 1
+    _assert_no_child_left()
 
 
-def test_a_two_worker_scope_shuts_its_pool_down_on_exit():
-    F31, big = make_prime_field(31), make_prime_field(10000019)
+def test_a_two_worker_scope_leaves_no_child_raised_or_not(monkeypatch):
+    big = make_prime_field(10000019)
     f, mu = parse_poly("x^3+2*x+1", F31), make_builtin("moebius", 3)
+    forked = _count_forks(monkeypatch)
     with run_scope():
         class_sum(F31, f, mu, 2)
-        assert list(interval_lab._pools) == [2] and multiprocessing.active_children()
-    assert interval_lab._pools is None
-    assert multiprocessing.active_children() == []
+        assert len(forked) == 1
+        _assert_no_child_left()
     with pytest.raises(TooLarge), run_scope():
         class_sum(F31, f.shift_const(F31(1)), mu, 2)
         class_sum(big, Poly(big, [0, 0, 0, 1]), mu, 2)
-    assert interval_lab._pools is None
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
+    _assert_no_child_left()
 
 
 def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
