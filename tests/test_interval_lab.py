@@ -788,6 +788,20 @@ def test_a_two_worker_battery_forks_one_child_per_table_build(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_battery_and_the_demo_fork_per_table_and_leave_no_child(monkeypatch, workers):
+    F101 = make_prime_field(101)
+    forked = _count_forks(monkeypatch)
+    bat = moebius_battery(F101, first_morse_center(F101, 3), (F101(0), F101(1)), 5.0, workers)
+    assert bat.branch == "cancellation"
+    assert len(forked) == workers - 1  # both sums read one table
+    _assert_no_child_left()
+    large_q_demo(5, (1, 2), workers)
+    assert len(forked) == 3 * (workers - 1)  # one table per step
+    _assert_no_child_left()
+    assert threading.active_count() == 1
+
+
 def test_a_two_worker_scope_leaves_no_child_raised_or_not(monkeypatch):
     big = make_prime_field(10000019)
     f, mu = parse_poly("x^3+2*x+1", F31), make_builtin("moebius", 3)
