@@ -2,36 +2,37 @@
 
 Every experiment depends on the members only through their cycle types, and
 f + h + a runs over I(f) for every shift h.  One routine, _member_types,
-factors members (distinct-degree factorization).  It takes the center of
-I(f), its member with constant term 0, and for odd q the center's
-D(t) = disc(center + t), and hands the member with constant term c its
-discriminant D(c): a zero marks it non-squarefree without a gcd, and its
-square class ends the distinct-degree loop early (Stickelberger parity; see
-the kernels).  The census and the battery's verdict read the same D, from
-disc_in_t, which builds it in every field, p <= deg f included.  The
-caller of _blocks computes, once per interval and at any worker count, x^e
-mod every member (e the top bits of p) from one bivariate power, over F_p
-and over F_{p^l} alike, and over F_p for p > deg f >= 6 the fiber pass,
-which lists the roots of every member; each member's kernel starts its x^p
-there, and a root-fed one its distinct-degree loop at degree 2, on the
-cofactor of its linear factors.
+names or factors members, from inputs that the caller of _blocks computes
+once per interval at any worker count (_ddf_inputs).  For odd q these start
+from the D(t) = disc(center + t) of the center, I(f)'s member with constant
+term 0, which disc_in_t builds in every field, p <= deg f included: every
+D(c), a zero of which marks a member non-squarefree; for a table and for a
+standalone sweep of degree >= 6 the fiber pass, the roots of every member
+in any field; and, unless every member is named, x^e mod every member (e
+the top bits of p) from one bivariate power.  By Stickelberger a root count
+and the square class of D(c) name the type wherever the rest after the
+linear factors has degree <= 5 (_named), so every member for deg f <= 5.
+The kernel factors the others from their start of x^p, stopping early on
+D(c)'s square class, and over F_p for p > deg f from their roots.  A
+standalone sweep of degree <= 5 takes no fiber pass and sends every member
+to the kernel: naming them would give sweeps outside a scope a transient
+table, which waits on a benchmark whose peak memory does not grow with its
+number of passes.
 Work is split into contiguous index ranges, one per worker: the caller
 works the first, and a child it forks works each other on the inputs it
 inherits and sends its result back through a pipe; every child is reaped
 before the sweep returns (see _blocks).  Blocks are joined in index order
 or by integer sums, so reports are identical for any worker count.  The
-Morse label of a sum is read off the sweep's own D(t).
+Morse label of a sum travels with its counts, read off the sweep's D(t).
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
-type of the member with constant term c at index c, and every later sweep
-of I(f) in the scope reads it with no kernel call and no fork.  Given D(t),
-for deg f <= 5 it comes from root counts, split by x, and the square class
-of D(c), with _member_types as its oracle, and factors no member.  A battery,
-moebius_battery and each large_q_demo step run in a fresh scope, so the
-demo's p-shift Möbius product is a reduction over the table its single sum
-built; a standalone call outside any scope evaluates all q * shifts
-members.  All sums are exact rationals; floats appear only in the
-normalized error and timing fields.
+type of the member with constant term c at index c, stored with the label,
+and every later sweep of I(f) in the scope reads it with no kernel call and
+no fork.  A battery, moebius_battery and each large_q_demo step run in a
+fresh scope, so the demo's p-shift Möbius product is a reduction over the
+table its single sum built; a standalone call outside any scope evaluates
+all q * shifts members.  All sums are exact rationals; floats appear only
+in the normalized error and timing fields.
 
 The Morse genericity scan, for p > d, reads the non-Morse slopes s of
 f + s*x off the roots of one polynomial E(s), the discriminant of
@@ -52,7 +53,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 
 from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
 from .errors import (
@@ -67,6 +68,7 @@ from .finite_field import (
     FieldCtx,
     FieldElement,
     _digits,
+    _ieval_all,
     _small_prime_factors,
     make_extension,
     make_prime_field,
@@ -102,24 +104,23 @@ _SCAN_GUARD = 10**6
 # ---------------------------------------------------------------------------
 # sweep kernels and the run scope's interval tables
 
-_tables = None  # the run scope's memo: interval key -> cycle-type table; None outside
-_morse = {}  # interval key -> f is Morse, read off a sweep's D(t); outside a scope the last sweep's
+_tables = None  # the run scope's memo: interval key -> (cycle-type table, Morse label); None outside
 
 
 @contextmanager
 def run_scope():
     """Let the sweeps inside share one cycle-type table per interval.
 
-    Starts with empty memos, of tables and of Morse labels, and restores the
-    outer ones on exit, so a run never reads the tables of the run around it.
+    Starts with an empty memo of tables, each stored with its interval's
+    Morse label, and restores the outer one on exit, so a run never reads
+    the tables of the run around it.
     """
-    global _tables, _morse
-    outer = _tables, _morse
-    _tables, _morse = {}, {}
+    global _tables
+    outer, _tables = _tables, {}
     try:
         yield
     finally:
-        _tables, _morse = outer
+        _tables = outer
 
 
 def _key(ctx, f: Poly):
@@ -128,73 +129,101 @@ def _key(ctx, f: Poly):
 
 
 def _center(ctx, f: Poly):
-    """I(f)'s member with constant term 0, and its D(t) = disc(center + t).
+    """(center, D, morse): I(f)'s member with constant term 0, D(t) = disc(center + t), the label.
 
-    D is None for p = 2, where every element is a square; f, every f + c
-    and every shift share one D, which is 0 when f' = 0.  f is Morse exactly
-    when deg D = d - 1 and D is squarefree; _center records that label.
+    D is None for p = 2, where every element is a square, and so is morse;
+    otherwise f, every f + c and every shift share one D, which is 0 when
+    f' = 0, and f is Morse exactly when deg D = d - 1 and D is squarefree.
     """
     center = (0,) + f.raw_coeffs[1:]
     if ctx.p == 2:
-        return center, None
+        return center, None, None
     dpoly = disc_in_t(Poly.from_raw(ctx, center))
-    if _tables is None:
-        _morse.clear()
-    _morse[_key(ctx, f)] = dpoly.degree == f.degree - 1 and is_squarefree(dpoly)
-    return center, dpoly.raw_coeffs
+    return center, dpoly.raw_coeffs, dpoly.degree == f.degree - 1 and is_squarefree(dpoly)
 
 
-def _is_morse(ctx, f: Poly) -> bool:
-    """is_morse(f)[0], read off the D(t) that the last sweep of I(f) built (is_morse for p = 2)."""
-    morse = _morse.get(_key(ctx, f))
-    return is_morse(f)[0] if morse is None else morse
+def _ddf_inputs(ctx, center, d_raws, fiber):
+    """(discs, cols, roots): _member_types' inputs, computed once per interval by the caller of _blocks.
 
-
-def _ddf_inputs(ctx, center, d_raws):
-    """(cols, roots): _member_types' inputs, computed once per interval by the caller of _blocks.
-
-    cols are _frobenius_columns over F_p and _ext_frobenius_columns over
-    F_{p^l}, skipped for d = 2 given D(t), where D(c) alone names the type.
-    Over F_p, given D(t), for p > d >= 6 (where _fiber_types names no type,
-    and _ddf's tr(Q^2) is exact), roots = (xs, starts) from the fiber pass:
-    the member with constant term c has the roots xs[starts[c]:starts[c + 1]].
+    Given D(t) (odd q), discs[c] = D(c) for every c, and with fiber the
+    fiber pass gives roots = (xs, starts): x is a root of the member with
+    constant term -center(x), so that member has the roots
+    xs[starts[c]:starts[c + 1]], in any field.  cols are
+    _frobenius_columns over F_p and _ext_frobenius_columns over F_{p^l};
+    they are skipped where every member is named: for d = 2 given D(t),
+    where D(c) alone names the type, and for d <= 5 given roots too.
     """
-    d = len(center) - 1
-    if d_raws is not None and d == 2:
-        return None, None
+    d, q = len(center) - 1, ctx.q
+    discs = roots = None
+    if d_raws is not None:  # at every c: one chirp product each over F_p, Horner over F_{p^l}
+        polys = [d_raws, center] if fiber else [d_raws]
+        if ctx.l == 1:
+            discs, *values = _ieval_all(ctx.p, polys)
+        else:
+            discs, *values = [array("q", [_reval(ctx, a, c) for c in range(q)]) for a in polys]
+        if fiber:
+            hits = list(map(ctx.neg, values[0]))
+            starts = accumulate(map(Counter(hits).__getitem__, range(q)), initial=0)
+            roots = array("q", sorted(range(q), key=hits.__getitem__)), array("q", starts)
+        if d == 2 or d <= 5 and fiber:
+            return discs, None, roots
     if ctx.l > 1:
-        return _ext_frobenius_columns(ctx, center), None
-    cols = _frobenius_columns(ctx.p, center)
-    if d_raws is None or _fiber_types(d) is not None or ctx.p <= d:
-        return cols, None
-    hits = _fiber_hits(ctx, center, 0, ctx.q)
-    starts = accumulate(map(Counter(hits).__getitem__, range(ctx.q)), initial=0)
-    return cols, (array("q", sorted(range(ctx.q), key=hits.__getitem__)), array("q", starts))
+        return discs, _ext_frobenius_columns(ctx, center), roots
+    return discs, _frobenius_columns(ctx.p, center), roots
 
 
-def _member_types(ctx, center, d_raws, consts, cols=None, roots=None):
+@cache
+def _named(d):
+    """(root count, D(c) is a square) -> the cycle type of S_d the pair names.
+
+    A squarefree member of degree d over odd F_q with k roots has k parts
+    1, and the rest is a partition of d - k into parts > 1 whose number of
+    parts has the parity the square class of its discriminant fixes
+    (Stickelberger): one of _parity_table(d - k, 1).  The pair names the
+    type where that parity holds exactly one, which is every pair that
+    occurs for d <= 5, and for d >= 6 the pairs with d - k <= 5.
+    """
+    rests = [(k, odd, r) for k in range(d + 1) for odd, r in enumerate(_parity_table(d - k, 1))]
+    return {(k, (d - k - odd) % 2 == 0): r[0] + (1,) * k for k, odd, r in rests if len(r) == 1}
+
+
+def _member_types(ctx, center, discs, cols, roots, consts):
     """Cycle type (None: not squarefree) of each member of I(center), by constant term.
 
-    center and d_raws come from _center, cols and roots from _ddf_inputs.
-    Every member a sweep or a table factors goes through here; the fiber
-    route of _interval_table factors none.  The kernel of the member with
-    constant term c gets D(c), its start of x^p from cols, and over F_p its
-    roots when given, so its DDF starts at degree 2 on the cofactor.
+    discs, cols and roots come from _ddf_inputs.  Given roots, a member
+    with D(c) = 0 is None, and one whose root count and square class of
+    D(c) _named names gets that type, with no kernel call.  Every other
+    member goes through the kernel, with D(c), its start of x^p from cols,
+    and over F_p for p > d its roots, so its DDF starts at degree 2 on the
+    cofactor (_ddf's tr(Q^2) is exact there).
     """
     kernel, field = (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
+    d = len(center) - 1
+    named = None if roots is None else _named(d)
+    xs, starts = roots or (None, None)
+    fed = roots is not None and ctx.l == 1 and ctx.p > d
+    is_square = ctx.is_square
     for c in consts:
+        disc = None if discs is None else discs[c]
+        if named is not None:
+            if not disc:
+                yield None
+                continue
+            t = named.get((starts[c + 1] - starts[c], is_square(disc)))
+            if t is not None:
+                yield t
+                continue
         g = list(center)
         g[0] = c
-        args = [field, g, None if d_raws is None else _reval(ctx, d_raws, c)]
+        args = [field, g, disc]
         if cols is not None:
             args.append([col[c] for col in cols])
-        if roots is not None:  # only with cols
-            xs, starts = roots
+        if fed:  # only with cols: a member the fiber pass does not name has d - k >= 6
             args.append(xs[starts[c]:starts[c + 1]])
         yield kernel(*args)
 
 
-def _sweep_block(ctx, center, d_raws, cols, roots, offsets, lo, hi):
+def _sweep_block(ctx, center, discs, cols, roots, offsets, lo, hi):
     """Joint cycle-type counts of the members at constant terms o + a, a in [lo, hi).
 
     offsets are f_0 + h for the shifts h, so the k-tuple at a is the cycle
@@ -202,43 +231,13 @@ def _sweep_block(ctx, center, d_raws, cols, roots, offsets, lo, hi):
     """
     add = ctx.add
     consts = (add(o, a) for a in range(lo, hi) for o in offsets)
-    types = _member_types(ctx, center, d_raws, consts, cols, roots)
+    types = _member_types(ctx, center, discs, cols, roots, consts)
     return Counter(zip(*[types] * len(offsets)))
 
 
-@cache
-def _fiber_types(d):
-    """(root count, disc is a square) -> cycle type of S_d, or None if not one-to-one.
-
-    A squarefree g of degree d over odd F_q with k roots has k parts 1, and
-    the rest is a partition of d - k into parts > 1 whose number of parts has
-    the parity the square class of disc g fixes (Stickelberger): a view of
-    _parity_table.  The pair names the type exactly for d <= 5.
-    """
-    rests = [(k, odd, r) for k in range(d + 1) for odd, r in enumerate(_parity_table(d - k, 1))]
-    if any(len(r) > 1 for _, _, r in rests):
-        return None
-    return {(k, (d - k - odd) % 2 == 0): r[0] + (1,) * k for k, odd, r in rests if r}
-
-
-def _ddf_block(ctx, center, d_raws, cols, roots, lo, hi):
+def _ddf_block(ctx, center, discs, cols, roots, lo, hi):
     """Cycle types of the members with constant term c in [lo, hi), in order."""
-    return list(_member_types(ctx, center, d_raws, range(lo, hi), cols, roots))
-
-
-def _fiber_hits(ctx, center, lo, hi):
-    """-center(x) for x in [lo, hi): the constant term of the member with root x."""
-    neg = ctx.neg
-    return [neg(_reval(ctx, center, x)) for x in range(lo, hi)]
-
-
-def _fiber_block(ctx, center, d_raws, lo, hi):
-    """The fiber pass for x and c in [lo, hi), where _fiber_types names each type.
-
-    Returns _fiber_hits and the square class of each D(c), None where D(c) = 0.
-    """
-    discs = (_reval(ctx, d_raws, c) for c in range(lo, hi))
-    return _fiber_hits(ctx, center, lo, hi), [ctx.is_square(z) if z else None for z in discs]
+    return list(_member_types(ctx, center, discs, cols, roots, range(lo, hi)))
 
 
 def _blocks(block, head, q, workers):
@@ -300,38 +299,32 @@ def _child(block, args, r, w):
 
 
 def _interval_table(ctx, f: Poly, workers: int):
-    """The run scope's table of I(f), built by the interval's first sweep.
+    """(table, morse): the run scope's table of I(f), built by the interval's first sweep.
 
     Entry c is the cycle type of the member with constant term c, or None;
-    f and each f + c key and build the same table.
+    f and each f + c key and build the same table.  morse is _center's
+    label, None for p = 2.
     """
     key = _key(ctx, f)
-    table = _tables.get(key)
-    if table is None:
-        center, d_raws = _center(ctx, f)
-        types = None if d_raws is None else _fiber_types(f.degree)
-        if types is None:
-            head = (ctx, center, d_raws, *_ddf_inputs(ctx, center, d_raws))
-            blocks = _blocks(_ddf_block, head, ctx.q, workers)
-            interned = {}  # one tuple per cycle type, however many members share it
-            table = [interned.setdefault(t, t) for block in blocks for t in block]
-        else:  # root counts are sums over the x-ranges, the same for any split
-            blocks = _blocks(_fiber_block, (ctx, center, d_raws), ctx.q, workers)
-            counts = Counter(chain.from_iterable(hits for hits, _ in blocks))
-            classes = chain.from_iterable(block for _, block in blocks)
-            table = [None if s is None else types[counts[c], s] for c, s in enumerate(classes)]
-        _tables[key] = table
-    return table
+    entry = _tables.get(key)
+    if entry is None:
+        center, d_raws, morse = _center(ctx, f)
+        head = (ctx, center, *_ddf_inputs(ctx, center, d_raws, True))
+        blocks = _blocks(_ddf_block, head, ctx.q, workers)
+        interned = {}  # one tuple per cycle type, however many members share it
+        entry = _tables[key] = [interned.setdefault(t, t) for block in blocks for t in block], morse
+    return entry
 
 
 def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
-    """Aggregate joint cycle-type counts over the whole interval.
+    """(counts, morse): aggregate joint cycle-type counts over the whole interval, and is f Morse.
 
     The k-tuple at a holds the cycle types of f + h + a, the members of I(f)
     with constant terms f_0 + h + a.  Outside a run scope every block
-    evaluates its members, q * shifts kernel calls; inside one the tuples
-    are read from the interval's table, which the interval's first sweep in
-    the run builds.
+    evaluates its members, q * shifts of them, with the fiber pass for
+    d >= 6 only; inside one the tuples are read from the interval's table,
+    which the interval's first sweep in the run builds.  The label is read
+    off the sweep's D(t), or the table's, and is is_morse's for p = 2.
     """
     q = ctx.q
     if q * len(shifts) > _GAUSS_GUARD:
@@ -339,14 +332,15 @@ def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
     add = ctx.add
     offsets = tuple(add(f.raw_coeffs[0], h.raw) for h in shifts)
     if _tables is not None:
-        table = _interval_table(ctx, f, workers)
-        return dict(Counter(tuple([table[add(o, a)] for o in offsets]) for a in range(q)))
-    center, d_raws = _center(ctx, f)
-    head = (ctx, center, d_raws, *_ddf_inputs(ctx, center, d_raws), offsets)
-    totals = Counter()
-    for counts in _blocks(_sweep_block, head, q, workers):
-        totals.update(counts)
-    return dict(totals)
+        table, morse = _interval_table(ctx, f, workers)
+        counts = Counter(tuple([table[add(o, a)] for o in offsets]) for a in range(q))
+    else:
+        center, d_raws, morse = _center(ctx, f)
+        head = (ctx, center, *_ddf_inputs(ctx, center, d_raws, f.degree >= 6), offsets)
+        counts = Counter()
+        for block in _blocks(_sweep_block, head, q, workers):
+            counts.update(block)
+    return dict(counts), is_morse(f)[0] if morse is None else morse
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +439,7 @@ def class_sum(ctx: FieldCtx, f: Poly, phi: ClassFunction, workers: int = 1) -> E
     """
     t0 = time.perf_counter()
     spec = IntervalSpec(ctx, f, (ctx(0),), (phi,))
-    counts = _joint_counts(ctx, f, spec.shifts, workers)
-    morse = _is_morse(ctx, f)
+    counts, morse = _joint_counts(ctx, f, spec.shifts, workers)
     return _finish_report(
         "class_sum",
         _params_dict(ctx, f, phis=(phi,)),
@@ -470,8 +463,7 @@ def correlation_sum(spec: IntervalSpec, workers: int = 1, single_constants=None)
     """
     t0 = time.perf_counter()
     ctx = spec.ctx
-    counts = _joint_counts(ctx, spec.f, spec.shifts, workers)
-    morse = _is_morse(ctx, spec.f)
+    counts, morse = _joint_counts(ctx, spec.f, spec.shifts, workers)
     notes = {}
     predicted = math.prod((mean_constant(phi) for phi in spec.phis), start=Fraction(1))
     constant_kind = "generic" if morse else "non-generic"
@@ -520,7 +512,7 @@ def chebotarev_empirical(ctx, f, shifts, workers: int = 1) -> ChebotarevReport:
     shifts = tuple(h if isinstance(h, FieldElement) else ctx(h) for h in shifts)
     mu = make_builtin("moebius", f.degree)
     spec = IntervalSpec(ctx, f, shifts, (mu,) * len(shifts))
-    counts = _joint_counts(ctx, f, spec.shifts, workers)
+    counts = _joint_counts(ctx, f, spec.shifts, workers)[0]
     clean = {k: n for k, n in counts.items() if all(c is not None for c in k)}
     total = sum(clean.values())
     nonsf = ctx.q - total
@@ -746,7 +738,7 @@ def _stickelberger_product_sum(ctx, f, shifts):
     product 0, and otherwise it is (-1)^(total number of irreducible factors).
     """
     zeros = plus = minus = 0
-    for key, n in _joint_counts(ctx, f, shifts).items():
+    for key, n in _joint_counts(ctx, f, shifts)[0].items():
         if None in key:
             zeros += n
         elif sum(map(len, key)) % 2:

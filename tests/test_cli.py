@@ -219,15 +219,15 @@ def test_a_sweep_child_that_exits_without_a_result_exits_1(capsys, monkeypatch):
 
     from ffintervals import cli, interval_lab
 
-    fiber_block = interval_lab._fiber_block
+    ddf_block = interval_lab._ddf_block
 
     def later_blocks_exit(*args):
         if args[-2] > 0:
             os._exit(3)
-        return fiber_block(*args)
+        return ddf_block(*args)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(interval_lab, "_fiber_block", later_blocks_exit)
+    monkeypatch.setattr(interval_lab, "_ddf_block", later_blocks_exit)
     argv = ["sum", "--p", "31", "--f", "x^3+2*x+1", "--phi", "mu", "--workers", "2"]
     assert run_command(argv) == 1
     err = capsys.readouterr().err

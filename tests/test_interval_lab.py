@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -35,6 +36,7 @@ from ffintervals.polynomial import (
     _reval,
     cycle_pattern_or_none,
     derivative,
+    disc_in_t,
     discriminant,
     is_squarefree,
     random_monic,
@@ -171,9 +173,8 @@ def test_the_morse_label_is_is_morse_on_every_small_center():
     for d in (3, 4, 5):
         for top in range(F9.q ** (d - 1)):
             center = Poly.from_raw(F9, [0] + _digits(F9.q, d - 1, top) + [1])
-            interval_lab._center(F9, center)
             f = center.shift_const(F9.element_from_index(rng.randrange(F9.q)))
-            assert interval_lab._is_morse(F9, f) == is_morse(f)[0], f
+            assert interval_lab._center(F9, f)[2] == is_morse(f)[0], f
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +363,14 @@ def test_sweep_guard_counts_members_before_any_work(monkeypatch):
     swept = []
     monkeypatch.setattr(interval_lab, "_sweep_block", lambda *args: swept.append(args) or {})
     # the per-interval inputs (the batch takes seconds at this p) are work too
-    monkeypatch.setattr(interval_lab, "_ddf_inputs", lambda *args: swept.append(args) or (None, None))
+    monkeypatch.setattr(interval_lab, "_ddf_inputs", lambda *args: swept.append(args) or (None,) * 3)
     with pytest.raises(TooLarge):
         _joint_counts(ctx, f, tuple(ctx(h) for h in range(10)), 2)  # 10,000,030 members
     big = make_prime_field(10000019)
     with pytest.raises(TooLarge):
         class_sum(big, Poly(big, [0, 0, 0, 1]), make_builtin("moebius", 3))
     assert swept == []
-    assert _joint_counts(ctx, f, tuple(ctx(h) for h in range(9))) == {}  # 9,000,027
+    assert _joint_counts(ctx, f, tuple(ctx(h) for h in range(9))) == ({}, True)  # 9,000,027
     assert len(swept) == 2
 
 
@@ -404,7 +405,7 @@ def test_joint_counts_match_member_by_member_kernel():
         shifts = tuple(ctx.element_from_index(h) for h in shift_ints)
         expected = _member_counts(ctx, f, shifts)
         for workers in (1, 2):
-            assert _joint_counts(ctx, f, shifts, workers) == expected, (ctx, f, workers)
+            assert _joint_counts(ctx, f, shifts, workers) == (expected, is_morse(f)[0]), (ctx, f, workers)
 
 
 def test_extension_tables_are_built_once_per_process(monkeypatch):
@@ -440,13 +441,10 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _count_table_builds(monkeypatch):
-    """Counts table builds at 1 worker, where each route runs one block per build."""
+    """Counts table builds at 1 worker, where each build runs one block."""
     builds = []
-    for name in ("_fiber_block", "_ddf_block"):
-        block = getattr(interval_lab, name)
-        monkeypatch.setattr(
-            interval_lab, name, lambda *args, _b=block: builds.append(1) or _b(*args)
-        )
+    block = interval_lab._ddf_block
+    monkeypatch.setattr(interval_lab, "_ddf_block", lambda *args: builds.append(1) or block(*args))
     return builds
 
 
@@ -468,20 +466,23 @@ def _experiments(ctx, f):
 def test_run_scope_sweeps_each_interval_once(monkeypatch):
     F25 = make_extension(F5, 2, 0)
     F101 = make_prime_field(101)
+    # (field, f, shift of f, kernel calls per member sweep of I(f), kernel calls per table)
     cases = (
-        (F101, first_morse_center(F101, 4), 7, 0),  # p > d, d <= 5: the fiber pass
-        (F5, parse_poly("x^6+x+2", F5), 3, 5),  # q <= deg f' = 5: D(t) and the DDF kernel
-        (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11, 0),  # the fiber pass over F_25
+        (F101, first_morse_center(F101, 4), 7, 101, 0),  # p > d, d <= 5: the fiber pass
+        # q <= deg f' = 5: D(t), and the fiber pass names all but the two
+        # members with no root (x^6 + x + 1 and + 2), which the kernel factors
+        (F5, parse_poly("x^6+x+2", F5), 3, 2, 2),
+        (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11, 25, 0),  # the fiber pass over F_25
     )
     calls = _count_kernel_calls(monkeypatch)
     builds = _count_table_builds(monkeypatch)
-    for ctx, f, c, table_calls in cases:
+    for ctx, f, c, sweep_calls, table_calls in cases:
         runs = _experiments(ctx, f) + _experiments(ctx, f.shift_const(ctx.element_from_index(c)))
         outside = []
         for run, shifts in runs:
             calls.clear()
             outside.append(_untimed(run()))
-            assert len(calls) == ctx.q * shifts, (ctx, f)
+            assert len(calls) == sweep_calls * shifts, (ctx, f)
         calls.clear()
         builds.clear()
         with run_scope():
@@ -504,7 +505,8 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
                 class_sum(ctx, f, mu, workers)
                 tables.append(dict(interval_lab._tables))
         assert tables[0] == tables[1]
-        (table,) = tables[0].values()
+        ((table, morse),) = tables[0].values()
+        assert morse == (None if ctx.p == 2 else is_morse(f)[0])
         expected = [
             cycle_pattern_or_none(ctx, [c] + list(f.raw_coeffs[1:])) for c in range(ctx.q)
         ]
@@ -573,7 +575,7 @@ def test_run_scope_keys_tables_by_field_and_modulus():
     outside = [class_sum(ctx, f, mu).cycle_type_counts for ctx, f in zip(fields, centers)]
     with run_scope():
         inside = [class_sum(ctx, f, mu).cycle_type_counts for ctx, f in zip(fields, centers)]
-        tables = list(interval_lab._tables.values())
+        tables = [table for table, _ in interval_lab._tables.values()]
     assert inside == outside
     assert len(tables) == 4
     for ctx, table in zip(fields, tables):
@@ -672,10 +674,10 @@ def test_reports_agree_at_one_two_and_three_workers():
 _SWEEP_BLOCK = interval_lab._sweep_block
 
 
-def _first_block_raises(ctx, center, d_raws, cols, roots, offsets, lo, hi):
+def _first_block_raises(ctx, center, discs, cols, roots, offsets, lo, hi):
     if lo == 0:
         raise RuntimeError("the caller's block")
-    return _SWEEP_BLOCK(ctx, center, d_raws, cols, roots, offsets, lo, hi)
+    return _SWEEP_BLOCK(ctx, center, discs, cols, roots, offsets, lo, hi)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -711,14 +713,14 @@ def test_a_typed_error_in_a_childs_block_reaches_the_caller(monkeypatch, workers
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_child_that_exits_without_a_result_raises_worker_failed(monkeypatch, workers):
     f = parse_poly("x^3+2*x+1", F31)
-    fiber_block = interval_lab._fiber_block
+    ddf_block = interval_lab._ddf_block
 
     def last_block_exits(*args):
         if args[-1] == F31.q:
             os._exit(3)
-        return fiber_block(*args)
+        return ddf_block(*args)
 
-    monkeypatch.setattr(interval_lab, "_fiber_block", last_block_exits)
+    monkeypatch.setattr(interval_lab, "_ddf_block", last_block_exits)
     forked = _count_forks(monkeypatch)
     with pytest.raises(WorkerFailed) as failed, run_scope():
         class_sum(F31, f, make_builtin("moebius", 3), workers)
@@ -833,7 +835,7 @@ def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
     monkeypatch.setattr(interval_lab, "_blocks", record)
     result = suite.run_paper_suite(suite.SuiteParams(quick=True))
     # three sweeps of one interval per battery; the rerun builds at 2 workers
-    assert builds == [("_fiber_block", 1), ("_fiber_block", 2)]
+    assert builds == [("_ddf_block", 1), ("_ddf_block", 2)]
     assert result["pass"] and [c["id"] for c in result["checks"]] == [9, 16]
 
 
@@ -850,7 +852,7 @@ def _table_over_split(ctx, f, bounds):
 
     with pytest.MonkeyPatch.context() as patch, run_scope():
         patch.setattr(interval_lab, "_blocks", blocks)
-        return interval_lab._interval_table(ctx, f, len(bounds) - 1)
+        return interval_lab._interval_table(ctx, f, len(bounds) - 1)[0]
 
 
 def _seeded_splits(rng, q):
@@ -870,10 +872,12 @@ def _assert_fiber_table_matches_ddf(ctx, raws, calls, rng=None):
     test_kernel.py.)
     """
     f = Poly.from_raw(ctx, raws)
-    center, d_raws = interval_lab._center(ctx, f)
+    center, d_raws, _ = interval_lab._center(ctx, f)
     table = _table_over_split(ctx, f, [0, ctx.q])
     assert len(calls) == (0 if d_raws is not None else ctx.q), (ctx, raws)  # D(t): none factored
-    assert table == list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q))), raws
+    discs = None if d_raws is None else [_reval(ctx, d_raws, c) for c in range(ctx.q)]
+    ddf = interval_lab._member_types(ctx, center, discs, None, None, range(ctx.q))
+    assert table == list(ddf), raws
     calls.clear()
     if rng is not None:
         disc_free = [cycle_pattern_or_none(ctx, [c] + list(center[1:])) for c in range(ctx.q)]
@@ -884,10 +888,29 @@ def _assert_fiber_table_matches_ddf(ctx, raws, calls, rng=None):
     return table
 
 
+def _occurring_pairs(d):
+    """(root count, disc is a square) -> the cycle types of S_d with that pair."""
+    pairs = {}
+    for ct in partitions_of(d):
+        key = (ct.parts.count(1), (d - len(ct.parts)) % 2 == 0)
+        pairs.setdefault(key, []).append(ct.parts)
+    return pairs
+
+
 def test_fiber_types_are_one_to_one_exactly_up_to_degree_five():
-    assert [d for d in range(1, 13) if interval_lab._fiber_types(d)] == [1, 2, 3, 4, 5]
-    assert interval_lab._fiber_types(5)[1, True] == (2, 2, 1)
-    assert interval_lab._fiber_types(5)[1, False] == (4, 1)
+    # _named names every pair that occurs for d <= 5, and for d >= 6 exactly
+    # the pairs with d - k <= 5, each as the one type that has it
+    one_to_one = []
+    for d in range(1, 13):
+        pairs = _occurring_pairs(d)
+        named = {key: types[0] for key, types in pairs.items() if len(types) == 1}
+        assert interval_lab._named(d) == named, d
+        assert named.keys() == {(k, square) for k, square in pairs if d - k <= 5}, d
+        if named.keys() == pairs.keys():
+            one_to_one.append(d)
+    assert one_to_one == [1, 2, 3, 4, 5]
+    assert interval_lab._named(5)[1, True] == (2, 2, 1)
+    assert interval_lab._named(5)[1, False] == (4, 1)
 
 
 def test_fiber_table_matches_ddf_on_every_small_interval(monkeypatch):
@@ -916,7 +939,7 @@ def test_fiber_table_matches_ddf_on_seeded_intervals_and_blocks(monkeypatch):
                 table = _assert_fiber_table_matches_ddf(ctx, raws, calls, rng)
         for workers in (1, 2):
             with run_scope():
-                assert interval_lab._interval_table(ctx, Poly.from_raw(ctx, raws), workers) == table
+                assert interval_lab._interval_table(ctx, Poly.from_raw(ctx, raws), workers)[0] == table
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +963,7 @@ def test_center_gives_d_exactly_for_odd_q():
                 for j in range(1, d)
             ]
             for f in centers:
-                center, d_raws = interval_lab._center(ctx, f)
+                center, d_raws, _ = interval_lab._center(ctx, f)
                 has_d = ctx.p != 2
                 assert (d_raws is not None) == has_d, (ctx, f)
                 sides.add((has_d, ctx.q <= derivative(f).degree, ctx.p <= d))
@@ -958,15 +981,15 @@ def test_center_gives_d_exactly_for_odd_q():
         expected = [cycle_pattern_or_none(F9, [c, *f.raw_coeffs[1:]]) for c in range(9)]
         assert (expected == [None] * 9) == (f is cube)
         with run_scope():
-            assert interval_lab._interval_table(F9, f, 1) == expected, f
+            assert interval_lab._interval_table(F9, f, 1)[0] == expected, f
         assert _standalone_types(F9, f) == expected, f
 
 
 def _standalone_types(ctx, f):
     """The member types of I(f) as a standalone sweep's blocks take them, by constant term."""
-    center, d_raws = interval_lab._center(ctx, f)
-    inputs = interval_lab._ddf_inputs(ctx, center, d_raws)
-    return list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q), *inputs))
+    center, d_raws, _ = interval_lab._center(ctx, f)
+    inputs = interval_lab._ddf_inputs(ctx, center, d_raws, f.degree >= 6)
+    return list(interval_lab._member_types(ctx, center, *inputs, range(ctx.q)))
 
 
 def _factorizations(ctx, d, top):
@@ -1025,24 +1048,40 @@ OWN_RULE_INTERVALS = [(3, 3, 4), (3, 3, 5), (3, 3, 6), (5, 3, 5), (5, 3, 6)]
 OWN_RULE_INTERVALS += [(3, 5, 4), (3, 5, 5), (5, 4, 6), (7, 1, 7)]
 
 
+def _root_fed_calls(monkeypatch):
+    """The kernel calls made in this process from here on that are given root lists."""
+    fed = []
+    kernel = interval_lab._pattern_or_none_int
+
+    def counted(*args):
+        if len(args) == 5:
+            fed.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(interval_lab, "_pattern_or_none_int", counted)
+    return fed
+
+
 @pytest.mark.parametrize("p,l,d", OWN_RULE_INTERVALS)
-def test_sweeps_with_d_for_p_at_most_d_on_seeded_intervals(p, l, d):
-    # p <= d and q > deg f': the fiber route for d <= 5, the DDF route with the
-    # discriminant stop and no root feed for d >= 6; tables and standalone
-    # sweeps at 1 and 2 workers against the disc-free kernel
+def test_sweeps_with_d_for_p_at_most_d_on_seeded_intervals(monkeypatch, p, l, d):
+    # p <= d and q > deg f': the fiber route names every member for d <= 5,
+    # and for d >= 6 those with d - k <= 5; the kernel gets the rest with the
+    # discriminant stop and no root feed; tables and standalone sweeps at 1
+    # and 2 workers against the disc-free kernel
     ctx = make_prime_field(p) if l == 1 else make_extension(make_prime_field(p), l, 0)
     f = random_monic(ctx, d, random.Random(f"own-rule/{p}/{l}/{d}"))
-    center, d_raws = interval_lab._center(ctx, f)
-    assert d_raws is not None and interval_lab._ddf_inputs(ctx, center, d_raws)[1] is None
-    expected = [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in range(ctx.q)]
+    fed = _root_fed_calls(monkeypatch)
+    assert interval_lab._center(ctx, f)[1] is not None
+    expected = [cycle_pattern_or_none(ctx, [c, *f.raw_coeffs[1:]]) for c in range(ctx.q)]
     assert _standalone_types(ctx, f) == expected
     shifts = (ctx(0), ctx(1))
     pairs = _member_counts(ctx, f, shifts)
     for workers in (1, 2):
-        assert _joint_counts(ctx, f, shifts, workers) == pairs, workers
+        assert _joint_counts(ctx, f, shifts, workers) == (pairs, is_morse(f)[0]), workers
         with run_scope():
-            assert interval_lab._interval_table(ctx, f, workers) == expected, workers
-            assert _joint_counts(ctx, f, shifts, workers) == pairs, workers
+            assert interval_lab._interval_table(ctx, f, workers)[0] == expected, workers
+            assert _joint_counts(ctx, f, shifts, workers) == (pairs, is_morse(f)[0]), workers
+    assert fed == []
 
 
 def test_sweeps_with_d_where_q_is_at_most_deg_f_prime():
@@ -1059,24 +1098,99 @@ def test_sweeps_with_d_where_q_is_at_most_deg_f_prime():
             assert interval_lab._center(F3, f)[1] is not None
             assert _standalone_types(F3, f) == expected, f
             with run_scope():
-                assert interval_lab._interval_table(F3, f, 1) == expected, f
+                assert interval_lab._interval_table(F3, f, 1)[0] == expected, f
     assert small == 324
 
 
-def test_the_root_feed_waits_for_p_above_d():
+def test_the_root_feed_waits_for_p_above_d(monkeypatch):
     # tr(Q^2) = n_1 + 2 n_2 mod p names n_2 only for p > m.  These centers have
     # D(t) (deg f' = 1 and 2) and p <= d, and each has a member whose
-    # 2 n_2 >= p: (4, 2, 2, 2) over F_5 and (4, 2, 2, 1) over F_3
+    # 2 n_2 >= p: (4, 2, 2, 2) over F_5 and (4, 2, 2, 1) over F_3.  The fiber
+    # pass gives every member its roots, and the kernel gets none of them
+    fed = _root_fed_calls(monkeypatch)
     for p, text in ((5, "x^10+x^2"), (3, "x^9+x^6+x^3+x^2")):
         ctx = make_prime_field(p)
         f = parse_poly(text, ctx)
-        center, d_raws = interval_lab._center(ctx, f)
-        assert d_raws is not None and interval_lab._ddf_inputs(ctx, center, d_raws)[1] is None
+        center, d_raws, _ = interval_lab._center(ctx, f)
+        assert interval_lab._ddf_inputs(ctx, center, d_raws, True)[2] is not None
         expected = [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in range(p)]
         assert any(t and 2 * t.count(2) >= p for t in expected)
         with run_scope():
-            assert interval_lab._interval_table(ctx, f, 1) == expected, f
+            assert interval_lab._interval_table(ctx, f, 1)[0] == expected, f
         assert _standalone_types(ctx, f) == expected, f
+    assert fed == []
+
+
+# ---------------------------------------------------------------------------
+# one member route: the fiber pass names members in every table and in every
+# standalone sweep of degree >= 6, and the kernel factors the rest
+
+
+def _assert_named_route(ctx, f):
+    """I(f)'s table, at 1 worker and joined from a 2-way split, and its standalone sweep, member by member."""
+    expected = [cycle_pattern_or_none(ctx, [c, *f.raw_coeffs[1:]]) for c in range(ctx.q)]
+    for bounds in ([0, ctx.q], [0, ctx.q // 2, ctx.q]):
+        assert _table_over_split(ctx, f, bounds) == expected, (f, bounds)
+    assert _standalone_types(ctx, f) == expected, f
+    assert _joint_counts(ctx, f, (ctx(0),))[0] == Counter((t,) for t in expected), f
+
+
+@pytest.mark.parametrize("top", range(5))
+def test_the_named_route_on_every_degree_six_interval_over_f5(monkeypatch, top):
+    # p <= d: members with a root are named, and the kernel factors those
+    # with none, given no roots
+    fed = _root_fed_calls(monkeypatch)
+    for middle in itertools.product(range(5), repeat=4):
+        _assert_named_route(F5, Poly.from_raw(F5, (0, *middle, top, 1)))
+    assert fed == []
+
+
+NAMED_FIELDS = {"F13": (13, 1), "F1747": (1747, 1), "F9": (3, 2), "F3^5": (3, 5)}
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+def test_the_named_route_on_seeded_intervals(name, d):
+    # 200 seeded intervals: whole over F_13 and F_9; over F_1747 and F_{3^5}
+    # whole for the first two, and for the rest at every member with
+    # D(c) = 0 and 8 seeded members, from the sweeps' own per-interval inputs
+    p, l = NAMED_FIELDS[name]
+    ctx = make_prime_field(p) if l == 1 else make_extension(make_prime_field(p), l, 0)
+    rng = random.Random(f"named/{name}/{d}")
+    for i in range(200):
+        f = random_monic(ctx, d, rng)
+        if ctx.q <= 13 or i < 2:
+            _assert_named_route(ctx, f)
+            continue
+        center, d_raws, _ = interval_lab._center(ctx, f)
+        discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
+        consts = [c for c in range(ctx.q) if not discs[c]] + rng.sample(range(ctx.q), 8)
+        types = interval_lab._member_types(ctx, center, discs, cols, roots, consts)
+        assert list(types) == [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in consts], f
+
+
+def test_the_kernel_factors_only_the_members_the_fiber_pass_leaves(monkeypatch):
+    # a standalone d >= 6 sweep calls the kernel once per member with
+    # D(c) != 0 and fewer than d - 5 roots; a d <= 5 table calls it for none
+    calls = _count_kernel_calls(monkeypatch)
+    for f in _seeded_centers((6, 7, 8), "named/accounting"):
+        d = f.degree
+        center = (0, *f.raw_coeffs[1:])
+        d_raws = disc_in_t(Poly.from_raw(F1747, center)).raw_coeffs
+        roots = Counter(F1747.neg(_reval(F1747, center, x)) for x in range(F1747.q))
+        left = [c for c in range(F1747.q) if _reval(F1747, d_raws, c) and roots[c] < d - 5]
+        assert 0 < len(left) < F1747.q
+        calls.clear()
+        class_sum(F1747, f, make_builtin("moebius", d))
+        assert len(calls) == len(left), d
+    rng = random.Random("named/accounting/tables")
+    for ctx in (make_prime_field(1009), F9, make_extension(F5, 4, 0)):
+        for d in (2, 3, 4, 5):
+            f = random_monic(ctx, d, rng)
+            calls.clear()
+            with run_scope():
+                class_sum(ctx, f, make_builtin("moebius", d))
+            assert calls == [], (ctx, d)
 
 
 # ---------------------------------------------------------------------------

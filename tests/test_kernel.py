@@ -240,7 +240,7 @@ def test_parity_table_reproduces_the_fiber_types():
                 assert len(rests) <= 1, (d, k)
                 for rest in rests:
                     types[k, (d - k - odd) % 2 == 0] = rest + (1,) * k
-        assert types == direct == interval_lab._fiber_types(d), d
+        assert types == direct == interval_lab._named(d), d
 
 
 def test_parity_table_covers_the_old_two_factor_window():
@@ -631,9 +631,10 @@ def test_batched_start_and_member_types_on_seeded_intervals(p, d):
     _assert_batched_starts(p, center)
     ctx = make_prime_field(p)
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
-    cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
-    assert (roots is not None) == (d >= 6)
-    types = list(interval_lab._member_types(ctx, center, d_raws, range(p), cols, roots))
+    discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, d >= 6)
+    assert list(discs) == [_reval(ctx, d_raws, c) for c in range(p)]
+    assert cols is not None and (roots is not None) == (d >= 6)
+    types = list(interval_lab._member_types(ctx, center, discs, cols, roots, range(p)))
     assert types == [cycle_pattern_or_none(ctx, [c] + center[1:]) for c in range(p)]
 
 
@@ -748,11 +749,12 @@ EXT_SEEDED_INTERVALS = [
 def test_ext_batched_start_and_member_types_on_seeded_intervals(p, l, d):
     ctx = make_extension(make_prime_field(p), l, 0)
     f = random_monic(ctx, d, random.Random(f"ext-batched/{p}/{l}/{d}"))
-    center, d_raws = interval_lab._center(ctx, f)
+    center, d_raws, _ = interval_lab._center(ctx, f)
     assert (d_raws is None) == (p == 2)
-    cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
-    assert roots is None and [list(col) for col in cols] == [list(col) for col in _ext_columns(ctx, center)]
-    types = list(interval_lab._member_types(ctx, center, d_raws, range(ctx.q), cols))
+    discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, d >= 6)
+    assert (roots is None) == (p == 2 or d < 6)
+    assert [list(col) for col in cols] == [list(col) for col in _ext_columns(ctx, center)]
+    types = list(interval_lab._member_types(ctx, center, discs, cols, roots, range(ctx.q)))
     assert types == [cycle_pattern_or_none(ctx, [c] + list(center[1:])) for c in range(ctx.q)]
     ar = _RawArith(ctx)
     for c in random.Random(f"ext-batched/{p}/{l}/{d}/xq").sample(range(ctx.q), 20):
@@ -774,12 +776,20 @@ def test_ext_batch_shift_is_the_least_with_e_at_most_d_squared():
 
 
 def _fed_and_unfed(ctx, center, consts):
-    """(member types with the root lists, the same without them, the root lists) at consts."""
+    """(member types with the root lists, the same without them, the root lists) at consts.
+
+    With the root lists the member types are the sweep's: named from the root
+    count and D(c) where that pair names one, from the root-fed kernel
+    otherwise; and the root-fed kernel must give each of them too.
+    """
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
-    cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws)
+    discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
     xs, starts = roots
-    fed = list(interval_lab._member_types(ctx, center, d_raws, consts, cols, roots))
-    unfed = list(interval_lab._member_types(ctx, center, d_raws, consts, cols))
+    fed = list(interval_lab._member_types(ctx, center, discs, cols, roots, consts))
+    for c, t in zip(consts, fed):
+        g, start = [c, *center[1:]], [col[c] for col in cols]
+        assert _pattern_or_none_int(ctx.p, g, discs[c], start, xs[starts[c]:starts[c + 1]]) == t, c
+    unfed = list(interval_lab._member_types(ctx, center, discs, cols, None, consts))
     return fed, unfed, [list(xs[starts[c]:starts[c + 1]]) for c in consts]
 
 

@@ -476,7 +476,7 @@ def test_classifier_against_table_moebius_sums_in_characteristic_3():
     for ctx, d, centers in cases:
         with interval_lab.run_scope():
             for f in centers:
-                counts = interval_lab._joint_counts(ctx, f, (ctx(0),))
+                counts = interval_lab._joint_counts(ctx, f, (ctx(0),))[0]
                 total = sum((-1) ** len(ct) * n for (ct,), n in counts.items() if ct is not None)
                 try:
                     verdict = classify_mu_cancellation(f)
