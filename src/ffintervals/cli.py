@@ -58,60 +58,54 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(sp, ext=True, out=True):
+    def common(sp, ext=True, out=True, f=True):
         sp.add_argument("--p", type=int, required=True, help="field characteristic")
         if ext:
             sp.add_argument("--ext", type=int, default=1, help="extension degree l")
         if out:
             sp.add_argument("--out", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
+        if f:
+            sp.add_argument("--f", required=True, help="polynomial expression, e.g. 'x^4-2*x^2'")
 
     sp = sub.add_parser("field-info", help="describe F_q and its modulus")
-    common(sp)
+    common(sp, f=False)
 
     sp = sub.add_parser("factor", help="factor a polynomial")
     common(sp)
-    sp.add_argument("--f", required=True, help="polynomial expression, e.g. 'x^4-2*x^2'")
 
     sp = sub.add_parser("classify", help="Möbius cancellation dichotomy for I(f)")
     common(sp)
-    sp.add_argument("--f", required=True)
 
     sp = sub.add_parser("sum", help="exact class-function sum over I(f)")
     common(sp)
-    sp.add_argument("--f", required=True)
     sp.add_argument("--phi", required=True, help="prime | mu | dr:R | file:PATH")
     sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("correlate", help="correlation sum over shifted tuples")
     common(sp)
-    sp.add_argument("--f", required=True)
     sp.add_argument("--shifts", required=True, help="comma list, e.g. '0,1' or '0:1,2:0'")
     sp.add_argument("--phi", action="append", required=True, help="repeat, zipped with shifts")
     sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("chebotarev", help="empirical Frobenius cycle-type statistics")
     common(sp)
-    sp.add_argument("--f", required=True)
     sp.add_argument("--shifts", default="0")
     sp.add_argument("--workers", type=_worker_count, default=1)
 
     sp = sub.add_parser("census", help="squarefree census over shifted tuples")
     common(sp)
-    sp.add_argument("--f", required=True)
     sp.add_argument("--shifts", default="0")
 
     sp = sub.add_parser("morse", help="Morse test, critical data, and B(f)")
     common(sp)
-    sp.add_argument("--f", required=True)
 
     sp = sub.add_parser("gauss", help="enumerated vs formula irreducible count")
-    common(sp, ext=False)
+    common(sp, ext=False, f=False)
     sp.add_argument("--d", type=int, required=True)
 
     sp = sub.add_parser("scan-morse", help="count non-Morse members of f + s*x")
     common(sp)
-    sp.add_argument("--f", required=True)
 
     sp = sub.add_parser("large-q-demo", help="fixed p, growing q = p^l demonstration")
     sp.add_argument("--p", type=int, default=5)

@@ -8,16 +8,18 @@ from the D(t) = disc(center + t) of the center, I(f)'s member with constant
 term 0, which disc_in_t builds in every field, p <= deg f included: every
 D(c), a zero of which marks a member non-squarefree; for a table and for a
 standalone sweep of degree >= 6 the fiber pass, the roots of every member
-in any field; and, unless every member is named, x^e mod every member (e
-the top bits of p) from one bivariate power.  By Stickelberger a root count
-and the square class of D(c) name the type wherever the rest after the
-linear factors has degree <= 5 (_named), so every member for deg f <= 5.
-The kernel factors the others from their start of x^p, stopping early on
-D(c)'s square class, and over F_p for p > deg f from their roots.  A
-standalone sweep of degree <= 5 takes no fiber pass and sends every member
-to the kernel: naming them would give sweeps outside a scope a transient
-table, which waits on a benchmark whose peak memory does not grow with its
-number of passes.
+in any field, and over F_p a table of square roots and, for degree 6-8,
+every member's n_2 from one pass over F_{p^2} (_quadratic_counts); and,
+unless every member is named, x^e mod every member (e the top bits of p)
+from one bivariate power.  By Stickelberger the root count, n_2 where
+known, and the square class of D(c) name every member for deg f <= 5, and
+over F_p for deg f <= 7, and all but (5,3) and (4,4) for deg f = 8
+(_named).  The kernel factors the others from their start of x^p,
+stopping early on D(c)'s square class, and over F_p for p > deg f from
+their roots.  A standalone sweep of degree <= 5 takes no fiber pass and
+sends every member to the kernel: naming them would give sweeps outside a
+scope a transient table, which waits on a benchmark whose peak memory does
+not grow with its number of passes.
 Work is split into contiguous index ranges, one per worker: the caller
 works the first, and a child it forks works each other on the inputs it
 inherits and sends its result back through a pipe; every child is reaped
@@ -52,7 +54,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, product
 
 from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
@@ -146,70 +148,133 @@ def _ddf_inputs(ctx, center, d_raws, fiber):
     """(discs, cols, roots): _member_types' inputs, computed once per interval by the caller of _blocks.
 
     Given D(t) (odd q), discs[c] = D(c) for every c, and with fiber the
-    fiber pass gives roots = (xs, starts): x is a root of the member with
-    constant term -center(x), so that member has the roots
-    xs[starts[c]:starts[c + 1]], in any field.  cols are
-    _frobenius_columns over F_p and _ext_frobenius_columns over F_{p^l};
-    they are skipped where every member is named: for d = 2 given D(t),
-    where D(c) alone names the type, and for d <= 5 given roots too.
+    fiber pass gives roots = (xs, starts, twos, squares): x is a root of the
+    member with constant term -center(x), so that member has the roots
+    xs[starts[c]:starts[c + 1]], in any field.  Over F_p, squares is
+    _square_roots(p), and for 6 <= d <= 8 twos[c] is the member's n_2
+    (_quadratic_counts, on Hasse derivatives from the same chirp call);
+    else None.  cols are _frobenius_columns over F_p and
+    _ext_frobenius_columns over F_{p^l}, skipped where every member is
+    named: for d = 2 given D(t), d <= 5 given roots, d <= 7 given twos.
     """
-    d, q = len(center) - 1, ctx.q
+    d, p, q = len(center) - 1, ctx.p, ctx.q
     discs = roots = None
     if d_raws is not None:  # at every c: one chirp product each over F_p, Horner over F_{p^l}
+        twos = fiber and ctx.l == 1 and 6 <= d <= 8
         polys = [d_raws, center] if fiber else [d_raws]
+        if twos:  # f_k(u) = sum_j C(j, k) center_j u^(j - k), f_0 = center
+            polys += [[math.comb(j, k) * center[j] % p for j in range(k, d + 1)] for k in range(1, d + 1)]
         if ctx.l == 1:
-            discs, *values = _ieval_all(ctx.p, polys)
+            discs, *values = _ieval_all(p, polys)
         else:
             discs, *values = [array("q", [_reval(ctx, a, c) for c in range(q)]) for a in polys]
         if fiber:
-            hits = list(map(ctx.neg, values[0]))
-            starts = accumulate(map(Counter(hits).__getitem__, range(q)), initial=0)
-            roots = array("q", sorted(range(q), key=hits.__getitem__)), array("q", starts)
-        if d == 2 or d <= 5 and fiber:
+            squares = _square_roots(p) if ctx.l == 1 else None
+            twos = _quadratic_counts(ctx, values, squares) if twos else None
+            roots = *_fibers(list(map(ctx.neg, values[0])), q), twos, squares
+        if d == 2 or fiber and (d <= 5 or twos and d <= 7):
             return discs, None, roots
-    if ctx.l > 1:
-        return discs, _ext_frobenius_columns(ctx, center), roots
-    return discs, _frobenius_columns(ctx.p, center), roots
+    return discs, _frobenius_columns(p, center) if ctx.l == 1 else _ext_frobenius_columns(ctx, center), roots
+
+
+def _fibers(hits, q):
+    """(xs, starts), 4-byte arrays: xs[starts[v]:starts[v + 1]] are the x in [0, q) with hits[x] = v."""
+    starts = accumulate(map(Counter(hits).__getitem__, range(q)), initial=0)
+    return array("i", sorted(range(q), key=hits.__getitem__)), array("i", starts)
+
+
+def _square_roots(p):
+    """A square root of each element of F_p (odd p) that is a square, -1 at each nonsquare; 4 bytes each."""
+    roots = array("i", [-1]) * p
+    for y in range((p + 1) // 2):
+        roots[y * y % p] = y
+    return roots
+
+
+def _quadratic_counts(ctx, hasse, roots):
+    """n_2 of each member of I(center) over F_p (odd p, deg <= 8), by constant term.
+
+    hasse[k][u] = f_k(u), the center's Hasse derivatives; roots is
+    _square_roots(p), n its least nonsquare.  With x = u + v*s, s^2 = n,
+    v != 0 and z = n v^2, center(x) = A(u, z) + v*s*B(u, z), where
+    A = sum_j f_2j(u) z^j and B = sum_j f_2j+1(u) z^j: so each root z of B(u, .)
+    that is a nonzero nonsquare is one factor (x - u)^2 - z of the member
+    with constant term -A(u, z).  z^i B(u, z) is made a cubic, depressed to
+    y^3 - 3 rho y + Q, and y = sigma t with sigma^2 = rho or rho / n: t lies
+    in the fiber over -Q / sigma^3 of t^3 - 3t or t^3 - 3nt (Dickson), or
+    of t^3 when rho = 0.
+    """
+    p, n = ctx.p, roots.index(-1)
+    maps, inverse = _dickson_fibers(p, n) if p > 3 else (None, None)
+    twos = bytearray(p)
+    for b, a in zip(zip(*hasse[1::2]), zip(*hasse[0::2])):
+        if p == 3 or not any(b):  # F_3 cannot depress a cubic, and B(u, .) = 0 has every root
+            zs = [z for z in range(p) if not _reval(ctx, b, z)]
+        else:
+            while not b[-1]:
+                b = b[:-1]
+            b0, b1, b2, b3 = (0,) * (4 - len(b)) + b  # z^i B(u, z): a cubic, with B's nonzero roots
+            inv, third = inverse[b3], inverse[3]
+            s, a1 = b2 * inv * third % p, b1 * inv % p
+            rho, w = (s * s - a1 * third) % p, (a1 * s - 2 * s * s * s - b0 * inv) % p  # w = -Q
+            e = 0 if not rho else 1 if roots[rho] >= 0 else 2  # t^3, t^3 - 3t or t^3 - 3nt
+            sigma, (xs, starts) = roots[rho * (1, 1, inverse[n])[e] % p] or 1, maps[e]
+            w = w * inverse[sigma ** 3 % p] % p
+            zs = [(sigma * t - s) % p for t in xs[starts[w]:starts[w + 1]]]
+        for z in zs:
+            if roots[z] < 0:  # a nonzero nonsquare: one quadratic factor
+                twos[-_reval(ctx, a, z) % p] += 1
+    return twos
+
+
+@lru_cache(maxsize=1)
+def _dickson_fibers(p, n):
+    """(fibers of t^3, t^3 - 3t and t^3 - 3nt (_fibers), inverses) over F_p, 28p bytes, for the last p."""
+    inverse = array("i", [0, *(pow(t, -1, p) for t in range(1, p))])
+    return [_fibers([(t * t - 3 * e) * t % p for t in range(p)], p) for e in (0, 1, n)], inverse
 
 
 @cache
-def _named(d):
-    """(root count, D(c) is a square) -> the cycle type of S_d the pair names.
+def _named(d, twos):
+    """(root count k, n_2, D(c) is a square) -> the cycle type of S_d the triple names.
 
-    A squarefree member of degree d over odd F_q with k roots has k parts
-    1, and the rest is a partition of d - k into parts > 1 whose number of
-    parts has the parity the square class of its discriminant fixes
-    (Stickelberger): one of _parity_table(d - k, 1).  The pair names the
-    type where that parity holds exactly one, which is every pair that
-    occurs for d <= 5, and for d >= 6 the pairs with d - k <= 5.
+    A squarefree member of degree d over odd F_q has k parts 1, n_2 parts 2
+    given twos (n_2 is None otherwise), and a rest in parts > 2 (> 1 without
+    twos) whose number of parts has the parity the square class of its
+    discriminant fixes (Stickelberger): one of _parity_table(d - k - 2 n_2, 2)
+    or _parity_table(d - k, 1).  The triple names the type where that parity
+    holds one: all for d <= 5, with twos for d <= 7, and at d = 8 all but (5,3), (4,4).
     """
-    rests = [(k, odd, r) for k in range(d + 1) for odd, r in enumerate(_parity_table(d - k, 1))]
-    return {(k, (d - k - odd) % 2 == 0): r[0] + (1,) * k for k, odd, r in rests if len(r) == 1}
+    rests = [(k, j, odd, r) for k in range(d + 1) for j in range(d // 2 + 1 if twos else 1)
+             for odd, r in enumerate(_parity_table(d - k - 2 * j, 2 if twos else 1))]
+    return {(k, j if twos else None, (d - k - j - odd) % 2 == 0): r[0] + (2,) * j + (1,) * k
+            for k, j, odd, r in rests if len(r) == 1}
 
 
 def _member_types(ctx, center, discs, cols, roots, consts):
     """Cycle type (None: not squarefree) of each member of I(center), by constant term.
 
     discs, cols and roots come from _ddf_inputs.  Given roots, a member
-    with D(c) = 0 is None, and one whose root count and square class of
-    D(c) _named names gets that type, with no kernel call.  Every other
-    member goes through the kernel, with D(c), its start of x^p from cols,
-    and over F_p for p > d its roots, so its DDF starts at degree 2 on the
-    cofactor (_ddf's tr(Q^2) is exact there).
+    with D(c) = 0 is None, and one whose root count, n_2 where known and
+    square class of D(c) (over F_p from the square roots) _named names gets
+    that type, with no kernel call.  Every other member goes through the
+    kernel, with D(c), its start of x^p from cols, and over F_p for p > d
+    its roots, so its DDF starts at degree 2 on the cofactor (_ddf's
+    tr(Q^2) is exact there).
     """
     kernel, field = (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
     d = len(center) - 1
-    named = None if roots is None else _named(d)
-    xs, starts = roots or (None, None)
+    xs, starts, twos, squares = roots or (None,) * 4
+    named = None if roots is None else _named(d, twos is not None)
     fed = roots is not None and ctx.l == 1 and ctx.p > d
-    is_square = ctx.is_square
+    is_square = ctx.is_square if squares is None else (lambda c: squares[c] >= 0)
     for c in consts:
         disc = None if discs is None else discs[c]
         if named is not None:
             if not disc:
                 yield None
                 continue
-            t = named.get((starts[c + 1] - starts[c], is_square(disc)))
+            t = named.get((starts[c + 1] - starts[c], None if twos is None else twos[c], is_square(disc)))
             if t is not None:
                 yield t
                 continue

@@ -19,14 +19,14 @@ bits of p, and its coefficients are evaluated at every y in F_q; the member
 f + c starts from R(x, c) and squares through the low bits of p that
 remain.  Over F_p, _frobenius_columns does so on y-polynomials packed into
 ints (_batch_shift); over F_{p^l}, _ext_frobenius_columns on raws, by
-Horner, with e <= d^2 (_ext_batch_shift).  Over F_p, for p > deg >= 6,
-they pass its roots in F_p as well: _ddf divides out the linear factors
-and starts at degree 2 on the cofactor.  A cofactor of degree
-m >= 6 then builds Berlekamp's matrix Q on packed ints, from columns that
-are reduced mod p only where a product could overflow its 64-bit slots,
-and tr(Q^2) = n_1 + 2 n_2 mod p names its quadratic factors.  Wherever the
-discriminant is passed, one parity table of partitions (_parity_table)
-stops the loop as soon as the square class leaves one cycle type.
+Horner, with e <= d^2 (_ext_batch_shift).  Over F_p, for p > deg >= 8
+(the sweeps name every member of degree 6 and 7, and of degree 8 all but
+(5,3) and (4,4)), they pass its roots in F_p as well: _ddf divides out the
+linear factors and starts at degree 2 on the cofactor, where tr(Q^2) =
+n_1 + 2 n_2 mod p, Q Berlekamp's matrix on packed ints, names its
+quadratic factors.  Wherever the discriminant is passed, one parity table
+of partitions (_parity_table) stops the loop as soon as the square class
+leaves one cycle type.
 Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
 factor's squarefree and equal-degree steps, brute_force_factor) runs on the
 same int layer through the raw helpers below.
@@ -556,9 +556,10 @@ def _ddf(ar, g, square, start=None, roots=None):
     i + 1, where every factor of rem has degree > i, stop wherever
     _parity_table(m, i) holds exactly one partition of that parity.  A cubic
     of nonsquare discriminant is (2, 1) with no x^q.  Given roots too, a
-    cofactor of degree m >= 6 first counts its n_2 quadratic factors as
-    tr(Q^2) / 2, Q its Frobenius matrix on packed ints (tr(Q^2) = n_1 + 2 n_2
-    mod p, exact for p > m; _IntArith.grow and quadratic_count), and the
+    cofactor of degree m >= 6 (in the sweeps: degree >= 9, or type (5,3) or
+    (4,4)) first counts its n_2 quadratic factors as tr(Q^2) / 2, Q its
+    Frobenius matrix on packed ints (tr(Q^2) = n_1 + 2 n_2 mod p, exact for
+    p > m; _IntArith.grow and quadratic_count), and the
     rule names the rest, in parts > 2, where it can: every rest of degree
     <= 7, and (8), with no x^(p^2) and no gcd.  Otherwise the loop goes on
     from x^(p^2), with no gcd at degree 2 when n_2 = 0.  The blocks stop

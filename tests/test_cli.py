@@ -540,12 +540,12 @@ _INTERVALS = {
     "cubic": ["--p", "101", "--f", "x^3+2*x+1"],
     "quartic": ["--p", "101", "--f", "x^4+x^2+3*x"],
     "quintic": ["--p", "101", "--f", "x^5+x^2+1"],
-    "sextic": ["--p", "101", "--f", "x^6+x+1"],  # d >= 6: members are factored
+    "sextic": ["--p", "101", "--f", "x^6+x+1"],  # d = 6: named from roots, n_2 and D(c)
     "octic": ["--p", "101", "--f", "x^8+3*x^3+x+1"],
     "F25": ["--p", "5", "--ext", "2", "--f", "x^3+x+1"],
-    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],  # q <= deg f' = 5: D(t) and the DDF
+    "p-at-most-d": ["--p", "5", "--f", "x^6+x+2"],  # q <= deg f' = 5: D(t), named with n_2
     "F27-quartic": ["--p", "3", "--ext", "3", "--f", "x^4+2*x^3+x+1"],  # p <= d, D(t): fibers
-    "F7-septic": ["--p", "7", "--f", "x^7+3*x^2+x+1"],  # p = d, D(t): the DDF, no root feed
+    "F7-septic": ["--p", "7", "--f", "x^7+3*x^2+x+1"],  # p = d, D(t): named with n_2
 }
 
 

@@ -38,6 +38,7 @@ from ffintervals.polynomial import (
     derivative,
     disc_in_t,
     discriminant,
+    factor,
     is_squarefree,
     random_monic,
 )
@@ -469,9 +470,9 @@ def test_run_scope_sweeps_each_interval_once(monkeypatch):
     # (field, f, shift of f, kernel calls per member sweep of I(f), kernel calls per table)
     cases = (
         (F101, first_morse_center(F101, 4), 7, 101, 0),  # p > d, d <= 5: the fiber pass
-        # q <= deg f' = 5: D(t), and the fiber pass names all but the two
-        # members with no root (x^6 + x + 1 and + 2), which the kernel factors
-        (F5, parse_poly("x^6+x+2", F5), 3, 2, 2),
+        # q <= deg f' = 5: D(t), and the fiber pass and n_2 name every member,
+        # the two with no root (x^6 + x + 1 and + 2) included
+        (F5, parse_poly("x^6+x+2", F5), 3, 0, 0),
         (F25, Poly.from_raw(F25, [3, 7, 0, 1]), 11, 25, 0),  # the fiber pass over F_25
     )
     calls = _count_kernel_calls(monkeypatch)
@@ -888,29 +889,37 @@ def _assert_fiber_table_matches_ddf(ctx, raws, calls, rng=None):
     return table
 
 
-def _occurring_pairs(d):
-    """(root count, disc is a square) -> the cycle types of S_d with that pair."""
+def _occurring_pairs(d, twos=False):
+    """(root count, n_2 or None, disc is a square) -> the cycle types of S_d with that key."""
     pairs = {}
     for ct in partitions_of(d):
-        key = (ct.parts.count(1), (d - len(ct.parts)) % 2 == 0)
+        key = (ct.parts.count(1), ct.parts.count(2) if twos else None, (d - len(ct.parts)) % 2 == 0)
         pairs.setdefault(key, []).append(ct.parts)
     return pairs
 
 
 def test_fiber_types_are_one_to_one_exactly_up_to_degree_five():
-    # _named names every pair that occurs for d <= 5, and for d >= 6 exactly
-    # the pairs with d - k <= 5, each as the one type that has it
-    one_to_one = []
-    for d in range(1, 13):
-        pairs = _occurring_pairs(d)
-        named = {key: types[0] for key, types in pairs.items() if len(types) == 1}
-        assert interval_lab._named(d) == named, d
-        assert named.keys() == {(k, square) for k, square in pairs if d - k <= 5}, d
-        if named.keys() == pairs.keys():
-            one_to_one.append(d)
-    assert one_to_one == [1, 2, 3, 4, 5]
-    assert interval_lab._named(5)[1, True] == (2, 2, 1)
-    assert interval_lab._named(5)[1, False] == (4, 1)
+    # without n_2, _named names every pair that occurs for d <= 5, and for
+    # d >= 6 exactly the pairs with d - k <= 5, each as the one type that has
+    # it; with n_2, every triple for d <= 7, and for d >= 8 exactly those
+    # whose rest m = d - k - 2 n_2 has m <= 7, or is (8)
+    one_to_one = {False: [], True: []}
+    for twos in (False, True):
+        for d in range(1, 13):
+            pairs = _occurring_pairs(d, twos)
+            named = {key: types[0] for key, types in pairs.items() if len(types) == 1}
+            assert interval_lab._named(d, twos) == named, d
+            rests = {key: d - key[0] - 2 * (key[1] or 0) for key in pairs}
+            left = {key for key, types in pairs.items()
+                    if rests[key] <= (7 if twos else 5) or twos and rests[key] == types[0][0] == 8}
+            assert named.keys() == left, d
+            if named.keys() == pairs.keys():
+                one_to_one[twos].append(d)
+    assert one_to_one == {False: [1, 2, 3, 4, 5], True: [1, 2, 3, 4, 5, 6, 7]}
+    assert interval_lab._named(5, False)[1, None, True] == (2, 2, 1)
+    assert interval_lab._named(5, False)[1, None, False] == (4, 1)
+    assert interval_lab._named(8, True)[0, 0, False] == (8,)
+    assert (0, 0, True) not in interval_lab._named(8, True)  # (5,3) or (4,4): the kernel's
 
 
 def test_fiber_table_matches_ddf_on_every_small_interval(monkeypatch):
@@ -1065,9 +1074,10 @@ def _root_fed_calls(monkeypatch):
 @pytest.mark.parametrize("p,l,d", OWN_RULE_INTERVALS)
 def test_sweeps_with_d_for_p_at_most_d_on_seeded_intervals(monkeypatch, p, l, d):
     # p <= d and q > deg f': the fiber route names every member for d <= 5,
-    # and for d >= 6 those with d - k <= 5; the kernel gets the rest with the
-    # discriminant stop and no root feed; tables and standalone sweeps at 1
-    # and 2 workers against the disc-free kernel
+    # over F_p with n_2 every member for d = 6, 7, and otherwise for d >= 6
+    # those with d - k <= 5; the kernel gets the rest with the discriminant
+    # stop and no root feed; tables and standalone sweeps at 1 and 2 workers
+    # against the disc-free kernel
     ctx = make_prime_field(p) if l == 1 else make_extension(make_prime_field(p), l, 0)
     f = random_monic(ctx, d, random.Random(f"own-rule/{p}/{l}/{d}"))
     fed = _root_fed_calls(monkeypatch)
@@ -1086,7 +1096,7 @@ def test_sweeps_with_d_for_p_at_most_d_on_seeded_intervals(monkeypatch, p, l, d)
 
 def test_sweeps_with_d_where_q_is_at_most_deg_f_prime():
     # every center of degree 4-6 over F_3, most with q <= deg f': the fiber
-    # route for d <= 5 and the DDF route for d = 6, the table and the
+    # route for d <= 5, and for d = 6 with n_2 too, the table and the
     # standalone sweep against the disc-free kernel
     F3 = make_prime_field(3)
     small = 0
@@ -1127,33 +1137,87 @@ def test_the_root_feed_waits_for_p_above_d(monkeypatch):
 
 
 def _assert_named_route(ctx, f):
-    """I(f)'s table, at 1 worker and joined from a 2-way split, and its standalone sweep, member by member."""
+    """I(f)'s table, at 1 worker and joined from a 2-way split, and its standalone sweep, member by member.
+
+    Where the sweep takes the pass over F_{p^2} (F_p, d = 6-8), each
+    squarefree member's n_2 is checked too.
+    """
     expected = [cycle_pattern_or_none(ctx, [c, *f.raw_coeffs[1:]]) for c in range(ctx.q)]
     for bounds in ([0, ctx.q], [0, ctx.q // 2, ctx.q]):
         assert _table_over_split(ctx, f, bounds) == expected, (f, bounds)
-    assert _standalone_types(ctx, f) == expected, f
+    center, d_raws, _ = interval_lab._center(ctx, f)
+    discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, f.degree >= 6)
+    assert list(interval_lab._member_types(ctx, center, discs, cols, roots, range(ctx.q))) == expected, f
+    if ctx.l == 1 and 6 <= f.degree <= 8:
+        _assert_quadratic_counts(roots[2], expected, f)
     assert _joint_counts(ctx, f, (ctx(0),))[0] == Counter((t,) for t in expected), f
+
+
+def _assert_quadratic_counts(twos, types, f, consts=None):
+    """The n_2 of each squarefree member at consts (every c by default) against its cycle type."""
+    consts = range(len(types)) if consts is None else consts
+    assert [twos[c] for c, t in zip(consts, types) if t] == [t.count(2) for t in types if t], f
 
 
 @pytest.mark.parametrize("top", range(5))
 def test_the_named_route_on_every_degree_six_interval_over_f5(monkeypatch, top):
-    # p <= d: members with a root are named, and the kernel factors those
-    # with none, given no roots
+    # p <= d: every member is named from its roots, n_2 and D(c), and the
+    # kernel factors none
     fed = _root_fed_calls(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     for middle in itertools.product(range(5), repeat=4):
         _assert_named_route(F5, Poly.from_raw(F5, (0, *middle, top, 1)))
-    assert fed == []
+    assert fed == [] and calls == []
+
+
+@pytest.mark.parametrize("top,fourth", itertools.product(range(7), repeat=2))
+def test_the_named_route_on_every_degree_six_interval_over_f7(monkeypatch, top, fourth):
+    # the intervals with x^5 coefficient top and x^4 coefficient fourth: p > d,
+    # and every member is named from its roots, n_2 and D(c) with no kernel call
+    calls = _count_kernel_calls(monkeypatch)
+    for middle in itertools.product(range(7), repeat=3):
+        _assert_named_route(F7, Poly.from_raw(F7, (0, *middle, fourth, top, 1)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("d,top", itertools.product([6, 7, 8], range(3)))
+def test_the_named_route_on_every_interval_of_degree_six_to_eight_over_f3(monkeypatch, d, top):
+    # the intervals with x^(d-1) coefficient top.  F_3 cannot depress a cubic
+    # B(u, .), so the pass tests B(u, 2) = 0 at its one nonsquare.  The kernel
+    # factors no member of degree 6 or 7
+    calls = _count_kernel_calls(monkeypatch)
+    F3 = make_prime_field(3)
+    for middle in itertools.product(range(3), repeat=d - 2):
+        _assert_named_route(F3, Poly.from_raw(F3, (0, *middle, top, 1)))
+    assert (calls == []) == (d < 8)
+
+
+def test_n2_where_b_vanishes_at_some_u():
+    # x^6 + 5x^5 + 2x^3 + 5x^2 + 5x over F_7: f_1, f_3 and f_5 all vanish at
+    # u = 5, so there B(5, z) = 0 for every z, and each nonzero nonsquare z is
+    # one quadratic factor (x - 5)^2 - z, of the member with constant term
+    # -A(5, z).  Its members at 2 and 3 have types (4,2) and (2,2,1,1)
+    f = parse_poly("x^6+5*x^5+2*x^3+5*x^2+5*x", F7)
+    center, d_raws, _ = interval_lab._center(F7, f)
+    hasse = [[math.comb(j, k) * center[j] % 7 for j in range(k, 7)] for k in range(7)]
+    assert [u for u in range(7) if not any(_reval(F7, hasse[k], u) for k in (1, 3, 5))] == [5]
+    twos = interval_lab._ddf_inputs(F7, center, d_raws, True)[2][2]
+    assert [cycle_pattern_or_none(F7, [c, *center[1:]]) for c in (2, 3)] == [(4, 2), (2, 2, 1, 1)]
+    assert (twos[2], twos[3]) == (1, 2)
+    _assert_named_route(F7, f)
 
 
 NAMED_FIELDS = {"F13": (13, 1), "F1747": (1747, 1), "F9": (3, 2), "F3^5": (3, 5)}
+NAMED_FIELDS |= {"F5": (5, 1), "F7": (7, 1), "F11": (11, 1)}
 
 
 @pytest.mark.parametrize("d", [6, 7, 8])
 @pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
 def test_the_named_route_on_seeded_intervals(name, d):
-    # 200 seeded intervals: whole over F_13 and F_9; over F_1747 and F_{3^5}
-    # whole for the first two, and for the rest at every member with
-    # D(c) = 0 and 8 seeded members, from the sweeps' own per-interval inputs
+    # 200 seeded intervals: whole over F_5 to F_13 and F_9; over F_1747 and
+    # F_{3^5} whole for the first two, and for the rest at every member with
+    # D(c) = 0 and 8 seeded members, from the sweeps' own per-interval inputs;
+    # over F_p the n_2 of each squarefree member too
     p, l = NAMED_FIELDS[name]
     ctx = make_prime_field(p) if l == 1 else make_extension(make_prime_field(p), l, 0)
     rng = random.Random(f"named/{name}/{d}")
@@ -1165,24 +1229,37 @@ def test_the_named_route_on_seeded_intervals(name, d):
         center, d_raws, _ = interval_lab._center(ctx, f)
         discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
         consts = [c for c in range(ctx.q) if not discs[c]] + rng.sample(range(ctx.q), 8)
-        types = interval_lab._member_types(ctx, center, discs, cols, roots, consts)
-        assert list(types) == [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in consts], f
+        types = list(interval_lab._member_types(ctx, center, discs, cols, roots, consts))
+        assert types == [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in consts], f
+        if l == 1:
+            _assert_quadratic_counts(roots[2], types, f, consts)
 
 
 def test_the_kernel_factors_only_the_members_the_fiber_pass_leaves(monkeypatch):
-    # a standalone d >= 6 sweep calls the kernel once per member with
-    # D(c) != 0 and fewer than d - 5 roots; a d <= 5 table calls it for none
-    calls = _count_kernel_calls(monkeypatch)
+    # a standalone sweep of degree 6 or 7 over F_p names every member from its
+    # roots, n_2 and D(c): no kernel call and no x^p columns.  At d = 8 it calls
+    # the kernel once for each member of type (5,3) or (4,4), which share their
+    # key, and builds the columns once for them; a d <= 5 table calls it for none
+    factored, columns = [], []
+    kernel, frobenius_columns = interval_lab._pattern_or_none_int, interval_lab._frobenius_columns
+    monkeypatch.setattr(interval_lab, "_pattern_or_none_int", lambda *args: factored.append(args[1][0]) or kernel(*args))
+    monkeypatch.setattr(interval_lab, "_frobenius_columns", lambda *args: columns.append(1) or frobenius_columns(*args))
     for f in _seeded_centers((6, 7, 8), "named/accounting"):
         d = f.degree
-        center = (0, *f.raw_coeffs[1:])
-        d_raws = disc_in_t(Poly.from_raw(F1747, center)).raw_coeffs
-        roots = Counter(F1747.neg(_reval(F1747, center, x)) for x in range(F1747.q))
-        left = [c for c in range(F1747.q) if _reval(F1747, d_raws, c) and roots[c] < d - 5]
-        assert 0 < len(left) < F1747.q
-        calls.clear()
+        factored.clear()
+        columns.clear()
         class_sum(F1747, f, make_builtin("moebius", d))
-        assert len(calls) == len(left), d
+        if d < 8:
+            assert (factored, columns) == ([], []), d
+            continue
+        residue = []
+        for c in range(F1747.q):
+            result = factor(Poly.from_raw(F1747, [c, *f.raw_coeffs[1:]]))
+            if result.multiset_degrees() in ((5, 3), (4, 4)) and all(e == 1 for _, e in result.factors):
+                residue.append(c)
+        assert sorted(factored) == residue and 0 < len(residue) < F1747.q // 5
+        assert columns == [1]
+    calls = _count_kernel_calls(monkeypatch)
     rng = random.Random("named/accounting/tables")
     for ctx in (make_prime_field(1009), F9, make_extension(F5, 4, 0)):
         for d in (2, 3, 4, 5):

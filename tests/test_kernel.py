@@ -231,7 +231,7 @@ def test_parity_table_reproduces_the_fiber_types():
     # The reference keys every partition of d directly
     for d in range(1, 6):
         direct = {
-            (ct.parts.count(1), (d - len(ct.parts)) % 2 == 0): ct.parts for ct in partitions_of(d)
+            (ct.parts.count(1), None, (d - len(ct.parts)) % 2 == 0): ct.parts for ct in partitions_of(d)
         }
         assert len(direct) == len(partitions_of(d)), d
         types = {}
@@ -239,8 +239,8 @@ def test_parity_table_reproduces_the_fiber_types():
             for odd, rests in enumerate(_parity_table(d - k, 1)):
                 assert len(rests) <= 1, (d, k)
                 for rest in rests:
-                    types[k, (d - k - odd) % 2 == 0] = rest + (1,) * k
-        assert types == direct == interval_lab._named(d), d
+                    types[k, None, (d - k - odd) % 2 == 0] = rest + (1,) * k
+        assert types == direct == interval_lab._named(d, False), d
 
 
 def test_parity_table_covers_the_old_two_factor_window():
@@ -633,7 +633,7 @@ def test_batched_start_and_member_types_on_seeded_intervals(p, d):
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
     discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, d >= 6)
     assert list(discs) == [_reval(ctx, d_raws, c) for c in range(p)]
-    assert cols is not None and (roots is not None) == (d >= 6)
+    assert (cols is None) == (d in (6, 7)) and (roots is not None) == (d >= 6)
     types = list(interval_lab._member_types(ctx, center, discs, cols, roots, range(p)))
     assert types == [cycle_pattern_or_none(ctx, [c] + center[1:]) for c in range(p)]
 
@@ -779,13 +779,15 @@ def _fed_and_unfed(ctx, center, consts):
     """(member types with the root lists, the same without them, the root lists) at consts.
 
     With the root lists the member types are the sweep's: named from the root
-    count and D(c) where that pair names one, from the root-fed kernel
-    otherwise; and the root-fed kernel must give each of them too.
+    count, n_2 for d = 6-8 and D(c) where those name one, from the root-fed
+    kernel otherwise; and the root-fed kernel must give each of them too,
+    from the batched start, which the sweep builds only for d = 8 and d >= 9.
     """
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
     discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
-    xs, starts = roots
+    xs, starts = roots[:2]
     fed = list(interval_lab._member_types(ctx, center, discs, cols, roots, consts))
+    cols = cols or _frobenius_columns(ctx.p, center)
     for c, t in zip(consts, fed):
         g, start = [c, *center[1:]], [col[c] for col in cols]
         assert _pattern_or_none_int(ctx.p, g, discs[c], start, xs[starts[c]:starts[c + 1]]) == t, c
