@@ -160,9 +160,9 @@ def _ddf_inputs(ctx, center, d_raws, fiber):
     d, p, q = len(center) - 1, ctx.p, ctx.q
     discs = roots = None
     if d_raws is not None:  # at every c: one chirp product each over F_p, Horner over F_{p^l}
-        twos = fiber and ctx.l == 1 and 6 <= d <= 8
+        n2_pass = fiber and ctx.l == 1 and 6 <= d <= 8
         polys = [d_raws, center] if fiber else [d_raws]
-        if twos:  # f_k(u) = sum_j C(j, k) center_j u^(j - k), f_0 = center
+        if n2_pass:  # f_k(u) = sum_j C(j, k) center_j u^(j - k), f_0 = center
             polys += [[math.comb(j, k) * center[j] % p for j in range(k, d + 1)] for k in range(1, d + 1)]
         if ctx.l == 1:
             discs, *values = _ieval_all(p, polys)
@@ -170,9 +170,9 @@ def _ddf_inputs(ctx, center, d_raws, fiber):
             discs, *values = [array("q", [_reval(ctx, a, c) for c in range(q)]) for a in polys]
         if fiber:
             squares = _square_roots(p) if ctx.l == 1 else None
-            twos = _quadratic_counts(ctx, values, squares) if twos else None
+            twos = _quadratic_counts(ctx, values, squares) if n2_pass else None
             roots = *_fibers(list(map(ctx.neg, values[0])), q), twos, squares
-        if d == 2 or fiber and (d <= 5 or twos and d <= 7):
+        if d == 2 or fiber and (d <= 5 or n2_pass and d <= 7):
             return discs, None, roots
     return discs, _frobenius_columns(p, center) if ctx.l == 1 else _ext_frobenius_columns(ctx, center), roots
 
