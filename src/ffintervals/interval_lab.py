@@ -16,16 +16,20 @@ known, and the square class of D(c) name every member for deg f <= 5, and
 over F_p for deg f <= 7, and all but (5,3) and (4,4) for deg f = 8
 (_named).  The kernel factors the others from their start of x^p,
 stopping early on D(c)'s square class, and over F_p for p > deg f from
-their roots.  A standalone sweep of degree <= 5 takes no fiber pass and
-sends every member to the kernel: naming them would give sweeps outside a
-scope a transient table, which waits on a benchmark whose peak memory does
-not grow with its number of passes.
-Work is split into contiguous index ranges, one per worker: the caller
-works the first, and a child it forks works each other on the inputs it
-inherits and sends its result back through a pipe; every child is reaped
-before the sweep returns (see _blocks).  Blocks are joined in index order
-or by integer sums, so reports are identical for any worker count.  The
-Morse label of a sum travels with its counts, read off the sweep's D(t).
+their roots (and n_2 where known), whose Frobenius matrix Q gives n_2 and
+n_3 by tr(Q^2) and tr(Q^3).  A standalone sweep of degree <= 5 takes no
+fiber pass and sends every member to the kernel: naming them would give
+sweeps outside a scope a transient table, which waits on a benchmark
+whose peak memory does not grow with its number of passes.
+Where the kernel runs (the x^p columns are built), work is split into
+contiguous index ranges, one per worker: the caller works the first, and
+a child it forks works each other on the inputs it inherits and sends its
+result back through a pipe; every child is reaped before the sweep
+returns (see _blocks).  Where every member is named, a dict lookup each,
+the caller works the whole interval and forks nothing.  Blocks are joined
+in index order or by integer sums, so reports are identical for any
+worker count.  The Morse label of a sum travels with its counts, read off
+the sweep's D(t).
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, stored with the label,
@@ -152,22 +156,25 @@ def _ddf_inputs(ctx, center, d_raws, fiber):
     member with constant term -center(x), so that member has the roots
     xs[starts[c]:starts[c + 1]], in any field.  Over F_p, squares is
     _square_roots(p), and for 6 <= d <= 8 twos[c] is the member's n_2
-    (_quadratic_counts, on Hasse derivatives from the same chirp call);
-    else None.  cols are _frobenius_columns over F_p and
-    _ext_frobenius_columns over F_{p^l}, skipped where every member is
-    named: for d = 2 given D(t), d <= 5 given roots, d <= 7 given twos.
+    (_quadratic_counts, on Hasse derivatives f_1..f_(d-2) from the same
+    chirp call; f_(d-1) is linear and f_d = 1); else None.  cols are
+    _frobenius_columns over F_p and _ext_frobenius_columns over F_{p^l},
+    None where every member is named: for d = 2 given D(t), d <= 5 given
+    roots, d <= 7 given twos.  The callers fork only where cols are built.
     """
     d, p, q = len(center) - 1, ctx.p, ctx.q
     discs = roots = None
     if d_raws is not None:  # at every c: one chirp product each over F_p, Horner over F_{p^l}
         n2_pass = fiber and ctx.l == 1 and 6 <= d <= 8
         polys = [d_raws, center] if fiber else [d_raws]
-        if n2_pass:  # f_k(u) = sum_j C(j, k) center_j u^(j - k), f_0 = center
-            polys += [[math.comb(j, k) * center[j] % p for j in range(k, d + 1)] for k in range(1, d + 1)]
+        if n2_pass:  # f_k(u) = sum_j C(j, k) center_j u^(j - k), f_0 = center; f_d = 1 and f_(d-1) below
+            polys += [[math.comb(j, k) * center[j] % p for j in range(k, d + 1)] for k in range(1, d - 1)]
         if ctx.l == 1:
             discs, *values = _ieval_all(p, polys)
         else:
             discs, *values = [array("q", [_reval(ctx, a, c) for c in range(q)]) for a in polys]
+        if n2_pass:  # f_(d-1)(u) = d u + center_(d-1)
+            values += array("q", [(d * u + center[d - 1]) % p for u in range(p)]), array("q", [1]) * p
         if fiber:
             squares = _square_roots(p) if ctx.l == 1 else None
             twos = _quadratic_counts(ctx, values, squares) if n2_pass else None
@@ -259,8 +266,8 @@ def _member_types(ctx, center, discs, cols, roots, consts):
     square class of D(c) (over F_p from the square roots) _named names gets
     that type, with no kernel call.  Every other member goes through the
     kernel, with D(c), its start of x^p from cols, and over F_p for p > d
-    its roots, so its DDF starts at degree 2 on the cofactor (_ddf's
-    tr(Q^2) is exact there).
+    its roots and twos[c], so its DDF starts at degree 2 on the cofactor,
+    where _ddf's tr(Q^2) and tr(Q^3) are exact, and skips tr(Q^2) given n_2.
     """
     kernel, field = (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
     d = len(center) - 1
@@ -284,7 +291,7 @@ def _member_types(ctx, center, discs, cols, roots, consts):
         if cols is not None:
             args.append([col[c] for col in cols])
         if fed:  # only with cols: a member the fiber pass does not name has d - k >= 6
-            args.append(xs[starts[c]:starts[c + 1]])
+            args += xs[starts[c]:starts[c + 1]], None if twos is None else twos[c]
         yield kernel(*args)
 
 
@@ -311,7 +318,9 @@ def _blocks(block, head, q, workers):
     The caller works the first; a child forked for each other block works it
     on the head it inherits and pipes back its result or exception, pickled.
     Every child is reaped before this returns or raises, and killed first if
-    the caller raised.  Without os.fork the caller works every block.
+    the caller raised.  Without os.fork the caller works every block.  The
+    callers pass workers = 1 where _ddf_inputs built no x^p columns: every
+    member is then named, and a fork would cost more than it splits.
     """
     bounds = [q * i // workers for i in range(workers + 1)]
     first, *rest = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
@@ -374,8 +383,8 @@ def _interval_table(ctx, f: Poly, workers: int):
     entry = _tables.get(key)
     if entry is None:
         center, d_raws, morse = _center(ctx, f)
-        head = (ctx, center, *_ddf_inputs(ctx, center, d_raws, True))
-        blocks = _blocks(_ddf_block, head, ctx.q, workers)
+        discs, cols, roots = _ddf_inputs(ctx, center, d_raws, True)
+        blocks = _blocks(_ddf_block, (ctx, center, discs, cols, roots), ctx.q, 1 if cols is None else workers)
         interned = {}  # one tuple per cycle type, however many members share it
         entry = _tables[key] = [interned.setdefault(t, t) for block in blocks for t in block], morse
     return entry
@@ -401,9 +410,10 @@ def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
         counts = Counter(tuple([table[add(o, a)] for o in offsets]) for a in range(q))
     else:
         center, d_raws, morse = _center(ctx, f)
-        head = (ctx, center, *_ddf_inputs(ctx, center, d_raws, f.degree >= 6), offsets)
+        discs, cols, roots = _ddf_inputs(ctx, center, d_raws, f.degree >= 6)
+        head = ctx, center, discs, cols, roots, offsets
         counts = Counter()
-        for block in _blocks(_sweep_block, head, q, workers):
+        for block in _blocks(_sweep_block, head, q, 1 if cols is None else workers):
             counts.update(block)
     return dict(counts), is_morse(f)[0] if morse is None else morse
 

@@ -23,10 +23,10 @@ Horner, with e <= d^2 (_ext_batch_shift).  Over F_p, for p > deg >= 8
 (the sweeps name every member of degree 6 and 7, and of degree 8 all but
 (5,3) and (4,4)), they pass its roots in F_p as well: _ddf divides out the
 linear factors and starts at degree 2 on the cofactor, where tr(Q^2) =
-n_1 + 2 n_2 mod p, Q Berlekamp's matrix on packed ints, names its
-quadratic factors.  Wherever the discriminant is passed, one parity table
-of partitions (_parity_table) stops the loop as soon as the square class
-leaves one cycle type.
+n_1 + 2 n_2 and tr(Q^3) = n_1 + 3 n_3 mod p, Q Berlekamp's matrix on
+packed ints, name its quadratic and cubic factors.  Wherever the
+discriminant is passed, one parity table of partitions (_parity_table)
+stops the loop as soon as the square class leaves one cycle type.
 Everything else over F_p (Poly arithmetic, gcds, resultants, discriminants,
 factor's squarefree and equal-degree steps, brute_force_factor) runs on the
 same int layer through the raw helpers below.
@@ -428,12 +428,33 @@ class _IntArith:
         and tr(Q^2) = sum_ij Q_ij Q_ji is its dot product with its transpose.
         powers keeps its new rows for the steps past the trace.
         """
+        flat = self._flat_q(powers, g)
+        return sum(map(mul, flat, _square_layout(len(g) - 1)[1](flat))) % self.p // 2
+
+    def cubic_count(self, powers, g):
+        """n_3, the number of cubic factors of g (as in quadratic_count), as tr(Q^3) = n_1 + 3 n_3 mod p.
+
+        Column k of Q^2 is Q times column k of Q: m scalar products of its
+        entries with Q's columns packed into 64-bit slots, each slot a sum of
+        m products below p^2, so below 2^64 for p < 10^7 (the sweep guard
+        bounds every root-fed member) and m <= 12.  tr(Q^3) =
+        sum_ij (Q^2)_ij Q_ji is then one flat dot product with Q's transpose.
+        """
+        m = len(g) - 1
+        flat = self._flat_q(powers, g)
+        packed = [_ipack(flat[j * m:(j + 1) * m]) for j in range(m)]
+        square = chain.from_iterable(_iunpack(sum(map(mul, flat[k * m:(k + 1) * m], packed)), m)
+                                     for k in range(m))
+        return sum(map(mul, square, _square_layout(m)[1](flat))) % self.p // 3
+
+    def _flat_q(self, powers, g):
+        """Q's columns, x^(jp) mod g for j < m (grow), as one flat column-major list of m^2 entries."""
         m = len(g) - 1
         self.grow(powers, g, m)
         h = powers[1]
         flat = [1] + [0] * (m - 1) + h + [0] * (m - len(h))
         flat += chain.from_iterable(powers[2:m])
-        return sum(map(mul, flat, _square_layout(m)[1](flat))) % self.p // 2
+        return flat
 
     def step(self, h, powers, g, m):
         """h^p mod m for m dividing g, as h(H) = sum_k h_k * H^k.
@@ -536,7 +557,7 @@ def _sole_rest(m, i, count):
     return rests[0] if len(rests) == 1 else None
 
 
-def _ddf(ar, g, square, start=None, roots=None):
+def _ddf(ar, g, square, start=None, roots=None, n2=None):
     """Distinct-degree factorization of a squarefree monic coefficient list g.
 
     ar is the arithmetic: _IntArith over F_p, _RawArith over any F_q.
@@ -557,14 +578,16 @@ def _ddf(ar, g, square, start=None, roots=None):
     _parity_table(m, i) holds exactly one partition of that parity.  A cubic
     of nonsquare discriminant is (2, 1) with no x^q.  Given roots too, a
     cofactor of degree m >= 6 (in the sweeps: degree >= 9, or type (5,3) or
-    (4,4)) first counts its n_2 quadratic factors as tr(Q^2) / 2, Q its
-    Frobenius matrix on packed ints (tr(Q^2) = n_1 + 2 n_2 mod p, exact for
-    p > m; _IntArith.grow and quadratic_count), and the
+    (4,4)) takes its n_2 quadratic factors from n2, or else as tr(Q^2) / 2,
+    Q its Frobenius matrix on packed ints (tr(Q^k) = sum_(j | k) j n_j
+    mod p, exact for p > m; _IntArith.grow and quadratic_count), and the
     rule names the rest, in parts > 2, where it can: every rest of degree
-    <= 7, and (8), with no x^(p^2) and no gcd.  Otherwise the loop goes on
-    from x^(p^2), with no gcd at degree 2 when n_2 = 0.  The blocks stop
-    short of what a stop names and hold no linear block when roots are
-    given, so factor() passes neither.
+    <= 7, and (8).  Where it cannot, n_3 = tr(Q^3) / 3 (cubic_count) and
+    the rule on parts > 3 name every cofactor of degree <= 9, with no
+    x^(p^2) and no gcd.  Otherwise the loop goes on from x^(p^2), with no
+    gcd at degree 2 when n_2 = 0.  The blocks stop short of what a stop
+    names and hold no linear block when roots are given, so factor()
+    passes neither.
     """
     blocks, h = [], None
     if roots is None:
@@ -584,12 +607,17 @@ def _ddf(ar, g, square, start=None, roots=None):
             mod = rem
             h, powers = ar.xq(mod) if start is None else ar.xq(mod, start, len(g) - 1)
             if i == 2:  # the linear factors are out
-                n2 = None if total is None else ar.quadratic_count(powers, mod)
-                rest = None if n2 is None else _sole_rest(m - 2 * n2, 2, total - len(parts) - n2)
-                if rest is not None:  # n_2 quadratic factors and the rest
-                    parts += (2,) * n2 + rest
-                    m = 0
-                    break
+                if total is not None:
+                    n2 = ar.quadratic_count(powers, mod) if n2 is None else n2
+                    known = (2,) * n2
+                    rest = _sole_rest(m - 2 * n2, 2, total - len(parts) - n2)
+                    if rest is None:  # and n_3
+                        known += (3,) * ar.cubic_count(powers, mod)
+                        rest = _sole_rest(m - sum(known), 3, total - len(parts) - len(known))
+                    if rest is not None:  # n_2 quadratic and n_3 cubic factors, and the rest
+                        parts += known + rest
+                        m = 0
+                        break
                 h = ar.step(h, powers, mod, rem)  # on to x^(q^2)
                 if n2 == 0:  # and past it: gcd(rem, x^(q^2) - x) = 1
                     continue
@@ -610,13 +638,13 @@ def _ddf(ar, g, square, start=None, roots=None):
     return tuple(parts), blocks
 
 
-def _pattern(ar, g, disc, start=None, roots=None):
+def _pattern(ar, g, disc, start=None, roots=None, n2=None):
     """Cycle type of a monic coefficient list g, None if not squarefree.
 
     disc, when given, is disc(g) for odd q (the sweeps pass it): zero
     means g is not squarefree, and otherwise the gcd(g, g') test is skipped
-    and its square class lets _ddf stop early.  start and roots are passed
-    on to _ddf.
+    and its square class lets _ddf stop early.  start, roots and n2 are
+    passed on to _ddf.
     """
     if disc is None:
         gp = ar.deriv(g)
@@ -624,16 +652,17 @@ def _pattern(ar, g, disc, start=None, roots=None):
             return None
     elif disc == 0:
         return None
-    return _ddf(ar, g, None if disc is None else ar.is_square(disc), start, roots)[0]
+    return _ddf(ar, g, None if disc is None else ar.is_square(disc), start, roots, n2)[0]
 
 
-def _pattern_or_none_int(p, g, disc=None, start=None, roots=None):
+def _pattern_or_none_int(p, g, disc=None, start=None, roots=None, n2=None):
     """Cycle type of g (monic int list over F_p), None if not squarefree; see _pattern.
 
     start, from _frobenius_columns, is x^e mod g for the top bits e of p;
-    roots, from the fiber pass, are all roots of g in F_p.
+    roots, from the fiber pass, are all roots of g in F_p, and n2, from the
+    pass over F_{p^2}, its number of quadratic factors.
     """
-    return _pattern(_IntArith(p), g, disc, start, roots)
+    return _pattern(_IntArith(p), g, disc, start, roots, n2)
 
 
 def _pattern_or_none_generic(ctx, g, disc=None, start=None):

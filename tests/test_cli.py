@@ -228,7 +228,8 @@ def test_a_sweep_child_that_exits_without_a_result_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(interval_lab, "_ddf_block", later_blocks_exit)
-    argv = ["sum", "--p", "31", "--f", "x^3+2*x+1", "--phi", "mu", "--workers", "2"]
+    # an octic's table calls the kernel for (5,3) and (4,4), so its build forks
+    argv = ["sum", "--p", "31", "--f", "x^8+3*x^5+x^3+2*x+1", "--phi", "mu", "--workers", "2"]
     assert run_command(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sweep child ") and err.endswith(" exited with code 3 and no result\n")

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -409,6 +410,32 @@ def test_joint_counts_match_member_by_member_kernel():
             assert _joint_counts(ctx, f, shifts, workers) == (expected, is_morse(f)[0]), (ctx, f, workers)
 
 
+CROSS_ROUTE_FIELDS = {
+    "F3": make_prime_field(3), "F5": make_prime_field(5), "F7": make_prime_field(7),
+    "F13": make_prime_field(13), "F9": make_extension(make_prime_field(3), 2, 0),
+    "F25": make_extension(make_prime_field(5), 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_FIELDS)
+def test_joint_counts_match_member_counts_on_every_route(name):
+    # d = 2-8 (p <= d included) at 1-3 shifts and 1-3 workers, standalone
+    # and from a scope's table: whichever route and however many blocks,
+    # the counts are the disc-free kernel's, member by member
+    ctx = CROSS_ROUTE_FIELDS[name]
+    rng = random.Random(f"cross-route/{name}")
+    for d in range(2, 9):
+        f = random_monic(ctx, d, rng)
+        for k in (1, 2, 3):
+            shifts = tuple(ctx.element_from_index(h) for h in rng.sample(range(ctx.q), k))
+            expected = (_member_counts(ctx, f, shifts), is_morse(f)[0])
+            for workers in (1, 2, 3):
+                assert _joint_counts(ctx, f, shifts, workers) == expected, (d, k, workers)
+                with run_scope():
+                    assert _joint_counts(ctx, f, shifts, workers) == expected, (d, k, workers)
+    _assert_no_child_left()
+
+
 def test_extension_tables_are_built_once_per_process(monkeypatch):
     from ffintervals.finite_field import FieldCtx
 
@@ -497,7 +524,6 @@ def test_run_scope_sweeps_each_interval_once(monkeypatch):
 
 def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
     F31 = make_prime_field(31)
-    F8 = make_extension(make_prime_field(2), 3, 0)
     mu = make_builtin("moebius", 3)
     for ctx, f in ((F31, parse_poly("x^3+2*x+1", F31)), (F8, Poly(F8, [1, 1, 0, 1]))):
         tables = []
@@ -512,12 +538,13 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
             cycle_pattern_or_none(ctx, [c] + list(f.raw_coeffs[1:])) for c in range(ctx.q)
         ]
         assert table == expected
-    # a tabled interval forks no child
+    # a tabled interval forks no child: the F_8 table, which the kernel
+    # builds, forks one, and the sweep that reads it none
     forked = _count_forks(monkeypatch)
     with run_scope():
-        first = class_sum(F31, parse_poly("x^3+2*x+1", F31), mu, 2)
+        first = class_sum(F8, Poly(F8, [1, 1, 0, 1]), mu, 2)
         assert len(forked) == 1
-        again = class_sum(F31, parse_poly("x^3+2*x+5", F31), mu, 2)
+        again = class_sum(F8, Poly(F8, [3, 1, 0, 1]), mu, 2)
     assert len(forked) == 1
     assert again.cycle_type_counts == first.cycle_type_counts
     _assert_no_child_left()
@@ -620,8 +647,8 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-F31 = make_prime_field(31)
 F1747 = make_prime_field(1747)
+F8 = make_extension(make_prime_field(2), 3, 0)  # p = 2: no D(t), so every table calls the kernel
 
 
 def _seeded_centers(degrees, label):
@@ -630,9 +657,10 @@ def _seeded_centers(degrees, label):
 
 
 def test_a_standalone_two_worker_sweep_forks_one_process(monkeypatch):
-    # the caller works the first block, so a w-worker sweep forks w - 1 children
-    f, = _seeded_centers((6,), "pool/standalone")
-    mu = make_builtin("moebius", 6)
+    # the caller works the first block, so a w-worker sweep that calls the
+    # kernel (here d = 8, for (5,3) and (4,4)) forks w - 1 children
+    f, = _seeded_centers((8,), "pool/standalone")
+    mu = make_builtin("moebius", 8)
     forked = _count_forks(monkeypatch)
     rep = class_sum(F1747, f, mu, 2)
     assert len(forked) == 1
@@ -682,19 +710,40 @@ def _first_block_raises(ctx, center, discs, cols, roots, offsets, lo, hi):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
+def test_only_sweeps_that_call_the_kernel_fork(monkeypatch, workers):
+    # where _ddf_inputs builds no x^p columns every member is named, and the
+    # caller works the whole interval: a d = 6 or 7 sweep or table, and a
+    # d = 4 table.  A d = 8 sweep or table, which factors (5,3) and (4,4),
+    # and a standalone d = 4 sweep, which takes no fiber pass, fork w - 1
+    f4, f6, f7, f8 = _seeded_centers((4, 6, 7, 8), "pool/kernel-bound")
+    forked = _count_forks(monkeypatch)
+    cases = [(f6, False, 0), (f7, False, 0), (f6, True, 0), (f7, True, 0), (f4, True, 0),
+             (f8, False, workers - 1), (f8, True, workers - 1), (f4, False, workers - 1)]
+    for f, scoped, children in cases:
+        forked.clear()
+        mu = make_builtin("moebius", f.degree)
+        with run_scope() if scoped else contextlib.nullcontext():
+            rep = class_sum(F1747, f, mu, workers)
+        assert len(forked) == children, (f.degree, scoped)
+        _assert_no_child_left()
+        assert rep.cycle_type_counts == class_sum(F1747, f, mu).cycle_type_counts
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
 def test_an_error_in_the_callers_block_leaves_no_process(monkeypatch, workers):
-    f, = _seeded_centers((6,), "pool/raises")
+    f, = _seeded_centers((8,), "pool/raises")  # d = 8 calls the kernel, so the sweep forks
     monkeypatch.setattr(interval_lab, "_sweep_block", _first_block_raises)
     forked = _count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="the caller's block"):
-        class_sum(F1747, f, make_builtin("moebius", 6), workers)
+        class_sum(F1747, f, make_builtin("moebius", 8), workers)
     assert len(forked) == workers - 1
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_typed_error_in_a_childs_block_reaches_the_caller(monkeypatch, workers):
-    f, = _seeded_centers((6,), "pool/raises")
+    f, = _seeded_centers((8,), "pool/raises")
 
     def later_blocks_raise(*args):
         lo = args[-2]
@@ -706,25 +755,27 @@ def test_a_typed_error_in_a_childs_block_reaches_the_caller(monkeypatch, workers
     forked = _count_forks(monkeypatch)
     # every child raises; the first block's error, in index order, is the one re-raised
     with pytest.raises(TooLarge, match=f"^the block from {1747 // workers}$"):
-        class_sum(F1747, f, make_builtin("moebius", 6), workers)
+        class_sum(F1747, f, make_builtin("moebius", 8), workers)
     assert len(forked) == workers - 1
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_child_that_exits_without_a_result_raises_worker_failed(monkeypatch, workers):
-    f = parse_poly("x^3+2*x+1", F31)
+    # an F_8 table calls the kernel (p = 2 has no D(t)), so the last block is
+    # a child's: on a named table the caller would work it and exit itself
+    f = Poly(F8, [1, 1, 0, 1])
     ddf_block = interval_lab._ddf_block
 
     def last_block_exits(*args):
-        if args[-1] == F31.q:
+        if args[-1] == F8.q:
             os._exit(3)
         return ddf_block(*args)
 
     monkeypatch.setattr(interval_lab, "_ddf_block", last_block_exits)
     forked = _count_forks(monkeypatch)
     with pytest.raises(WorkerFailed) as failed, run_scope():
-        class_sum(F31, f, make_builtin("moebius", 3), workers)
+        class_sum(F8, f, make_builtin("moebius", 3), workers)
     assert len(forked) == workers - 1
     assert str(failed.value) == f"sweep child {forked[-1]} exited with code 3 and no result"
     _assert_no_child_left()
@@ -765,13 +816,15 @@ def test_importing_the_cli_loads_no_process_pool_machinery():
     assert out == "[]\n"
 
 
-def test_a_two_worker_battery_forks_one_child_per_table_build(monkeypatch):
+def test_a_two_worker_battery_names_every_table_with_no_fork(monkeypatch):
+    # every table of the quick battery and of the demo is named (d <= 5, given
+    # roots), so each build is worked whole by the caller, and none forks
     from ffintervals import suite
 
     forked = _count_forks(monkeypatch)
     with run_scope():  # the demo's steps nest their scopes in this one
         large_q_demo(5, (1, 4), 2)
-    assert len(forked) == 2  # one table per step
+    assert len(forked) == 0
     forked.clear()
     builds = _count_table_builds(monkeypatch)  # counts the caller's block of each build
     during_demo = []
@@ -785,36 +838,39 @@ def test_a_two_worker_battery_forks_one_child_per_table_build(monkeypatch):
 
     monkeypatch.setattr(suite, "large_q_demo", counted_demo)
     suite._Battery(suite.SuiteParams(quick=True), 2).run_all()
-    assert len(forked) == len(builds) == 13  # every sweep of the battery builds a table
-    assert during_demo == [2]
+    assert len(builds) == 13  # every sweep of the battery builds a table
+    assert len(forked) == 0
+    assert during_demo == [0]
     assert threading.active_count() == 1
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_the_battery_and_the_demo_fork_per_table_and_leave_no_child(monkeypatch, workers):
+    # an octic's table calls the kernel for (5,3) and (4,4), so its build
+    # forks; the demo's cubic tables are named, and their builds fork none
     F101 = make_prime_field(101)
     forked = _count_forks(monkeypatch)
-    bat = moebius_battery(F101, first_morse_center(F101, 3), (F101(0), F101(1)), 5.0, workers)
+    bat = moebius_battery(F101, first_morse_center(F101, 8), (F101(0), F101(1)), 5.0, workers)
     assert bat.branch == "cancellation"
     assert len(forked) == workers - 1  # both sums read one table
     _assert_no_child_left()
     large_q_demo(5, (1, 2), workers)
-    assert len(forked) == 3 * (workers - 1)  # one table per step
+    assert len(forked) == workers - 1
     _assert_no_child_left()
     assert threading.active_count() == 1
 
 
 def test_a_two_worker_scope_leaves_no_child_raised_or_not(monkeypatch):
     big = make_prime_field(10000019)
-    f, mu = parse_poly("x^3+2*x+1", F31), make_builtin("moebius", 3)
+    f, mu = Poly(F8, [1, 1, 0, 1]), make_builtin("moebius", 3)  # an F_8 table forks
     forked = _count_forks(monkeypatch)
     with run_scope():
-        class_sum(F31, f, mu, 2)
+        class_sum(F8, f, mu, 2)
         assert len(forked) == 1
         _assert_no_child_left()
     with pytest.raises(TooLarge), run_scope():
-        class_sum(F31, f.shift_const(F31(1)), mu, 2)
+        class_sum(F8, f.shift_const(F8(1)), mu, 2)
         class_sum(big, Poly(big, [0, 0, 0, 1]), mu, 2)
     assert len(forked) == 2
     _assert_no_child_left()
@@ -827,16 +883,17 @@ def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
         if name.startswith("check_") and name != "check_divisor":
             monkeypatch.setattr(suite._Battery, name, lambda self: None)
     builds = []
-    blocks = interval_lab._blocks
+    table = interval_lab._interval_table
 
-    def record(block, head, q, workers):
-        builds.append((block.__name__, workers))
-        return blocks(block, head, q, workers)
+    def record(ctx, f, workers):
+        if interval_lab._key(ctx, f) not in interval_lab._tables:
+            builds.append(workers)
+        return table(ctx, f, workers)
 
-    monkeypatch.setattr(interval_lab, "_blocks", record)
+    monkeypatch.setattr(interval_lab, "_interval_table", record)
     result = suite.run_paper_suite(suite.SuiteParams(quick=True))
     # three sweeps of one interval per battery; the rerun builds at 2 workers
-    assert builds == [("_ddf_block", 1), ("_ddf_block", 2)]
+    assert builds == [1, 2]
     assert result["pass"] and [c["id"] for c in result["checks"]] == [9, 16]
 
 

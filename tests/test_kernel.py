@@ -123,12 +123,13 @@ class _PathArith:
     """A kernel arithmetic that records the steps _ddf takes through it.
 
     record names the labels kept: "xq" (the first power), "trace" (the trace
-    of Q^2) and "gcd"; every other call passes through unrecorded.
+    of Q^2), "cube" (the trace of Q^3) and "gcd"; every other call passes
+    through unrecorded.
     """
 
-    LABELS = {"xq": "xq", "quadratic_count": "trace", "gcd": "gcd"}
+    LABELS = {"xq": "xq", "quadratic_count": "trace", "cubic_count": "cube", "gcd": "gcd"}
 
-    def __init__(self, ar, record=("trace", "gcd")):
+    def __init__(self, ar, record=("trace", "cube", "gcd")):
         self.ar, self.record, self.path = ar, record, []
 
     def __getattr__(self, name):
@@ -143,19 +144,26 @@ class _PathArith:
         return recorded
 
 
-# the types of degree 6-9 whose parts of degree >= 3 the square class cannot
-# name from the parity table: _ddf goes on from the trace of Q^2 to the gcds
-GCD_PATH_TYPES_TO_9 = {(5, 3), (4, 4), (9,), (6, 3), (5, 4), (3, 3, 3), (5, 3, 1), (4, 4, 1)}
+# the types of degree 6-9, and of degree 10-12, whose parts of degree >= 4
+# the square class cannot name from the parity table once the traces of Q^2
+# and Q^3 have named the parts 2 and 3: _ddf goes on from them to the gcds
+GCD_PATH_TYPES_TO_9 = set()
+GCD_PATH_TYPES_10_TO_12 = {
+    (6, 4), (5, 5),
+    (7, 4), (6, 5), (6, 4, 1), (5, 5, 1),
+    (12,), (8, 4), (7, 5), (6, 6), (4, 4, 4), (7, 4, 1), (6, 5, 1),
+    (6, 4, 2), (5, 5, 2), (6, 4, 1, 1), (5, 5, 1, 1),
+}
 
 
-def _alike(r, parts):
-    """The partitions of r into parts >= 3 with as many parts as parts, mod 2 (a direct filter)."""
-    if r == 0:
+def _alike(parts, low):
+    """The partitions of sum(parts) into parts >= low with as many parts as parts, mod 2 (a direct filter)."""
+    if not parts:
         return [()]
     return [
         ct.parts
-        for ct in partitions_of(r)
-        if ct.parts[-1] >= 3 and len(ct.parts) % 2 == len(parts) % 2
+        for ct in partitions_of(sum(parts))
+        if ct.parts[-1] >= low and len(ct.parts) % 2 == len(parts) % 2
     ]
 
 
@@ -166,8 +174,11 @@ def test_kernel_on_planted_products(p):
     # give None.  The sweeps' path gets D(c), the start of x^p and the sorted
     # roots: a cofactor of degree m <= 5 is named before any power; past it
     # the trace of Q^2 names the quadratic factors, and the square class the
-    # rest wherever one partition into parts >= 3 has its parity of parts.
-    # The rest go on to the gcds.
+    # rest wherever one partition into parts >= 3 has its parity of parts;
+    # past that the trace of Q^3 names the cubic factors, and the square
+    # class the rest wherever one partition into parts >= 4 has its parity.
+    # The rest go on to the gcds.  Given n_2, as the sweeps of degree 6-8
+    # give it, the path is the same without the trace of Q^2.
     ctx = make_prime_field(p)
     rng = random.Random(f"planted/{p}")
     pool = {}
@@ -196,16 +207,22 @@ def test_kernel_on_planted_products(p):
             start = _rpow_poly_mod(ctx, [0, 1], e, raws)
             assert _pattern(ar, raws, disc, start, roots) == ct.parts, g
             m = d - used[1]
-            rest = tuple(k for k in ct.parts if k >= 3)
             if m <= 5:
                 assert ar.path == [], (ct.parts, m)
-            elif len(_alike(sum(rest), rest)) == 1:
+            elif len(_alike(tuple(k for k in ct.parts if k >= 3), 3)) == 1:
                 assert ar.path == ["trace"], ct.parts
+            elif len(_alike(tuple(k for k in ct.parts if k >= 4), 4)) == 1:
+                assert ar.path == ["trace", "cube"], ct.parts
             else:
-                assert ar.path[0] == "trace" and "gcd" in ar.path, ct.parts
+                assert ar.path[:2] == ["trace", "cube"] and "gcd" in ar.path, ct.parts
                 gcd_path.add(ct.parts)
+            given = _PathArith(_IntArith(p))
+            assert _pattern(given, raws, disc, start, roots, ct.parts.count(2)) == ct.parts, g
+            assert given.path == [step for step in ar.path if step != "trace"], ct.parts
             assert _kernel(g * pool[ct.parts[-1]][0]) is None, g
     assert {ct for ct in gcd_path if sum(ct) <= 9} == GCD_PATH_TYPES_TO_9
+    beyond_9 = {ct for ct in GCD_PATH_TYPES_10_TO_12 if sum(ct) <= top}
+    assert {ct for ct in gcd_path if sum(ct) >= 10} == beyond_9
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +398,39 @@ def test_trace_of_q_squared_counts_the_roots_in_f_p2(p):
                 assert ar.quadratic_count(powers, cofactor) == degrees.count(2), g
 
 
+@pytest.mark.parametrize("p", [13, 1747, 10007])
+def test_trace_of_q_cubed_counts_the_roots_in_f_p3(p):
+    # tr(Q^3) = n_1 + 3 n_3 mod p, against the factor degrees; on the cofactor
+    # left by the roots, cubic_count reads n_3 off it, with or without the
+    # rows that quadratic_count grows first
+    ctx = make_prime_field(p)
+    rng = random.Random(f"trace3/{p}")
+    ar = _IntArith(p)
+    seen = set()
+    for d in range(3, 13):
+        for _ in range(4):
+            g = _squarefree_monic(ctx, d, rng)
+            degrees = factor(g).multiset_degrees()
+            seen.add(degrees.count(3))
+            raws = list(g.raw_coeffs)
+            _, powers = ar.xq(raws)
+            ar.grow(powers, raws, d)
+            q = [pw + [0] * (d - len(pw)) for pw in powers]
+            trace = sum(q[j][i] * q[k][j] * q[i][k] for i in range(d) for j in range(d) for k in range(d))
+            assert trace % p == (degrees.count(1) + 3 * degrees.count(3)) % p, g
+            cofactor = ar.divide_roots(raws, [r.raw for r in roots_in_field(g)])
+            if len(cofactor) > 2:
+                _, powers = ar.xq(cofactor)
+                assert ar.cubic_count(powers, cofactor) == degrees.count(3), g
+                assert ar.quadratic_count(powers, cofactor) == degrees.count(2), g
+                assert ar.cubic_count(powers, cofactor) == degrees.count(3), g
+    assert seen == {0, 1, 2}
+
+
 def test_members_past_the_trace_build_no_power_row_twice(monkeypatch):
-    # (5, 3) and (4, 4) at d = 8 go on from tr(Q^2) to x^(p^2) and the gcds;
-    # their steps read the rows H^2..H^7 that quadratic_count grew in place
+    # (5, 3) and (4, 4) at d = 8 stop at tr(Q^3), which reads the rows
+    # H^2..H^7 that quadratic_count grew in place; (6, 4) at d = 10 goes on
+    # to x^(p^2) and the gcds, whose steps read H^2..H^9 in turn
     p = 1747
     ctx = make_prime_field(p)
     rng = random.Random("rows/1747")
@@ -395,21 +442,23 @@ def test_members_past_the_trace_build_no_power_row_twice(monkeypatch):
         built.extend((tuple(g), k) for k in range(before, len(powers)))
 
     monkeypatch.setattr(_IntArith, "grow", recorded)
-    pool = {k: [] for k in (3, 4, 5)}
+    pool = {k: [] for k in (3, 4, 5, 6)}
     for k, found in pool.items():
         while len(found) < 2:
             g = random_monic(ctx, k, rng)
             if is_irreducible(g) and g not in found:
                 found.append(g)
-    for a, b in ((pool[5][0], pool[3][0]), (pool[4][0], pool[4][1])):
+    for (a, b), path in (((pool[5][0], pool[3][0]), ["trace", "cube"]),
+                         ((pool[4][0], pool[4][1]), ["trace", "cube"]),
+                         ((pool[6][0], pool[4][0]), ["trace", "cube", "gcd", "gcd"])):
         g = a * b
         raws = list(g.raw_coeffs)
-        start = _rpow_poly_mod(ctx, [0, 1], p >> _batch_shift(p, 8), raws)
+        start = _rpow_poly_mod(ctx, [0, 1], p >> _batch_shift(p, g.degree), raws)
         ar = _PathArith(_IntArith(p))
         built.clear()
         assert _pattern(ar, raws, discriminant(g).raw, start, []) == (a.degree, b.degree), g
-        assert ar.path[0] == "trace" and "gcd" in ar.path, g
-        assert built == [(tuple(raws), k) for k in range(2, 8)], g
+        assert ar.path == path, g
+        assert built == [(tuple(raws), k) for k in range(2, g.degree)], g
 
 
 def _prime_below(n):
@@ -781,16 +830,18 @@ def _fed_and_unfed(ctx, center, consts):
     With the root lists the member types are the sweep's: named from the root
     count, n_2 for d = 6-8 and D(c) where those name one, from the root-fed
     kernel otherwise; and the root-fed kernel must give each of them too,
-    from the batched start, which the sweep builds only for d = 8 and d >= 9.
+    from the batched start, which the sweep builds only for d = 8 and d >= 9,
+    with and without the n_2 of d = 6-8.
     """
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
     discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
-    xs, starts = roots[:2]
+    xs, starts, twos = roots[:3]
     fed = list(interval_lab._member_types(ctx, center, discs, cols, roots, consts))
     cols = cols or _frobenius_columns(ctx.p, center)
     for c, t in zip(consts, fed):
-        g, start = [c, *center[1:]], [col[c] for col in cols]
-        assert _pattern_or_none_int(ctx.p, g, discs[c], start, xs[starts[c]:starts[c + 1]]) == t, c
+        g, start, rs = [c, *center[1:]], [col[c] for col in cols], xs[starts[c]:starts[c + 1]]
+        for n2 in (None,) if twos is None else (None, twos[c]):
+            assert _pattern_or_none_int(ctx.p, g, discs[c], start, rs, n2) == t, (c, n2)
     unfed = list(interval_lab._member_types(ctx, center, discs, cols, None, consts))
     return fed, unfed, [list(xs[starts[c]:starts[c + 1]]) for c in consts]
 
