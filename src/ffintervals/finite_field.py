@@ -35,13 +35,14 @@ extension arithmetic runs on it, and so does all F_p polynomial arithmetic
 in polynomial.  Beside it, polynomials packed into one int (_ipack,
 _iunpack, _islots_mod) carry the batched x^p and the Frobenius matrices
 of the sweeps, and _ieval_all evaluates int-list polynomials at every point
-of F_p.
+of F_p from their chirp sums (_ichirp_sums), on the last p's _chirp_plan.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
+import sys
 from array import array
 from itertools import zip_longest
 
@@ -235,40 +236,65 @@ def _primitive_root(p):
     return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exps))
 
 
-def _ieval_all(p, polys):
-    """Each int-list polynomial over F_p at every c in F_p, as columns col[c].
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(p):
+    """(chirp, ichirp, points, packed): F_p's chirp plan, kept for the last p and grown by _ichirp_sums.
+
+    With g the least primitive root, points[k] = g^k for k < p - 1, and
+    chirp[k] = g^C(k,2) and ichirp[k] = g^-C(k,2) for k < n + p - 2, n the
+    longest list asked for at p so far, in 4-byte arrays; packed[w] is chirp
+    in w-bit slots (_ipack).
+    """
+    g, points = _primitive_root(p), array("i", [1])
+    for _ in range(p - 2):
+        points.append(points[-1] * g % p)
+    return array("i"), array("i"), points, {}
+
+
+def _ichirp_sums(p, polys):
+    """The chirp sums s[j] = g^C(j,2) a(g^j), j < p - 1, of each int-list polynomial a over F_p.
 
     A chirp (Bluestein) transform: with g a primitive root and
     ij = C(i + j, 2) - C(i, 2) - C(j, 2),
     a(g^j) = g^-C(j,2) * sum_i (a_i g^-C(i,2)) g^C(i+j,2),
-    a correlation with the chirp g^C(k,2), which is one packed product per
-    polynomial.  Each slot of it is a sum of at most n products below p^2,
-    n the longest coefficient list: the slots are 32 bits wide where
-    n * (p - 1)^2 < 2^32 (_islot_width), and 64 bits wide otherwise, where
-    n * (p - 1)^2 < 2^64 is required.  A column holds one machine word per c.
+    a correlation with the chirp g^C(k,2) of F_p's plan, which is one packed
+    product per polynomial.  Each slot of it is a sum of at most n products
+    below p^2, n the longest coefficient list: the slots are 32 bits wide
+    where n * (p - 1)^2 < 2^32 (_islot_width), and 64 bits wide otherwise,
+    where n * (p - 1)^2 < 2^64 is required.  s is those slots, unreduced.
     """
     n = max(1, max(map(len, polys)))
-    m = p - 1  # the points g^0, ..., g^(p - 2)
-    g = _primitive_root(p)
-    ginv = pow(g, p - 2, p)
-    chirp, ichirp, points = array("q"), array("q"), array("q")
-    x = xi = gk = gik = 1  # g^C(k,2), g^-C(k,2), g^k, g^-k
-    for k in range(n + m - 1):
-        chirp.append(x)
-        ichirp.append(xi)
-        points.append(gk)
-        x, xi = x * gk % p, xi * gik % p
-        gk, gik = gk * g % p, gik * ginv % p
+    chirp, ichirp, points, packed = _chirp_plan(p)
+    if len(chirp) < n + p - 2:  # extend the plan in place; g^-e is points[-e]
+        es = [k * (k - 1) // 2 % (p - 1) for k in range(len(chirp), n + p - 2)]
+        chirp.extend(map(points.__getitem__, es))
+        ichirp.extend(map(points.__getitem__, [-e for e in es]))
+        packed.clear()
     width = _islot_width(n * (p - 1) ** 2)
-    v = _ipack(chirp, width)
-    cols = []
+    v = packed.get(width) or packed.setdefault(width, _ipack(chirp, width))
+    b = width // 8  # bytes a slot
+    skip, end, size = b * (n - 1), b * (n + p - 2), b * (n - 1 + len(chirp))
+    sums = []
     for a in polys:
-        a = list(a) + [0] * (n - len(a))
         # u holds a_i g^-C(i,2) reversed, so slot n - 1 + j of u * v is the sum for g^j
-        u = _ipack([c * ichirp[i] % p for i, c in enumerate(a)][::-1], width)
-        s = _iunpack(u * v, 2 * n + m - 2, width)[n - 1:n - 1 + m]
+        u = _ipack([0] * (n - len(a)) + [c * ichirp[i] % p for i, c in enumerate(a)][::-1], width)
+        sums.append(array(_SLOT_CODES[width], (u * v).to_bytes(size, "little")[skip:end]))
+        if sys.byteorder == "big":
+            sums[-1].byteswap()
+    return sums
+
+
+def _ieval_all(p, polys, sums=None):
+    """Each int-list polynomial a over F_p at every c, as columns col[c] of one machine word each.
+
+    a(0) = a[0] and a(g^j) = g^-C(j,2) s[j], s a's chirp sums (_ichirp_sums, computed unless given).
+    """
+    sums = _ichirp_sums(p, polys) if sums is None else sums
+    _, ichirp, points, _ = _chirp_plan(p)
+    cols = []
+    for a, s in zip(polys, sums):
         col = array("q", bytes(8 * p))
-        col[0] = a[0]
+        col[0] = a[0] if a else 0
         for c, sj, w in zip(points, s, ichirp):
             col[c] = sj * w % p
         cols.append(col)

@@ -9,9 +9,10 @@ term 0, which disc_in_t builds in every field, p <= deg f included: every
 D(c), a zero of which marks a member non-squarefree; for a table and for a
 standalone sweep of degree >= 6 the fiber pass, the roots of every member
 in any field, and over F_p a table of square roots and, for degree 6-8,
-every member's n_2 from one pass over F_{p^2} (_quadratic_counts); and,
-unless every member is named, x^e mod every member (e the top bits of p)
-from one bivariate power.  By Stickelberger the root count, n_2 where
+every member's n_2 from one pass over F_{p^2} on the unscaled chirp sums
+of the center's Hasse derivatives (_quadratic_counts); and, unless every
+member is named, x^e mod every member (e the top bits of p) from one
+bivariate power.  By Stickelberger the root count, n_2 where
 known, and the square class of D(c) name every member for deg f <= 5, and
 over F_p for deg f <= 7, and all but (5,3) and (4,4) for deg f = 8
 (_named).  The kernel factors the others from their start of x^p,
@@ -59,7 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
 from .errors import (
@@ -74,6 +75,8 @@ from .finite_field import (
     FieldCtx,
     FieldElement,
     _digits,
+    _chirp_plan,
+    _ichirp_sums,
     _ieval_all,
     _small_prime_factors,
     make_extension,
@@ -156,28 +159,27 @@ def _ddf_inputs(ctx, center, d_raws, fiber):
     member with constant term -center(x), so that member has the roots
     xs[starts[c]:starts[c + 1]], in any field.  Over F_p, squares is
     _square_roots(p), and for 6 <= d <= 8 twos[c] is the member's n_2
-    (_quadratic_counts, on Hasse derivatives f_1..f_(d-2) from the same
-    chirp call; f_(d-1) is linear and f_d = 1); else None.  cols are
-    _frobenius_columns over F_p and _ext_frobenius_columns over F_{p^l},
-    None where every member is named: for d = 2 given D(t), d <= 5 given
-    roots, d <= 7 given twos.  The callers fork only where cols are built.
+    (_quadratic_counts, on the unscaled chirp sums of the Hasse derivatives
+    from the same chirp call); else None.  cols are _frobenius_columns over
+    F_p and _ext_frobenius_columns over F_{p^l}, None where every member is
+    named: for d = 2 given D(t), d <= 5 given roots, d <= 7 given twos.  The
+    callers fork only where cols are built.
     """
     d, p, q = len(center) - 1, ctx.p, ctx.q
     discs = roots = None
     if d_raws is not None:  # at every c: one chirp product each over F_p, Horner over F_{p^l}
         n2_pass = fiber and ctx.l == 1 and 6 <= d <= 8
         polys = [d_raws, center] if fiber else [d_raws]
-        if n2_pass:  # f_k(u) = sum_j C(j, k) center_j u^(j - k), f_0 = center; f_d = 1 and f_(d-1) below
-            polys += [[math.comb(j, k) * center[j] % p for j in range(k, d + 1)] for k in range(1, d - 1)]
+        if n2_pass:  # the Hasse derivatives f_k(u) = sum_j C(j, k) center_j u^(j - k), f_7 = 0 at d = 6
+            polys += [[math.comb(j, k) * center[j] % p for j in range(k, d + 1)] for k in range(1, max(d, 7) + 1)]
         if ctx.l == 1:
-            discs, *values = _ieval_all(p, polys)
+            sums = _ichirp_sums(p, polys)
+            discs, *values = _ieval_all(p, polys[:2], sums)
         else:
             discs, *values = [array("q", [_reval(ctx, a, c) for c in range(q)]) for a in polys]
-        if n2_pass:  # f_(d-1)(u) = d u + center_(d-1)
-            values += array("q", [(d * u + center[d - 1]) % p for u in range(p)]), array("q", [1]) * p
         if fiber:
             squares = _square_roots(p) if ctx.l == 1 else None
-            twos = _quadratic_counts(ctx, values, squares) if n2_pass else None
+            twos = _quadratic_counts(p, center, sums[1:], squares) if n2_pass else None
             roots = *_fibers(list(map(ctx.neg, values[0])), q), twos, squares
         if d == 2 or fiber and (d <= 5 or n2_pass and d <= 7):
             return discs, None, roots
@@ -198,39 +200,50 @@ def _square_roots(p):
     return roots
 
 
-def _quadratic_counts(ctx, hasse, roots):
-    """n_2 of each member of I(center) over F_p (odd p, deg <= 8), by constant term.
+def _quadratic_counts(p, center, sums, roots):
+    """n_2 of each member of I(center) over F_p (odd p, deg 6..8), by constant term.
 
-    hasse[k][u] = f_k(u), the center's Hasse derivatives; roots is
+    sums[k] are the unreduced chirp sums g^C(j,2) f_k(g^j) of the center's
+    Hasse derivatives f_k, f_0 the center, and f_k(0) = center[k]; roots is
     _square_roots(p), n its least nonsquare.  With x = u + v*s, s^2 = n,
     v != 0 and z = n v^2, center(x) = A(u, z) + v*s*B(u, z), where
-    A = sum_j f_2j(u) z^j and B = sum_j f_2j+1(u) z^j: so each root z of B(u, .)
+    A = sum_i f_2i(u) z^i and B = sum_i f_2i+1(u) z^i: so each root z of B(u, .)
     that is a nonzero nonsquare is one factor (x - u)^2 - z of the member
-    with constant term -A(u, z).  z^i B(u, z) is made a cubic, depressed to
+    with constant term -A(u, z).  The factor g^C(j,2) moves no root, so A is
+    scaled back at a root only.  z^i B(u, z) is made a cubic, depressed to
     y^3 - 3 rho y + Q, and y = sigma t with sigma^2 = rho or rho / n: t lies
     in the fiber over -Q / sigma^3 of t^3 - 3t or t^3 - 3nt (Dickson), or
     of t^3 when rho = 0.
     """
-    p, n = ctx.p, roots.index(-1)
+    n, twos = roots.index(-1), bytearray(p)
     maps, inverse = _dickson_fibers(p, n) if p > 3 else (None, None)
-    twos = bytearray(p)
-    for b, a in zip(zip(*hasse[1::2]), zip(*hasse[0::2])):
-        if p == 3 or not any(b):  # F_3 cannot depress a cubic, and B(u, .) = 0 has every root
-            zs = [z for z in range(p) if not _reval(ctx, b, z)]
+    third, scales = (inverse[3], (1, 1, inverse[n])) if p > 3 else (None, None)
+    bs = chain([(*center, 0)[1:8:2]], zip(*sums[1::2]))  # B's coefficients, f_7 = 0 at d = 6
+    as_ = chain([center[::2][::-1]], zip(*sums[::2][::-1]))  # A's, highest first
+    for scale, (b0, b1, b2, b3), a in zip(chain((1,), _chirp_plan(p)[1]), bs, as_):
+        b0, b1, b2, b3 = b0 % p, b1 % p, b2 % p, b3 % p
+        if p == 3 or not (b0 or b1 or b2 or b3):  # F_3 cannot depress a cubic; B(u, .) = 0 has every root
+            sigma, s, ts = 1, 0, [z for z in range(p) if not (b0 + z * (b1 + z * (b2 + z * b3))) % p]
         else:
-            while not b[-1]:
-                b = b[:-1]
-            b0, b1, b2, b3 = (0,) * (4 - len(b)) + b  # z^i B(u, z): a cubic, with B's nonzero roots
-            inv, third = inverse[b3], inverse[3]
+            while not b3:  # z^i B(u, z): a cubic, with B's nonzero roots
+                b0, b1, b2, b3 = 0, b0, b1, b2
+            inv = inverse[b3]
             s, a1 = b2 * inv * third % p, b1 * inv % p
             rho, w = (s * s - a1 * third) % p, (a1 * s - 2 * s * s * s - b0 * inv) % p  # w = -Q
             e = 0 if not rho else 1 if roots[rho] >= 0 else 2  # t^3, t^3 - 3t or t^3 - 3nt
-            sigma, (xs, starts) = roots[rho * (1, 1, inverse[n])[e] % p] or 1, maps[e]
-            w = w * inverse[sigma ** 3 % p] % p
-            zs = [(sigma * t - s) % p for t in xs[starts[w]:starts[w + 1]]]
-        for z in zs:
+            sigma, (xs, starts) = roots[rho * scales[e] % p] or 1, maps[e]
+            w = w * inverse[sigma * sigma * sigma % p] % p
+            lo, hi = starts[w], starts[w + 1]
+            if lo == hi:
+                continue
+            ts = xs[lo:hi]
+        for t in ts:
+            z = (sigma * t - s) % p
             if roots[z] < 0:  # a nonzero nonsquare: one quadratic factor
-                twos[-_reval(ctx, a, z) % p] += 1
+                v = 0
+                for c in a:
+                    v = v * z + c
+                twos[-v * scale % p] += 1
     return twos
 
 
@@ -596,9 +609,6 @@ def chebotarev_empirical(ctx, f, shifts, workers: int = 1) -> ChebotarevReport:
         tuple(ct.parts for ct in cts): Fraction(1, math.prod(ct.centralizer_order() for ct in cts))
         for cts in product(partitions_of(f.degree), repeat=len(shifts))
     }
-    devs = {
-        k: float(abs(freqs.get(k, Fraction(0)) - w)) for k, w in predicted.items()
-    }
     tv = sum(abs(freqs.get(k, Fraction(0)) - w) for k, w in predicted.items())
     tv += sum(v for k, v in freqs.items() if k not in predicted)
     return ChebotarevReport(
@@ -608,7 +618,7 @@ def chebotarev_empirical(ctx, f, shifts, workers: int = 1) -> ChebotarevReport:
         nonsquarefree_count=nonsf,
         frequencies=freqs,
         predicted=predicted,
-        max_deviation=max(devs.values()) if devs else 0.0,
+        max_deviation=max(float(abs(freqs.get(k, 0) - w)) for k, w in predicted.items()),
         tv_distance=float(tv) / 2.0,
         elapsed=time.perf_counter() - t0,
         worker_count=workers,

@@ -39,7 +39,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import itemgetter, mul
 
 from .class_functions import _MAX_D, CycleType, partitions_of
@@ -84,15 +84,11 @@ def _trim(c):
 
 
 def _radd(ctx, a, b):
-    n = max(len(a), len(b))
-    out = [ctx.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
-    return _trim(out)
+    return _trim([ctx.add(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _rsub(ctx, a, b):
-    n = max(len(a), len(b))
-    out = [ctx.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
-    return _trim(out)
+    return _trim([ctx.sub(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _rmul(ctx, a, b):
@@ -133,12 +129,9 @@ def _rdivmod(ctx, a, b):
 
 
 def _rmonic(ctx, a):
-    if not a:
-        return []
-    lc = a[-1]
-    if lc == 1:
+    if not a or a[-1] == 1:
         return list(a)
-    inv = ctx.inv(lc)
+    inv = ctx.inv(a[-1])
     return [ctx.mul(c, inv) for c in a]
 
 
@@ -147,8 +140,7 @@ def _rgcd(ctx, a, b):
         return _igcd_monic(ctx.p, list(a), list(b))
     a, b = list(a), list(b)
     while b:
-        _, r = _rdivmod(ctx, a, b)
-        a, b = b, r
+        a, b = b, _rdivmod(ctx, a, b)[1]
     return _rmonic(ctx, a)
 
 
@@ -1049,15 +1041,18 @@ def factor(g: Poly, seed: int = 0) -> FactorizationResult:
     if g.degree < 1:
         raise OutOfRange("factorization needs degree >= 1")
     ctx = g.ctx
-    rng = random.Random(f"edf/{seed}/{ctx.p}/{ctx.l}")
+    rng = None  # seeded at the first block that needs a split
     unit = g.lc()
     ar = _arith(ctx)
     found = []
     # every part of the squarefree decomposition is squarefree already
     for exponent, part in sorted(_sqf_decompose(ctx, _rmonic(ctx, list(g._c))).items()):
         for block, deg_i in _ddf(ar, part, None)[1]:
-            for raws in _edf(ctx, block, deg_i, rng):
-                found.append((Poly.from_raw(ctx, raws), exponent))
+            if len(block) - 1 > deg_i:
+                rng = rng or random.Random(f"edf/{seed}/{ctx.p}/{ctx.l}")
+                found += ((Poly.from_raw(ctx, raws), exponent) for raws in _edf(ctx, block, deg_i, rng))
+            else:
+                found.append((Poly.from_raw(ctx, block), exponent))
     found.sort(key=lambda fm: fm[0].canonical_key())
     return FactorizationResult(tuple(found), unit)
 

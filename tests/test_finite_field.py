@@ -405,3 +405,34 @@ def test_chirp_evaluation_with_full_length_coefficient_lists_at_a_large_prime():
         for _ in range(512):
             acc = (acc * c + p - 1) % p
         assert col[c] == acc, (p, c)
+
+
+def test_the_chirp_plan_is_kept_for_the_last_prime_and_grown_on_demand():
+    # in one process the primes alternate and the lists grow from 1 to 513
+    # coefficients: each prime builds one plan, a longer list extends it in
+    # place and a shorter one reuses it, and the plan never holds more than
+    # the longest list asked for at its prime needs.  At p = 20011 lists of
+    # up to 10 coefficients run on 32-bit slots and longer ones on 64-bit
+    # ones, both from one plan (at most 40 there, to keep Horner cheap)
+    rng = random.Random("chirp/plan")
+    plan_of = finite_field._chirp_plan
+    widths = set()
+    for top in (1, 4, 11, 40, 129, 513):
+        for p in (2, 3, 5, 7, 101, 1009, 20011):
+            top_p = min(top, 40) if p == 20011 else top
+            longest, builds = 0, plan_of.cache_info().misses
+            for n in (top_p // 2, top_p, 1 + top_p // 4):
+                polys = [[rng.randrange(p) for _ in range(k)] for k in (n, n // 2 + 1)]
+                for a, col in zip(polys, finite_field._ieval_all(p, polys)):
+                    want = [0] * p
+                    for coeff in reversed(a):
+                        want = [(w * c + coeff) % p for c, w in enumerate(want)]
+                    assert list(col) == want, (p, a)
+                longest = max(longest, n, n // 2 + 1)
+                chirp, ichirp, points, packed = plan_of(p)
+                assert plan_of.cache_info().misses == builds + 1, (p, n)
+                assert len(chirp) == len(ichirp) == longest + p - 2 and len(points) == p - 1, (p, n)
+                assert all(v.bit_length() <= w * len(chirp) for w, v in packed.items()), (p, n)
+                if p == 20011:
+                    widths.add(tuple(sorted(packed)))
+    assert (32, 64) in widths

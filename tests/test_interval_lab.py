@@ -1264,6 +1264,57 @@ def test_n2_where_b_vanishes_at_some_u():
     _assert_named_route(F7, f)
 
 
+def _assert_n2_is_factors_count(ctx, f):
+    """Every member's n_2 from the pass over F_{p^2}, squarefree or not, is its number of distinct quadratic factors."""
+    center, d_raws, _ = interval_lab._center(ctx, f)
+    twos = interval_lab._ddf_inputs(ctx, center, d_raws, True)[2][2]
+    factors = (factor(Poly.from_raw(ctx, [c, *center[1:]])).factors for c in range(ctx.p))
+    assert list(twos) == [sum(g.degree == 2 for g, _ in fs) for fs in factors], f
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+@pytest.mark.parametrize("p", [3, 11, 13, 1747])
+def test_n2_from_unscaled_chirp_sums_matches_factor_on_every_member(p, d):
+    # the pass reads the Hasse derivatives' chirp sums g^C(j,2) f_k(g^j)
+    # unscaled, and u = 0 from the center's coefficients: seeded intervals
+    # (one over F_1747) and an even center (d = 6 and 8), whose B(0, .) = 0,
+    # so each nonzero nonsquare z gives a factor x^2 - z
+    ctx = make_prime_field(p)
+    rng = random.Random(f"n2/unscaled/{p}/{d}")
+    centers = [random_monic(ctx, d, rng) for _ in range(1 if p == 1747 else 6)]
+    if d % 2 == 0:
+        centers.append(Poly.from_raw(ctx, [0 if k % 2 else rng.randrange(p) for k in range(d)] + [1]))
+        assert not any(centers[-1].raw_coeffs[1::2])
+    for f in centers:
+        _assert_n2_is_factors_count(ctx, f)
+
+
+@pytest.mark.parametrize("p", [11, 13, 1747])
+def test_n2_where_an_octics_b_drops_to_a_quadratic(p):
+    # f_7(u) = 8u + c_7 vanishes at u0 = -c_7 / 8, so there B(u0, .) has
+    # degree 2 at most.  The first seeded octic with a member that has a
+    # quadratic factor (x - u0)^2 - z (a nonsquare z with B(u0, z) = 0), and
+    # every member's n_2 against factor
+    ctx = make_prime_field(p)
+    rng = random.Random(f"n2/octic/{p}")
+    nonsquares = {z for z in range(1, p) if pow(z, (p - 1) // 2, p) == p - 1}
+    while True:
+        f = random_monic(ctx, 8, rng)
+        c = (0, *f.raw_coeffs[1:])  # the center
+        u0 = -c[7] * pow(8, -1, p) % p
+        hasse = [[math.comb(j, k) * c[j] % p for j in range(k, 9)] for k in range(9)]
+        b = [_reval(ctx, hasse[k], u0) for k in (1, 3, 5, 7)]
+        zs = [z for z in nonsquares if not _reval(ctx, b, z)]
+        if zs:
+            break
+    assert b[3] == 0
+    a = [_reval(ctx, hasse[k], u0) for k in (0, 2, 4, 6, 8)]
+    member = Poly.from_raw(ctx, [-_reval(ctx, a, zs[0]) % p, *c[1:]])
+    quadratic = Poly.from_raw(ctx, [(u0 * u0 - zs[0]) % p, -2 * u0 % p, 1])
+    assert quadratic in [g for g, _ in factor(member).factors]
+    _assert_n2_is_factors_count(ctx, f)
+
+
 NAMED_FIELDS = {"F13": (13, 1), "F1747": (1747, 1), "F9": (3, 2), "F3^5": (3, 5)}
 NAMED_FIELDS |= {"F5": (5, 1), "F7": (7, 1), "F11": (11, 1)}
 
