@@ -1,45 +1,41 @@
 """Exact experiments over very short intervals {f + a : a in F_q}.
 
 Every experiment depends on the members only through their cycle types, and
-f + h + a runs over I(f) for every shift h.  One routine, _member_types,
-names or factors members, from inputs that the caller of _blocks computes
-once per interval at any worker count (_ddf_inputs).  For odd q these start
-from the D(t) = disc(center + t) of the center, I(f)'s member with constant
-term 0, which disc_in_t builds in every field, p <= deg f included: every
-D(c), a zero of which marks a member non-squarefree; for a table and for a
-standalone sweep of degree >= 6 the fiber pass, the roots of every member
-in any field, and over F_p a table of square roots and, for degree 6-8,
-every member's n_2 from one pass over F_{p^2} on the unscaled chirp sums
-of the center's Hasse derivatives (_quadratic_counts); and, unless every
-member is named, x^e mod every member (e the top bits of p) from one
-bivariate power.  By Stickelberger the root count, n_2 where
-known, and the square class of D(c) name every member for deg f <= 5, and
-over F_p for deg f <= 7, and all but (5,3) and (4,4) for deg f = 8
-(_named).  The kernel factors the others from their start of x^p,
-stopping early on D(c)'s square class, and over F_p for p > deg f from
-their roots (and n_2 where known), whose Frobenius matrix Q gives n_2 and
-n_3 by tr(Q^2) and tr(Q^3).  A standalone sweep of degree <= 5 takes no
-fiber pass and sends every member to the kernel: naming them would give
-sweeps outside a scope a transient table, which waits on a benchmark
-whose peak memory does not grow with its number of passes.
-Where the kernel runs (the x^p columns are built), work is split into
-contiguous index ranges, one per worker: the caller works the first, and
-a child it forks works each other on the inputs it inherits and sends its
-result back through a pipe; every child is reaped before the sweep
-returns (see _blocks).  Where every member is named, a dict lookup each,
-the caller works the whole interval and forks nothing.  Blocks are joined
-in index order or by integer sums, so reports are identical for any
-worker count.  The Morse label of a sum travels with its counts, read off
-the sweep's D(t).
+f + h + a runs over I(f) for every shift h.  The caller computes each
+interval's inputs once, at any worker count (_ddf_inputs).  For odd q these
+start from D(t) = disc(center + t), center I(f)'s member with constant term
+0, which disc_in_t builds in every field, p <= deg f included: every D(c),
+a zero of which marks a member non-squarefree; for a table the fiber pass,
+the roots of every member in any field, and over F_p a table of square roots
+and, for degree 6-8, every member's n_2 from one pass over F_{p^2}
+(_quadratic_counts); and, unless every member is named, x^e mod every
+member (e the top bits of p) from one bivariate power.  By Stickelberger the
+root count, n_2 where known, and the square class of D(c) name every member
+for deg f <= 5, and over F_p for deg f <= 7, and all but (5,3) and (4,4) for
+deg f = 8 (_named).  The kernel (_member_types) factors the others from
+their start of x^p, stopping early on D(c)'s square class, and over F_p for
+p > deg f from their roots, whose Frobenius matrix gives n_2 and n_3.
+
+A table takes two steps (_table): one loop in the caller names what it can
+and lists the residue, the constant terms left to the kernel (_name), and
+only the residue goes to the kernel.  A standalone sweep of degree >= 6
+reads a table built for it alone, so each member is evaluated once, not once
+per shift; one of degree <= 5 sends every member of every shift to the
+kernel with no fiber pass (_sweep_block), as the benchmark pins its kernel
+calls.  _blocks cuts the kernel's work into one block per _FORK_MEMBERS
+members, at most one per worker: the caller works the first, and a child it
+forks works each other on the inputs it inherits and pipes back its result;
+every child is reaped before the sweep returns.  Blocks are joined in order
+or by integer sums, so reports are identical for any worker count.  The
+Morse label of a sum travels with its counts, read off the sweep's D(t).
 
 Inside run_scope() the first sweep of an interval fills one table, the cycle
 type of the member with constant term c at index c, stored with the label,
 and every later sweep of I(f) in the scope reads it with no kernel call and
 no fork.  A battery, moebius_battery and each large_q_demo step run in a
 fresh scope, so the demo's p-shift Möbius product is a reduction over the
-table its single sum built; a standalone call outside any scope evaluates
-all q * shifts members.  All sums are exact rationals; floats appear only
-in the normalized error and timing fields.
+table its single sum built.  All sums are exact rationals; floats appear
+only in the normalized error and timing fields.
 
 The Morse genericity scan, for p > d, reads the non-Morse slopes s of
 f + s*x off the roots of one polynomial E(s), the discriminant of
@@ -60,7 +56,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, count, product, repeat
+from operator import ge, not_, sub
 
 from .class_functions import ClassFunction, CycleType, make_builtin, mean_constant, partitions_of
 from .errors import (
@@ -108,6 +105,7 @@ from .polynomial import (
 
 _GAUSS_GUARD = 10**7
 _SCAN_GUARD = 10**6
+_FORK_MEMBERS = 128  # kernel members per forked block: two blocks beat one on wall time from about 256
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,7 @@ def _center(ctx, f: Poly):
 
 
 def _ddf_inputs(ctx, center, d_raws, fiber):
-    """(discs, cols, roots): _member_types' inputs, computed once per interval by the caller of _blocks.
+    """(discs, cols, roots): _name's and _member_types' inputs, computed once per interval by the caller.
 
     Given D(t) (odd q), discs[c] = D(c) for every c, and with fiber the
     fiber pass gives roots = (xs, starts, twos, squares): x is a root of the
@@ -162,8 +160,7 @@ def _ddf_inputs(ctx, center, d_raws, fiber):
     (_quadratic_counts, on the unscaled chirp sums of the Hasse derivatives
     from the same chirp call); else None.  cols are _frobenius_columns over
     F_p and _ext_frobenius_columns over F_{p^l}, None where every member is
-    named: for d = 2 given D(t), d <= 5 given roots, d <= 7 given twos.  The
-    callers fork only where cols are built.
+    named: for d = 2 given D(t), d <= 5 given roots, d <= 7 given twos.
     """
     d, p, q = len(center) - 1, ctx.p, ctx.q
     discs = roots = None
@@ -192,8 +189,9 @@ def _fibers(hits, q):
     return array("i", sorted(range(q), key=hits.__getitem__)), array("i", starts)
 
 
+@lru_cache(maxsize=1)
 def _square_roots(p):
-    """A square root of each element of F_p (odd p) that is a square, -1 at each nonsquare; 4 bytes each."""
+    """A square root of each element of F_p (odd p) that is a square, -1 at each nonsquare; 4p bytes, for the last p."""
     roots = array("i", [-1]) * p
     for y in range((p + 1) // 2):
         roots[y * y % p] = y
@@ -271,72 +269,68 @@ def _named(d, twos):
             for k, j, odd, r in rests if len(r) == 1}
 
 
-def _member_types(ctx, center, discs, cols, roots, consts):
-    """Cycle type (None: not squarefree) of each member of I(center), by constant term.
+def _name(ctx, d, discs, roots):
+    """(types, residue): the cycle types the fiber pass names, by constant term, and the c it leaves.
 
-    discs, cols and roots come from _ddf_inputs.  Given roots, a member
-    with D(c) = 0 is None, and one whose root count, n_2 where known and
-    square class of D(c) (over F_p from the square roots) _named names gets
-    that type, with no kernel call.  Every other member goes through the
-    kernel, with D(c), its start of x^p from cols, and over F_p for p > d
+    types[c] is None where D(c) = 0, and _named's type where the root count,
+    n_2 where known and square class of D(c) name one; residue lists every
+    other c, ascending (all of them without roots), at None until factored.
+    """
+    if roots is None:
+        return [None] * ctx.q, range(ctx.q)
+    _, starts, twos, squares = roots
+    square = map(ctx.is_square, discs) if squares is None else map(ge, map(squares.__getitem__, discs), repeat(0))
+    keys = zip(map(sub, starts[1:], starts), repeat(None) if twos is None else twos, square)
+    types = list(map(_named(d, twos is not None).get, keys))
+    for c in compress(count(), map(not_, discs)):
+        types[c] = None
+    return types, [c for c in compress(count(), map(not_, types)) if discs[c]]
+
+
+def _member_types(ctx, center, discs, cols, roots, consts):
+    """Cycle type (None: not squarefree) of each member of I(center) at consts, from the kernel.
+
+    It gets D(c) and its start of x^p where given, and over F_p for p > d
     its roots and twos[c], so its DDF starts at degree 2 on the cofactor,
     where _ddf's tr(Q^2) and tr(Q^3) are exact, and skips tr(Q^2) given n_2.
     """
     kernel, field = (_pattern_or_none_int, ctx.p) if ctx.l == 1 else (_pattern_or_none_generic, ctx)
-    d = len(center) - 1
-    xs, starts, twos, squares = roots or (None,) * 4
-    named = None if roots is None else _named(d, twos is not None)
-    fed = roots is not None and ctx.l == 1 and ctx.p > d
-    is_square = ctx.is_square if squares is None else (lambda c: squares[c] >= 0)
+    xs, starts, twos, _ = roots or (None,) * 4
+    fed = roots is not None and ctx.l == 1 and ctx.p > len(center) - 1
     for c in consts:
-        disc = None if discs is None else discs[c]
-        if named is not None:
-            if not disc:
-                yield None
-                continue
-            t = named.get((starts[c + 1] - starts[c], None if twos is None else twos[c], is_square(disc)))
-            if t is not None:
-                yield t
-                continue
         g = list(center)
         g[0] = c
-        args = [field, g, disc]
-        if cols is not None:
-            args.append([col[c] for col in cols])
-        if fed:  # only with cols: a member the fiber pass does not name has d - k >= 6
+        args = [field, g, None if discs is None else discs[c], None if cols is None else [col[c] for col in cols]]
+        if fed:
             args += xs[starts[c]:starts[c + 1]], None if twos is None else twos[c]
         yield kernel(*args)
 
 
-def _sweep_block(ctx, center, discs, cols, roots, offsets, lo, hi):
-    """Joint cycle-type counts of the members at constant terms o + a, a in [lo, hi).
-
-    offsets are f_0 + h for the shifts h, so the k-tuple at a is the cycle
-    types of f + h + a.
-    """
+def _sweep_block(ctx, center, discs, cols, offsets, lo, hi):
+    """Joint counts of the kernel's cycle types at constant terms o + a, a in [lo, hi), o in offsets (f_0 + h)."""
     add = ctx.add
     consts = (add(o, a) for a in range(lo, hi) for o in offsets)
-    types = _member_types(ctx, center, discs, cols, roots, consts)
+    types = _member_types(ctx, center, discs, cols, None, consts)
     return Counter(zip(*[types] * len(offsets)))
 
 
-def _ddf_block(ctx, center, discs, cols, roots, lo, hi):
-    """Cycle types of the members with constant term c in [lo, hi), in order."""
-    return list(_member_types(ctx, center, discs, cols, roots, range(lo, hi)))
+def _kernel_block(ctx, center, discs, cols, roots, residue, lo, hi):
+    """The kernel's cycle types of the members at constant terms residue[lo:hi], in order."""
+    return list(_member_types(ctx, center, discs, cols, roots, residue[lo:hi]))
 
 
-def _blocks(block, head, q, workers):
-    """block(*head, lo, hi) for [0, q) cut into one block per worker, in order.
+def _blocks(block, head, n, workers, per=1):
+    """block(*head, lo, hi) for [0, n) cut into equal blocks, in order, one per _FORK_MEMBERS kernel members.
 
+    Each index stands for per kernel members; there are 1 to workers blocks.
     The caller works the first; a child forked for each other block works it
     on the head it inherits and pipes back its result or exception, pickled.
     Every child is reaped before this returns or raises, and killed first if
-    the caller raised.  Without os.fork the caller works every block.  The
-    callers pass workers = 1 where _ddf_inputs built no x^p columns: every
-    member is then named, and a fork would cost more than it splits.
+    the caller raised.  Without os.fork the caller works every block.
     """
-    bounds = [q * i // workers for i in range(workers + 1)]
-    first, *rest = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    blocks = max(1, min(workers, n * per // _FORK_MEMBERS))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    first, *rest = [head + (lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if not hasattr(os, "fork"):
         return [block(*args) for args in (first, *rest)]
     children = []  # (pid, read end of its pipe) of every child not yet reaped, in block order
@@ -385,48 +379,54 @@ def _child(block, args, r, w):
         os._exit(code)  # never back into the caller's frames
 
 
-def _interval_table(ctx, f: Poly, workers: int):
-    """(table, morse): the run scope's table of I(f), built by the interval's first sweep.
+def _table(ctx, f: Poly, workers: int):
+    """(table, morse): entry c the cycle type of the member of I(f) with constant term c, or None, and the label.
 
-    Entry c is the cycle type of the member with constant term c, or None;
-    f and each f + c key and build the same table.  morse is _center's
-    label, None for p = 2.
+    The caller names what it can (_name); only the residue goes to the
+    kernel, in _blocks.  f and each f + c build the same table.
     """
+    center, d_raws, morse = _center(ctx, f)
+    discs, cols, roots = _ddf_inputs(ctx, center, d_raws, True)
+    table, residue = _name(ctx, len(center) - 1, discs, roots)
+    head = ctx, center, discs, cols, roots, residue
+    interned = {}  # one tuple per cycle type, however many members share it
+    for c, t in zip(residue, chain.from_iterable(_blocks(_kernel_block, head, len(residue), workers))):
+        table[c] = interned.setdefault(t, t)
+    return table, morse
+
+
+def _interval_table(ctx, f: Poly, workers: int):
+    """(table, morse): the run scope's _table of I(f), built by the interval's first sweep."""
     key = _key(ctx, f)
-    entry = _tables.get(key)
-    if entry is None:
-        center, d_raws, morse = _center(ctx, f)
-        discs, cols, roots = _ddf_inputs(ctx, center, d_raws, True)
-        blocks = _blocks(_ddf_block, (ctx, center, discs, cols, roots), ctx.q, 1 if cols is None else workers)
-        interned = {}  # one tuple per cycle type, however many members share it
-        entry = _tables[key] = [interned.setdefault(t, t) for block in blocks for t in block], morse
-    return entry
+    if key not in _tables:
+        _tables[key] = _table(ctx, f, workers)
+    return _tables[key]
 
 
 def _joint_counts(ctx, f: Poly, shifts, workers: int = 1):
     """(counts, morse): aggregate joint cycle-type counts over the whole interval, and is f Morse.
 
     The k-tuple at a holds the cycle types of f + h + a, the members of I(f)
-    with constant terms f_0 + h + a.  Outside a run scope every block
-    evaluates its members, q * shifts of them, with the fiber pass for
-    d >= 6 only; inside one the tuples are read from the interval's table,
-    which the interval's first sweep in the run builds.  The label is read
-    off the sweep's D(t), or the table's, and is is_morse's for p = 2.
+    with constant terms f_0 + h + a, read from a table: the run scope's, or
+    for d >= 6 outside one, this sweep's own.  Otherwise every block
+    evaluates its members, q * shifts of them, with no fiber pass.  The label
+    is read off the sweep's D(t), or the table's; is_morse's for p = 2.
     """
     q = ctx.q
     if q * len(shifts) > _GAUSS_GUARD:
         raise TooLarge(f"q * shifts = {q * len(shifts)} members exceed sweep guard")
     add = ctx.add
     offsets = tuple(add(f.raw_coeffs[0], h.raw) for h in shifts)
-    if _tables is not None:
-        table, morse = _interval_table(ctx, f, workers)
-        counts = Counter(tuple([table[add(o, a)] for o in offsets]) for a in range(q))
+    if _tables is not None or f.degree >= 6:
+        table, morse = _table(ctx, f, workers) if _tables is None else _interval_table(ctx, f, workers)
+        rotated = (table[o:] + table[:o] if ctx.l == 1 else [table[add(o, a)] for a in range(q)] for o in offsets)
+        counts = Counter(zip(*rotated))  # over F_p, o + a is a rotation by o
     else:
         center, d_raws, morse = _center(ctx, f)
-        discs, cols, roots = _ddf_inputs(ctx, center, d_raws, f.degree >= 6)
-        head = ctx, center, discs, cols, roots, offsets
+        discs, cols, _ = _ddf_inputs(ctx, center, d_raws, False)
+        per = 0 if cols is None else len(offsets)  # d = 2 given D(t): the kernel names each member from D(c)
         counts = Counter()
-        for block in _blocks(_sweep_block, head, q, 1 if cols is None else workers):
+        for block in _blocks(_sweep_block, (ctx, center, discs, cols, offsets), q, workers, per):
             counts.update(block)
     return dict(counts), is_morse(f)[0] if morse is None else morse
 

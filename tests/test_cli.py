@@ -219,17 +219,18 @@ def test_a_sweep_child_that_exits_without_a_result_exits_1(capsys, monkeypatch):
 
     from ffintervals import cli, interval_lab
 
-    ddf_block = interval_lab._ddf_block
+    kernel_block = interval_lab._kernel_block
 
     def later_blocks_exit(*args):
         if args[-2] > 0:
             os._exit(3)
-        return ddf_block(*args)
+        return kernel_block(*args)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(interval_lab, "_ddf_block", later_blocks_exit)
-    # an octic's table calls the kernel for (5,3) and (4,4), so its build forks
-    argv = ["sum", "--p", "31", "--f", "x^8+3*x^5+x^3+2*x+1", "--phi", "mu", "--workers", "2"]
+    monkeypatch.setattr(interval_lab, "_kernel_block", later_blocks_exit)
+    # at p = 10007 the octic's table leaves the kernel about 940 members of
+    # type (5,3) or (4,4), past the gate of 2 * _FORK_MEMBERS, so its build forks
+    argv = ["sum", "--p", "10007", "--f", "x^8+3*x^5+x^3+2*x+1", "--phi", "mu", "--workers", "2"]
     assert run_command(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sweep child ") and err.endswith(" exited with code 3 and no result\n")

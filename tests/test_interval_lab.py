@@ -469,10 +469,10 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _count_table_builds(monkeypatch):
-    """Counts table builds at 1 worker, where each build runs one block."""
+    """Counts table builds, in a scope or for a standalone sweep."""
     builds = []
-    block = interval_lab._ddf_block
-    monkeypatch.setattr(interval_lab, "_ddf_block", lambda *args: builds.append(1) or block(*args))
+    table = interval_lab._table
+    monkeypatch.setattr(interval_lab, "_table", lambda *args: builds.append(1) or table(*args))
     return builds
 
 
@@ -538,13 +538,15 @@ def test_run_scope_table_is_the_same_at_any_worker_count(monkeypatch):
             cycle_pattern_or_none(ctx, [c] + list(f.raw_coeffs[1:])) for c in range(ctx.q)
         ]
         assert table == expected
-    # a tabled interval forks no child: the F_8 table, which the kernel
-    # builds, forks one, and the sweep that reads it none
+    # a tabled interval forks no child: the nonic's table, whose residue
+    # clears the gate, forks one, and the sweep that reads it none
+    f, = _seeded_centers((9,), "pool/tabled")
+    mu = make_builtin("moebius", 9)
     forked = _count_forks(monkeypatch)
     with run_scope():
-        first = class_sum(F8, Poly(F8, [1, 1, 0, 1]), mu, 2)
+        first = class_sum(F1747, f, mu, 2)
         assert len(forked) == 1
-        again = class_sum(F8, Poly(F8, [3, 1, 0, 1]), mu, 2)
+        again = class_sum(F1747, f.shift_const(F1747(3)), mu, 2)
     assert len(forked) == 1
     assert again.cycle_type_counts == first.cycle_type_counts
     _assert_no_child_left()
@@ -647,7 +649,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-F1747 = make_prime_field(1747)
+F1747, F10007 = make_prime_field(1747), make_prime_field(10007)
 F8 = make_extension(make_prime_field(2), 3, 0)  # p = 2: no D(t), so every table calls the kernel
 
 
@@ -656,11 +658,20 @@ def _seeded_centers(degrees, label):
     return [random_monic(F1747, d, rng) for d in degrees]
 
 
+def _residue(ctx, f):
+    """The constant terms of the members of I(f) that a table leaves to the kernel."""
+    center, d_raws, _ = interval_lab._center(ctx, f)
+    discs, _, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
+    return interval_lab._name(ctx, f.degree, discs, roots)[1]
+
+
 def test_a_standalone_two_worker_sweep_forks_one_process(monkeypatch):
-    # the caller works the first block, so a w-worker sweep that calls the
-    # kernel (here d = 8, for (5,3) and (4,4)) forks w - 1 children
-    f, = _seeded_centers((8,), "pool/standalone")
-    mu = make_builtin("moebius", 8)
+    # the caller works the first block, so a w-worker sweep whose kernel
+    # residue clears the gate (here a nonic, with about 1,700 members
+    # left after naming) forks w - 1 children
+    f, = _seeded_centers((9,), "pool/standalone")
+    mu = make_builtin("moebius", 9)
+    assert len(_residue(F1747, f)) >= 3 * interval_lab._FORK_MEMBERS
     forked = _count_forks(monkeypatch)
     rep = class_sum(F1747, f, mu, 2)
     assert len(forked) == 1
@@ -700,82 +711,130 @@ def test_reports_agree_at_one_two_and_three_workers():
     assert threading.active_count() == 1
 
 
-_SWEEP_BLOCK = interval_lab._sweep_block
+_KERNEL_BLOCK = interval_lab._kernel_block
 
 
-def _first_block_raises(ctx, center, discs, cols, roots, offsets, lo, hi):
+def _first_block_raises(ctx, center, discs, cols, roots, residue, lo, hi):
     if lo == 0:
         raise RuntimeError("the caller's block")
-    return _SWEEP_BLOCK(ctx, center, discs, cols, roots, offsets, lo, hi)
+    return _KERNEL_BLOCK(ctx, center, discs, cols, roots, residue, lo, hi)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_only_sweeps_that_call_the_kernel_fork(monkeypatch, workers):
-    # where _ddf_inputs builds no x^p columns every member is named, and the
-    # caller works the whole interval: a d = 6 or 7 sweep or table, and a
-    # d = 4 table.  A d = 8 sweep or table, which factors (5,3) and (4,4),
-    # and a standalone d = 4 sweep, which takes no fiber pass, fork w - 1
-    f4, f6, f7, f8 = _seeded_centers((4, 6, 7, 8), "pool/kernel-bound")
+    # a table's build, or a standalone d >= 6 sweep's, forks only where its
+    # kernel residue clears the gate: a d = 6 or 7 sweep or table and a d = 4
+    # table name every member, and a d = 8 one over F_1747 leaves the kernel
+    # (5,3) and (4,4), about 170 members; none forks.  A d = 9 sweep or table
+    # over F_1747 (about 1,700) and a d = 8 sweep over F_10007 (about 1,000)
+    # fork w - 1, and so does a standalone d = 4 sweep, which takes no fiber
+    # pass and sends all q members to the kernel
+    f4, f6, f7, f8, f9 = _seeded_centers((4, 6, 7, 8, 9), "pool/kernel-bound")
+    octic = random_monic(F10007, 8, random.Random("pool/kernel-bound/10007"))
     forked = _count_forks(monkeypatch)
     cases = [(f6, False, 0), (f7, False, 0), (f6, True, 0), (f7, True, 0), (f4, True, 0),
-             (f8, False, workers - 1), (f8, True, workers - 1), (f4, False, workers - 1)]
+             (f8, False, 0), (f8, True, 0), (f9, False, workers - 1), (f9, True, workers - 1),
+             (f4, False, workers - 1), (octic, False, workers - 1)]
     for f, scoped, children in cases:
         forked.clear()
         mu = make_builtin("moebius", f.degree)
         with run_scope() if scoped else contextlib.nullcontext():
-            rep = class_sum(F1747, f, mu, workers)
-        assert len(forked) == children, (f.degree, scoped)
+            rep = class_sum(f.ctx, f, mu, workers)
+        assert len(forked) == children, (f.ctx.p, f.degree, scoped)
         _assert_no_child_left()
-        assert rep.cycle_type_counts == class_sum(F1747, f, mu).cycle_type_counts
+        assert rep.cycle_type_counts == class_sum(f.ctx, f, mu).cycle_type_counts
     assert threading.active_count() == 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
+def test_octics_at_p_near_1750_fork_no_child(monkeypatch, workers):
+    # a degree-8 sweep over F_p, p near 1750, leaves the kernel only its
+    # (5,3) and (4,4) members, fewer than 2 * _FORK_MEMBERS: it runs in the
+    # caller at any worker count, standalone and from a scope's table, with
+    # the counts one worker gives
+    forked = _count_forks(monkeypatch)
+    for p in (1741, 1747, 1753):
+        ctx = make_prime_field(p)
+        rng = random.Random(f"pool/octic/{p}")
+        for f in (random_monic(ctx, 8, rng) for _ in range(2)):
+            assert 0 < len(_residue(ctx, f)) < 2 * interval_lab._FORK_MEMBERS
+            mu = make_builtin("moebius", 8)
+            expected = class_sum(ctx, f, mu).cycle_type_counts
+            assert class_sum(ctx, f, mu, workers).cycle_type_counts == expected
+            with run_scope():
+                assert class_sum(ctx, f, mu, workers).cycle_type_counts == expected
+    assert forked == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_open_one_block_per_fork_members_up_to_workers(monkeypatch, workers):
+    # n kernel members just below and just above each multiple of the gate
+    # open floor(n / _FORK_MEMBERS) blocks, at least 1 and at most workers,
+    # that cut [0, n) in order; the caller works the first, and each other
+    # is a child's.  Where each index stands for per members, n * per count
+    gate = interval_lab._FORK_MEMBERS
+    forked = _count_forks(monkeypatch)
+    sizes = [(n, 1) for n in (0, 1, gate - 1, gate, 2 * gate - 1, 2 * gate, 3 * gate - 1, 3 * gate, 5 * gate)]
+    sizes += [(gate // 2, 2), (gate, 2), (3 * gate // 2 - 1, 2), (3 * gate // 2, 2)]
+    for n, per in sizes:
+        forked.clear()
+        spans = interval_lab._blocks(lambda lo, hi: (lo, hi), (), n, workers, per)
+        assert len(spans) == max(1, min(workers, n * per // gate)) == len(forked) + 1, (n, per)
+        bounds = [lo for lo, _ in spans] + [spans[-1][1]]
+        assert bounds[0] == 0 and bounds[-1] == n and bounds == sorted(bounds), (n, per)
+        assert [hi for _, hi in spans[:-1]] == bounds[1:-1], (n, per)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
 def test_an_error_in_the_callers_block_leaves_no_process(monkeypatch, workers):
-    f, = _seeded_centers((8,), "pool/raises")  # d = 8 calls the kernel, so the sweep forks
-    monkeypatch.setattr(interval_lab, "_sweep_block", _first_block_raises)
+    f, = _seeded_centers((9,), "pool/raises")  # a nonic's residue clears the gate, so the sweep forks
+    monkeypatch.setattr(interval_lab, "_kernel_block", _first_block_raises)
     forked = _count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="the caller's block"):
-        class_sum(F1747, f, make_builtin("moebius", 8), workers)
+        class_sum(F1747, f, make_builtin("moebius", 9), workers)
     assert len(forked) == workers - 1
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_typed_error_in_a_childs_block_reaches_the_caller(monkeypatch, workers):
-    f, = _seeded_centers((8,), "pool/raises")
+    f, = _seeded_centers((9,), "pool/raises")
 
     def later_blocks_raise(*args):
         lo = args[-2]
         if lo > 0:
             raise TooLarge(f"the block from {lo}")
-        return _SWEEP_BLOCK(*args)
+        return _KERNEL_BLOCK(*args)
 
-    monkeypatch.setattr(interval_lab, "_sweep_block", later_blocks_raise)
+    monkeypatch.setattr(interval_lab, "_kernel_block", later_blocks_raise)
     forked = _count_forks(monkeypatch)
     # every child raises; the first block's error, in index order, is the one re-raised
-    with pytest.raises(TooLarge, match=f"^the block from {1747 // workers}$"):
-        class_sum(F1747, f, make_builtin("moebius", 8), workers)
+    n = len(_residue(F1747, f))
+    with pytest.raises(TooLarge, match=f"^the block from {n // workers}$"):
+        class_sum(F1747, f, make_builtin("moebius", 9), workers)
     assert len(forked) == workers - 1
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_child_that_exits_without_a_result_raises_worker_failed(monkeypatch, workers):
-    # an F_8 table calls the kernel (p = 2 has no D(t)), so the last block is
-    # a child's: on a named table the caller would work it and exit itself
-    f = Poly(F8, [1, 1, 0, 1])
-    ddf_block = interval_lab._ddf_block
+    # a nonic's table leaves the kernel a residue past the gate, so the last
+    # block is a child's: were it the caller's, the caller would exit itself
+    f, = _seeded_centers((9,), "pool/exits")
+    n = len(_residue(F1747, f))
+    assert n >= 3 * interval_lab._FORK_MEMBERS
 
     def last_block_exits(*args):
-        if args[-1] == F8.q:
+        if args[-1] == n:
             os._exit(3)
-        return ddf_block(*args)
+        return _KERNEL_BLOCK(*args)
 
-    monkeypatch.setattr(interval_lab, "_ddf_block", last_block_exits)
+    monkeypatch.setattr(interval_lab, "_kernel_block", last_block_exits)
     forked = _count_forks(monkeypatch)
     with pytest.raises(WorkerFailed) as failed, run_scope():
-        class_sum(F8, f, make_builtin("moebius", 3), workers)
+        class_sum(F1747, f, make_builtin("moebius", 9), workers)
     assert len(forked) == workers - 1
     assert str(failed.value) == f"sweep child {forked[-1]} exited with code 3 and no result"
     _assert_no_child_left()
@@ -826,7 +885,7 @@ def test_a_two_worker_battery_names_every_table_with_no_fork(monkeypatch):
         large_q_demo(5, (1, 4), 2)
     assert len(forked) == 0
     forked.clear()
-    builds = _count_table_builds(monkeypatch)  # counts the caller's block of each build
+    builds = _count_table_builds(monkeypatch)
     during_demo = []
     demo = suite.large_q_demo
 
@@ -847,11 +906,11 @@ def test_a_two_worker_battery_names_every_table_with_no_fork(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_the_battery_and_the_demo_fork_per_table_and_leave_no_child(monkeypatch, workers):
-    # an octic's table calls the kernel for (5,3) and (4,4), so its build
-    # forks; the demo's cubic tables are named, and their builds fork none
-    F101 = make_prime_field(101)
+    # an octic's table over F_10007 leaves the kernel its (5,3) and (4,4),
+    # past the gate, so its build forks; the demo's cubic tables are named,
+    # and their builds fork none
     forked = _count_forks(monkeypatch)
-    bat = moebius_battery(F101, first_morse_center(F101, 8), (F101(0), F101(1)), 5.0, workers)
+    bat = moebius_battery(F10007, first_morse_center(F10007, 8), (F10007(0), F10007(1)), 5.0, workers)
     assert bat.branch == "cancellation"
     assert len(forked) == workers - 1  # both sums read one table
     _assert_no_child_left()
@@ -863,15 +922,16 @@ def test_the_battery_and_the_demo_fork_per_table_and_leave_no_child(monkeypatch,
 
 def test_a_two_worker_scope_leaves_no_child_raised_or_not(monkeypatch):
     big = make_prime_field(10000019)
-    f, mu = Poly(F8, [1, 1, 0, 1]), make_builtin("moebius", 3)  # an F_8 table forks
+    f, = _seeded_centers((9,), "pool/scope")  # a nonic's table forks
+    mu = make_builtin("moebius", 9)
     forked = _count_forks(monkeypatch)
     with run_scope():
-        class_sum(F8, f, mu, 2)
+        class_sum(F1747, f, mu, 2)
         assert len(forked) == 1
         _assert_no_child_left()
     with pytest.raises(TooLarge), run_scope():
-        class_sum(F8, f.shift_const(F8(1)), mu, 2)
-        class_sum(big, Poly(big, [0, 0, 0, 1]), mu, 2)
+        class_sum(F1747, f.shift_const(F1747(1)), mu, 2)
+        class_sum(big, Poly(big, [0, 0, 0, 1]), make_builtin("moebius", 3), 2)
     assert len(forked) == 2
     _assert_no_child_left()
 
@@ -902,11 +962,12 @@ def test_paper_suite_rerun_builds_its_own_tables(monkeypatch):
 
 
 def _table_over_split(ctx, f, bounds):
-    """I(f)'s run-scope table with the blocks cut at bounds (0 to q) and run in-process."""
+    """I(f)'s run-scope table with the kernel's blocks cut at bounds (0 to q, scaled to the residue) and run in-process."""
 
-    def blocks(block, head, q, workers):
-        assert (bounds[0], bounds[-1]) == (0, q)
-        return [block(*head, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    def blocks(block, head, n, workers):
+        assert (bounds[0], bounds[-1]) == (0, ctx.q) and n <= ctx.q
+        cuts = [b * n // ctx.q for b in bounds]
+        return [block(*head, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     with pytest.MonkeyPatch.context() as patch, run_scope():
         patch.setattr(interval_lab, "_blocks", blocks)
@@ -1052,10 +1113,24 @@ def test_center_gives_d_exactly_for_odd_q():
 
 
 def _standalone_types(ctx, f):
-    """The member types of I(f) as a standalone sweep's blocks take them, by constant term."""
+    """The member types of I(f) as a standalone sweep takes them, by constant term.
+
+    For d >= 6 they are its transient table's; for d <= 5 each is the
+    kernel's, with no fiber pass.
+    """
+    if f.degree >= 6:
+        return interval_lab._table(ctx, f, 1)[0]
     center, d_raws, _ = interval_lab._center(ctx, f)
-    inputs = interval_lab._ddf_inputs(ctx, center, d_raws, f.degree >= 6)
-    return list(interval_lab._member_types(ctx, center, *inputs, range(ctx.q)))
+    discs, cols, _ = interval_lab._ddf_inputs(ctx, center, d_raws, False)
+    return list(interval_lab._member_types(ctx, center, discs, cols, None, range(ctx.q)))
+
+
+def _swept_types(ctx, center, discs, cols, roots, consts):
+    """The member types at consts as _table gives them: named by _name, the residue's from the kernel."""
+    types, residue = interval_lab._name(ctx, len(center) - 1, discs, roots)
+    left = sorted(set(residue).intersection(consts))
+    factored = dict(zip(left, interval_lab._member_types(ctx, center, discs, cols, roots, left)))
+    return [factored.get(c, types[c]) for c in consts]
 
 
 def _factorizations(ctx, d, top):
@@ -1120,7 +1195,7 @@ def _root_fed_calls(monkeypatch):
     kernel = interval_lab._pattern_or_none_int
 
     def counted(*args):
-        if len(args) == 5:
+        if len(args) == 6:  # p, g, D(c), the start of x^p, the roots, n_2
             fed.append(args[1])
         return kernel(*args)
 
@@ -1203,9 +1278,9 @@ def _assert_named_route(ctx, f):
     for bounds in ([0, ctx.q], [0, ctx.q // 2, ctx.q]):
         assert _table_over_split(ctx, f, bounds) == expected, (f, bounds)
     center, d_raws, _ = interval_lab._center(ctx, f)
-    discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, f.degree >= 6)
-    assert list(interval_lab._member_types(ctx, center, discs, cols, roots, range(ctx.q))) == expected, f
+    assert _standalone_types(ctx, f) == expected, f
     if ctx.l == 1 and 6 <= f.degree <= 8:
+        roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)[2]
         _assert_quadratic_counts(roots[2], expected, f)
     assert _joint_counts(ctx, f, (ctx(0),))[0] == Counter((t,) for t in expected), f
 
@@ -1337,7 +1412,7 @@ def test_the_named_route_on_seeded_intervals(name, d):
         center, d_raws, _ = interval_lab._center(ctx, f)
         discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
         consts = [c for c in range(ctx.q) if not discs[c]] + rng.sample(range(ctx.q), 8)
-        types = list(interval_lab._member_types(ctx, center, discs, cols, roots, consts))
+        types = _swept_types(ctx, center, discs, cols, roots, consts)
         assert types == [cycle_pattern_or_none(ctx, [c, *center[1:]]) for c in consts], f
         if l == 1:
             _assert_quadratic_counts(roots[2], types, f, consts)

@@ -674,6 +674,14 @@ def _seeded_center(p, d):
 SEEDED_INTERVALS = [(p, d) for p in (1009, 1747) for d in range(3, 9)] + [(10007, 3), (10007, 6)]
 
 
+def _swept_types(ctx, center, discs, cols, roots, consts):
+    """The member types at consts as a table gives them: named by _name, the residue's from the kernel."""
+    types, residue = interval_lab._name(ctx, len(center) - 1, discs, roots)
+    left = sorted(set(residue).intersection(consts))
+    factored = dict(zip(left, interval_lab._member_types(ctx, center, discs, cols, roots, left)))
+    return [factored.get(c, types[c]) for c in consts]
+
+
 @pytest.mark.parametrize("p,d", SEEDED_INTERVALS)
 def test_batched_start_and_member_types_on_seeded_intervals(p, d):
     center = _seeded_center(p, d)
@@ -683,7 +691,7 @@ def test_batched_start_and_member_types_on_seeded_intervals(p, d):
     discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, d >= 6)
     assert list(discs) == [_reval(ctx, d_raws, c) for c in range(p)]
     assert (cols is None) == (d in (6, 7)) and (roots is not None) == (d >= 6)
-    types = list(interval_lab._member_types(ctx, center, discs, cols, roots, range(p)))
+    types = _swept_types(ctx, center, discs, cols, roots, range(p))
     assert types == [cycle_pattern_or_none(ctx, [c] + center[1:]) for c in range(p)]
 
 
@@ -803,7 +811,7 @@ def test_ext_batched_start_and_member_types_on_seeded_intervals(p, l, d):
     discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, d >= 6)
     assert (roots is None) == (p == 2 or d < 6)
     assert [list(col) for col in cols] == [list(col) for col in _ext_columns(ctx, center)]
-    types = list(interval_lab._member_types(ctx, center, discs, cols, roots, range(ctx.q)))
+    types = _swept_types(ctx, center, discs, cols, roots, range(ctx.q))
     assert types == [cycle_pattern_or_none(ctx, [c] + list(center[1:])) for c in range(ctx.q)]
     ar = _RawArith(ctx)
     for c in random.Random(f"ext-batched/{p}/{l}/{d}/xq").sample(range(ctx.q), 20):
@@ -836,7 +844,7 @@ def _fed_and_unfed(ctx, center, consts):
     d_raws = interval_lab._center(ctx, Poly.from_raw(ctx, center))[1]
     discs, cols, roots = interval_lab._ddf_inputs(ctx, center, d_raws, True)
     xs, starts, twos = roots[:3]
-    fed = list(interval_lab._member_types(ctx, center, discs, cols, roots, consts))
+    fed = _swept_types(ctx, center, discs, cols, roots, consts)
     cols = cols or _frobenius_columns(ctx.p, center)
     for c, t in zip(consts, fed):
         g, start, rs = [c, *center[1:]], [col[c] for col in cols], xs[starts[c]:starts[c + 1]]
